@@ -77,19 +77,40 @@ def _setup_probe(workload, seed):
     _parse_all(generate(workload, seed))
 
 
-def _measure_setup(workload, seed):
-    """Median wall time of fresh interpreters that import, generate and parse."""
-    cmd = [
-        sys.executable, str(BENCH_DIR / "run.py"), "--setup-probe",
-        "--workload", workload, "--seed", str(seed),
-    ]
-    times = []
-    for k in range(SETUP_PROBES + 1):
+class SetupProbes:
+    """Wall times of fresh interpreters that import, generate and parse.
+
+    The first probe, made on construction, warms the file cache and the
+    bytecode cache and is not kept.  The run takes one probe after each pass
+    and the rest at its end, so the probes sample the host over the whole
+    run, as the requests do, and not only over the seconds before it.
+    """
+
+    def __init__(self, workload, seed):
+        self.cmd = [
+            sys.executable, str(BENCH_DIR / "run.py"), "--setup-probe",
+            "--workload", workload, "--seed", str(seed),
+        ]
+        self.times = []
+        self._probe()
+        self.times.clear()
+
+    def _probe(self):
+        # With a timeout and no pipe, subprocess polls for the child's exit
+        # in sleeps of up to 50 ms, which rounds the time up to that step.
+        # Waiting for end of file on the child's stdout returns at its exit.
         start = time.perf_counter()
-        subprocess.run(cmd, check=True, cwd=ROOT, timeout=120)
-        if k:  # the first probe warms the file cache and the bytecode cache
-            times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        subprocess.run(self.cmd, check=True, cwd=ROOT, timeout=120, stdout=subprocess.PIPE)
+        self.times.append(time.perf_counter() - start)
+
+    def take(self):
+        if len(self.times) < SETUP_PROBES:
+            self._probe()
+
+    def median(self):
+        while len(self.times) < SETUP_PROBES:
+            self._probe()
+        return statistics.median(self.times)
 
 
 class Session:
@@ -195,9 +216,10 @@ def _write_requests(path, records):
 
 
 def _end_to_end(args, requests, parsed):
-    setup_s = _measure_setup(args.workload, args.seed)
+    probes = SetupProbes(args.workload, args.seed)
     session = Session(requests, parsed)
-    busy = session.run(args.seconds, _send_plain)
+    busy = session.run(args.seconds, _send_plain, on_pass_end=probes.take)
+    setup_s = probes.median()
     times = [sec for _, _, sec, outcome in session.records if not isinstance(outcome, Exception)]
     attempted = len(session.records)
     completed = len(times)

@@ -29,6 +29,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 from polyutil import poly_add, poly_mul, poly_str, poly_substitute_last, weighted_order
 
+# dual-length is not listed in BENCHMARK.json: on a shared 2-vCPU host its
+# run-to-run spread of solve_tail_s (interquartile range over ten runs)
+# reached 0.25-0.30 of the median in three of five sets, against 0.21 at most
+# for the other two.  It stays here for traced and by-name runs.
 WORKLOADS = ("generic-reduce", "dual-length", "closure-member")
 NAMES = ("x", "y", "z", "w")
 
