@@ -35,7 +35,7 @@ from .instance import (
 from .matlis import ResourceCaps, compute_dual_basis
 from .modp import ModpStats, make_solver
 from .orders import MonomialOrder
-from .reduction import find_reduction, multiplicity
+from .reduction import find_reduction, generator_to_str, multiplicity
 from .scalars import scalar_to_str
 
 REPORT_SCHEMA = "hsmult-report/1"
@@ -76,7 +76,9 @@ def run_command(command, inst, options, member_expr=None):
         payload["reduction"] = {
             "a": [[scalar_to_str(inst.base, v) for v in row] for row in cert.a],
             "mode": cert.mode,
-            "generators": [g.to_str(inst.var_names) for g in cert.generators],
+            "generators": [
+                generator_to_str(g, inst.var_names) for g in cert.generators
+            ],
         }
         return payload, ModpStats(**res.modp_stats)
     if command == "member":

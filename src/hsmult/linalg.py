@@ -1,25 +1,33 @@
 """Exact rank and kernel computation over any field of the scalar tower.
 
-Matrices over a function field are eliminated fraction-free: rows are cleared
-to parameter-polynomial entries, elimination uses two-term cross products
-(Bareiss-style) and strips the full content of every updated row, which keeps
-entry degrees linear in the pivot count.  Base-field matrices use ordinary
+A function-field matrix is read through its ``grid``: every row cleared of
+denominators once into parameter polynomials.  Elimination on the grid is
+fraction-free (Bareiss-style two-term cross products, stripping the full
+content of every updated row, which keeps entry degrees linear in the pivot
+count), and so is back-substitution.  Base-field matrices use ordinary
 Gaussian elimination.  Pivoting is deterministic: first row with a nonzero
 entry in the current column, columns left to right.
+
+Kernel contract (the PolyList/MatList certificate strings rest on it): a
+one-dimensional kernel is returned as one canonical vector.  Over a function
+field its entries have denominator 1, their gcd is 1, and the leading
+coefficient of the first nonzero entry is positive (characteristic 0) or 1
+(characteristic p).  Over a base field the first nonzero entry is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnexpectedNullity
 from .poly import clear_row_denominators
 from .scalars import (
     FunctionField,
+    pp_add,
     pp_const,
     pp_divexact,
     pp_gcd,
-    pp_lcm,
     pp_leading,
     pp_mul,
     pp_neg,
@@ -44,6 +52,35 @@ class ExactMatrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
+    @cached_property
+    def grid(self):
+        """Function-field rows as parameter polynomials, cleared on first use.
+
+        Each grid row is the entry row times a nonzero polynomial, so ranks and
+        kernels read the grid in place of the rows.
+        """
+        return tuple(
+            tuple(clear_row_denominators(self.field, row)) for row in self.rows
+        )
+
+    @classmethod
+    def from_grid(cls, field, grid, ncols, row_tags=None):
+        """The function-field matrix whose entries are the polynomials of grid."""
+        rows = tuple(tuple(field.from_ppoly(a) for a in row) for row in grid)
+        M = cls(field, rows, ncols, row_tags)
+        M.__dict__["grid"] = tuple(tuple(row) for row in grid)
+        return M
+
+    def columns(self, cols):
+        """The submatrix on the given columns; a function-field grid carries over."""
+        rows = tuple(tuple(row[j] for j in cols) for row in self.rows)
+        sub = ExactMatrix(self.field, rows, len(cols))
+        if isinstance(self.field, FunctionField):
+            sub.__dict__["grid"] = tuple(
+                tuple(row[j] for j in cols) for row in self.grid
+            )
+        return sub
+
 
 def _strip_row_content(row, char, r):
     one = pp_const(1, r, char)
@@ -58,8 +95,19 @@ def _strip_row_content(row, char, r):
                 row[j] = pp_divexact(e, g, char)
 
 
-def _cleared_grid(M):
-    return [clear_row_denominators(M.field, row) for row in M.rows]
+def normalize_row_unit(nums, char):
+    """Scale polynomials by the unit that makes the leading coefficient of the
+    first nonzero one positive (characteristic 0) or 1 (characteristic p)."""
+    first = next((nm for nm in nums if nm), None)
+    if first is None:
+        return nums
+    _, lc = pp_leading(first)
+    if char and lc != 1:
+        inv = pow(lc, char - 2, char)
+        return [pp_scale(nm, inv, char) for nm in nums]
+    if not char and lc < 0:
+        return [pp_neg(nm, 0) for nm in nums]
+    return nums
 
 
 def _eliminate_ff(grid, ncols, char, r):
@@ -121,34 +169,34 @@ def _eliminate_generic(rows, ncols, field):
     return pivots
 
 
-def _canonical_vector_ff(ff, fracs):
-    """Clear denominators, divide by content, fix the sign of the first entry."""
-    char = ff.char
-    r = len(ff.params)
-    one = pp_const(1, r, char)
-    lcm = one
-    for a in fracs:
-        if a:
-            lcm = pp_lcm(lcm, a.den, char)
-    nums = [
-        pp_mul(a.num, pp_divexact(lcm, a.den, char), char) if a else {} for a in fracs
-    ]
-    g = {}
-    for nm in nums:
-        g = pp_gcd(g, nm, char)
-        if g == one:
-            break
-    if g and g != one:
-        nums = [pp_divexact(nm, g, char) if nm else {} for nm in nums]
-    first = next(nm for nm in nums if nm)
-    _, lc = pp_leading(first)
-    if char:
-        if lc != 1:
-            inv = pow(lc, char - 2, char)
-            nums = [pp_scale(nm, inv, char) for nm in nums]
-    elif lc < 0:
-        nums = [pp_neg(nm, 0) for nm in nums]
-    return tuple(ff.from_ppoly(nm) for nm in nums)
+def _free_column(pivots, ncols):
+    """The one non-pivot column, or None; UnexpectedNullity when there are more."""
+    pivot_cols = {c for _, c in pivots}
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    if len(free) > 1:
+        raise UnexpectedNullity(len(free))
+    return free[0] if free else None
+
+
+def _base_kernel(M):
+    """Kernel of a base-field matrix: None, or the vector whose first nonzero
+    entry is 1.  The mod-p path calls this directly, not through kernel."""
+    field = M.field
+    rows = [list(row) for row in M.rows]
+    pivots = _eliminate_generic(rows, M.ncols, field)
+    free = _free_column(pivots, M.ncols)
+    if free is None:
+        return None
+    v = [field.zero()] * M.ncols
+    v[free] = field.one()
+    for pr, pc in reversed(pivots):
+        s = field.zero()
+        for j in range(pc + 1, M.ncols):
+            if rows[pr][j] and v[j]:
+                s = s + rows[pr][j] * v[j]
+        v[pc] = -(s / rows[pr][pc])
+    inv = field.one() / next(a for a in v if a)
+    return tuple(a * inv for a in v)
 
 
 def kernel(M):
@@ -160,51 +208,42 @@ def kernel(M):
     if M.ncols < 1:
         raise ValueError("kernel of a matrix with no columns")
     field = M.field
-    if isinstance(field, FunctionField):
-        char = field.char
-        r = len(field.params)
-        grid = _cleared_grid(M)
-        pivots = _eliminate_ff(grid, M.ncols, char, r)
-        free = [c for c in range(M.ncols) if c not in {c for _, c in pivots}]
-        if not free:
-            return None
-        if len(free) > 1:
-            raise UnexpectedNullity(len(free))
-        v = [field.zero()] * M.ncols
-        v[free[0]] = field.one()
-        for pr, pc in reversed(pivots):
-            s = field.zero()
-            for j in range(pc + 1, M.ncols):
-                if grid[pr][j] and v[j]:
-                    s = s + field.from_ppoly(grid[pr][j]) * v[j]
-            v[pc] = -(s / field.from_ppoly(grid[pr][pc]))
-        return _canonical_vector_ff(field, v)
-    rows = [list(row) for row in M.rows]
-    pivots = _eliminate_generic(rows, M.ncols, field)
-    free = [c for c in range(M.ncols) if c not in {c for _, c in pivots}]
-    if not free:
+    if not isinstance(field, FunctionField):
+        return _base_kernel(M)
+    char = field.char
+    r = len(field.params)
+    grid = list(M.grid)
+    pivots = _eliminate_ff(grid, M.ncols, char, r)
+    free = _free_column(pivots, M.ncols)
+    if free is None:
         return None
-    if len(free) > 1:
-        raise UnexpectedNullity(len(free))
-    v = [field.zero()] * M.ncols
-    v[free[0]] = field.one()
+    # back-substitute in polynomials: before solving a pivot row, scale the
+    # solved entries by pivot / gcd(pivot, row sum) so the division is exact
+    one = pp_const(1, r, char)
+    v = [{}] * M.ncols
+    v[free] = one
     for pr, pc in reversed(pivots):
-        s = field.zero()
+        row = grid[pr]
+        s = {}
         for j in range(pc + 1, M.ncols):
-            if rows[pr][j] and v[j]:
-                s = s + rows[pr][j] * v[j]
-        v[pc] = -(s / rows[pr][pc])
-    first = next(a for a in v if a)
-    inv = field.one() / first
-    return tuple(a * inv for a in v)
+            if row[j] and v[j]:
+                s = pp_add(s, pp_mul(row[j], v[j], char), char)
+        if not s:
+            continue
+        g = pp_gcd(s, row[pc], char)
+        factor = pp_divexact(row[pc], g, char)
+        if factor != one:
+            v = [pp_mul(a, factor, char) if a else {} for a in v]
+        v[pc] = pp_neg(pp_divexact(s, g, char), char)
+    _strip_row_content(v, char, r)
+    return tuple(field.from_ppoly(a) for a in normalize_row_unit(v, char))
 
 
 def rank(M):
     """Exact rank over the entry field."""
     field = M.field
     if isinstance(field, FunctionField):
-        grid = _cleared_grid(M)
-        return len(_eliminate_ff(grid, M.ncols, field.char, len(field.params)))
+        return len(_eliminate_ff(list(M.grid), M.ncols, field.char, len(field.params)))
     rows = [list(row) for row in M.rows]
     return len(_eliminate_generic(rows, M.ncols, field))
 

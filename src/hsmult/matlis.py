@@ -14,6 +14,7 @@ by the reduction engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dual import (
@@ -25,9 +26,9 @@ from .dual import (
     socle_candidates,
 )
 from .errors import CapExceeded, InternalInconsistency, NotZeroDimensional
-from .linalg import ExactMatrix, kernel
+from .linalg import ExactMatrix, kernel, normalize_row_unit
 from .poly import SparsePoly
-from .scalars import FunctionField, pp_leading, pp_primitive
+from .scalars import FunctionField, pp_primitive
 from .series import SeriesOracle
 
 
@@ -89,47 +90,38 @@ def build_matrix(gens, gamma, order, nvars):
 
 
 def canonical_cleared_matrix(M):
-    """Clear denominators row-wise into K[t] entries, canonically scaled.
+    """M's cleared grid, canonically scaled, as a matrix with K[t] entries.
 
     Only constant row scalings are applied beyond the clearing (integer
     content and sign in characteristic 0, a leading-coefficient unit in
     characteristic p): scaling a row by a polynomial would move the locus
     where the specialized matrix drops rank, breaking condition (b) checks.
     """
-    import math
-
-    from .poly import clear_row_denominators
-    from .scalars import pp_scale
-
-    ff = M.field
-    char = ff.char
-    out = []
-    for row in M.rows:
-        nums = clear_row_denominators(ff, row)
-        first = next((nm for nm in nums if nm), None)
-        if first is not None:
-            if char:
-                _, lc = pp_leading(first)
-                if lc != 1:
-                    inv = pow(lc, char - 2, char)
-                    nums = [pp_scale(nm, inv, char) for nm in nums]
-            else:
-                g = 0
-                for nm in nums:
-                    for c in nm.values():
-                        g = math.gcd(g, abs(c))
-                    if g == 1:
-                        break
-                _, lc = pp_leading(first)
-                if lc < 0:
-                    g = -g
-                if g not in (0, 1):
-                    nums = [{e: c // g for e, c in nm.items()} for nm in nums]
-        out.append(tuple(ff.from_ppoly(nm) for nm in nums))
-    return ExactMatrix(ff, tuple(out), M.ncols, M.row_tags)
+    char = M.field.char
+    grid = []
+    for nums in M.grid:
+        if not char:
+            g = math.gcd(*(c for nm in nums for c in nm.values()))
+            if g > 1:
+                nums = [{e: c // g for e, c in nm.items()} for nm in nums]
+        grid.append(normalize_row_unit(nums, char))
+    return ExactMatrix.from_grid(M.field, grid, M.ncols, M.row_tags)
 
 
-class DualBasisState:
+class _DualBasis:
+    """The basis shared by a running state and its finished result."""
+
+    def basis(self):
+        """T1 terms ascending in the order, then xi's in acceptance order."""
+        out = [
+            DualElement.term(self.field, e)
+            for e in sorted(self.t1_points, key=self.order.key)
+        ]
+        out.extend(self.xis)
+        return out
+
+
+class DualBasisState(_DualBasis):
     """Single-owner state of one composition-series run."""
 
     def __init__(self, gens, order, caps, solver=None, initial_truncation=None):
@@ -169,15 +161,6 @@ class DualBasisState:
 
     def done(self):
         return self.l1 == self.l2
-
-    def basis(self):
-        """T1 terms ascending in the order, then xi's in acceptance order."""
-        out = [
-            DualElement.term(self.field, e)
-            for e in sorted(self.t1_points, key=self.order.key)
-        ]
-        out.extend(self.xis)
-        return out
 
 
 def _initial_data(gens, nvars, caps, initial_truncation=None):
@@ -257,7 +240,7 @@ def step(state):
 
 
 @dataclass
-class DualBasisResult:
+class DualBasisResult(_DualBasis):
     field: object
     nvars: int
     order: object
@@ -267,14 +250,6 @@ class DualBasisResult:
     polylist: list
     matlist: list
     iterations: int
-
-    def basis(self):
-        out = [
-            DualElement.term(self.field, e)
-            for e in sorted(self.t1_points, key=self.order.key)
-        ]
-        out.extend(self.xis)
-        return out
 
     def export_basis(self):
         return [eta.to_pairs(self.order) for eta in self.basis()]

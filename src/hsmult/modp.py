@@ -7,6 +7,12 @@ restrict the exact solve to few columns; the result is confirmed exactly, and
 a failed confirmation costs only a retry with the next deterministic point
 (falling back to the full exact kernel after that).  Correctness therefore
 never depends on the specialization point being generic.
+
+Every step reads the matrix's cleared grid (``ExactMatrix.grid``): the points
+are hashed from its text, the image is its evaluation mod p, the restricted
+solve takes its columns, and the confirmation multiplies it by the kernel
+vector, whose entries have denominator 1 by the kernel contract of ``linalg``.
+No rational-function arithmetic runs here.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .errors import UnexpectedNullity
-from .linalg import ExactMatrix, kernel, matvec, rank
-from .poly import clear_row_denominators
-from .scalars import FunctionField, pp_to_str
+from .linalg import ExactMatrix, _base_kernel, kernel
+from .scalars import GF, FunctionField, pp_add, pp_mul, pp_to_str
 
 # largest primes below 2^31, descending
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
@@ -88,25 +93,18 @@ class ModpConfig:
             raise ValueError(f"unknown modp mode {self.mode!r}")
 
 
-def _integer_grid(M):
-    """Rows as parameter polynomials with integer coefficients, plus a serial."""
-    ff = M.field
-    grid = [clear_row_denominators(ff, row) for row in M.rows]
-    serial = ";".join(
-        ",".join(pp_to_str(e, ff.params) for e in row) for row in grid
-    ).encode()
-    return grid, serial
+def _serial(M):
+    """The cleared grid as text: the seed of the deterministic points."""
+    params = M.field.params
+    rows = (",".join(pp_to_str(e, params) for e in row) for row in M.grid)
+    return ";".join(rows).encode()
 
 
 def specialize(M, pt):
     """Entry-wise evaluation at pt.values followed by reduction mod pt.prime."""
-    from .scalars import GF
-
-    ff = M.field
     base = GF(pt.prime)
-    grid, _ = _integer_grid(M)
     rows = []
-    for row in grid:
+    for row in M.grid:
         out = []
         for e in row:
             acc = 0
@@ -123,44 +121,30 @@ def specialize(M, pt):
 def _restricted_solve(M, support):
     """Exact kernel on the column-restricted system, embedded back with zeros."""
     cols = sorted(support)
-    sub = ExactMatrix(
-        M.field,
-        tuple(tuple(row[j] for j in cols) for row in M.rows),
-        len(cols),
-    )
     try:
-        v = kernel(sub)
+        v = kernel(M.columns(cols))
     except UnexpectedNullity:
         return None
     if v is None:
         return None
-    zero = M.field.zero()
-    full = [zero] * M.ncols
+    full = [M.field.zero()] * M.ncols
     for j, a in zip(cols, v):
         full[j] = a
     return tuple(full)
 
 
-def _modp_kernel_vector(Mp):
-    """One kernel vector of the mod-p image, or None/'many'."""
-    from .linalg import _eliminate_generic
-
-    rows = [list(r) for r in Mp.rows]
-    pivots = _eliminate_generic(rows, Mp.ncols, Mp.field)
-    free = [c for c in range(Mp.ncols) if c not in {c for _, c in pivots}]
-    if not free:
-        return None
-    if len(free) > 1:
-        return "many"
-    v = [Mp.field.zero()] * Mp.ncols
-    v[free[0]] = Mp.field.one()
-    for pr, pc in reversed(pivots):
-        s = Mp.field.zero()
-        for j in range(pc + 1, Mp.ncols):
-            if rows[pr][j] and v[j]:
-                s = s + rows[pr][j] * v[j]
-        v[pc] = -(s / rows[pr][pc])
-    return tuple(v)
+def _annihilates(M, v):
+    """M v == 0, read on the grid; kernel vectors have denominator 1."""
+    char = M.field.char
+    nums = [a.num for a in v]
+    for row in M.grid:
+        acc = {}
+        for a, b in zip(row, nums):
+            if a and b:
+                acc = pp_add(acc, pp_mul(a, b, char), char)
+        if acc:
+            return False
+    return True
 
 
 def kernel_via_modp(M, policy=None, stats=None):
@@ -172,23 +156,24 @@ def kernel_via_modp(M, policy=None, stats=None):
     """
     policy = policy or ModpPolicy()
     ff = M.field
-    _, serial = _integer_grid(M)
+    serial = _serial(M)
     nparams = len(ff.params)
     for retry in range(policy.max_retries):
         if retry and stats is not None:
             stats.retries += 1
         pt = policy.point(serial, retry, nparams, ff.char)
         Mp = specialize(M, pt)
-        vp = _modp_kernel_vector(Mp)
+        try:
+            vp = _base_kernel(Mp)
+        except UnexpectedNullity:
+            continue
         if vp is None:
             if stats is not None:
                 stats.trivial_by_modp += 1
             return None
-        if vp == "many":
-            continue
         support = {j for j, a in enumerate(vp) if a}
         v = _restricted_solve(M, support)
-        if v is not None and not any(matvec(M, v)):
+        if v is not None and _annihilates(M, v):
             if stats is not None:
                 stats.accepted_by_support += 1
             return v

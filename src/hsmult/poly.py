@@ -245,12 +245,14 @@ def clear_row_denominators(field, row):
     r = len(field.params)
     lcm = pp_const(1, r, char)
     for a in row:
-        if isinstance(a, RationalFunction) and a:
+        if isinstance(a, RationalFunction) and a and a.den != lcm:
             lcm = pp_lcm(lcm, a.den, char)
     out = []
     for a in row:
         if not a:
             out.append({})
+        elif a.den == lcm:
+            out.append(a.num)
         else:
             out.append(pp_mul(a.num, pp_divexact(lcm, a.den, char), char))
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .modp import ModpConfig, ModpStats, make_solver
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly
 from .scalars import FunctionField, pp_eval, pp_to_str
-from .series import LinearCombination, SeriesOracle, as_oracle
+from .series import LinearCombination, as_oracle
 
 
 def generator_to_str(gen, names):
@@ -37,6 +38,15 @@ def generator_to_str(gen, names):
         return gen.poly.to_str(names)
     if isinstance(gen, RationalSeries):
         return f"({gen.num.to_str(names)})/({gen.den.to_str(names)})"
+    if isinstance(gen, LinearCombination):
+        one = gen.field.one()
+        terms = [
+            ("" if s == one else f"({gen.field.to_str(s)})*")
+            + f"({generator_to_str(o, names)})"
+            for s, o in gen.terms
+            if s
+        ]
+        return " + ".join(terms) or "0"
     raise TypeError(f"cannot serialize generator {gen!r}")
 
 
@@ -89,25 +99,15 @@ def param_names(d, m):
     return tuple(f"t_{i}_{j}" for i in range(1, d + 1) for j in range(d + 1, m + 1))
 
 
-def _combine(ff, head, tail_scaled):
-    """head + sum(scalar * gen) in the function field, lazily when needed."""
-    parts = [(ff.one(), as_oracle(head))] + [
-        (s, as_oracle(g)) for s, g in tail_scaled
-    ]
-    if all(o.is_polynomial() for _, o in parts):
-        total = SparsePoly.zero(ff, parts[0][1].nvars)
-        for s, o in parts:
-            total = total + lift_poly(o.exact_poly(), ff).scale(s)
-        return total
-    return LinearCombination(ff, parts)
-
-
-def _lift_gen(g, ff):
-    if isinstance(g, SparsePoly):
-        return lift_poly(g, ff)
-    if isinstance(g, SeriesOracle) and g.is_polynomial():
-        return lift_poly(g.exact_poly(), ff)
-    return LinearCombination(ff, [(ff.one(), g)])
+def _combination(field, head, tail):
+    """head + sum(s * g for s, g in tail) over field, lazy if a part is a series."""
+    parts = [(field.one(), as_oracle(head))] + [(s, as_oracle(g)) for s, g in tail]
+    if not all(o.is_polynomial() for _, o in parts):
+        return LinearCombination(field, parts)
+    total = lift_poly(parts[0][1].exact_poly(), field)
+    for s, o in parts[1:]:
+        total = total + lift_poly(o.exact_poly(), field).scale(s)
+    return total
 
 
 def generic_generators(inst):
@@ -126,9 +126,9 @@ def generic_generators(inst):
         tail = [
             (ff.param(f"t_{i + 1}_{j + 1}"), inst.j_gens[j]) for j in range(d, m)
         ]
-        gens.append(_combine(ff, inst.j_gens[i], tail))
+        gens.append(_combination(ff, inst.j_gens[i], tail))
     for g in inst.i_gens:
-        gens.append(_lift_gen(g, ff))
+        gens.append(_combination(ff, g, ()))
     return gens, ff
 
 
@@ -154,12 +154,18 @@ class MultiplicityResult:
         return [pp_to_str(p, self.params) for p in self.polylist]
 
     def matlist_grids(self):
-        grids = []
-        for M in self.matlist:
-            grids.append(
-                [[pp_to_str(a.num, self.params) for a in row] for row in M.rows]
+        """Entry strings per MatList matrix, as immutable rows like ExactMatrix.rows.
+
+        Reports are kept by long-running callers; the entries repeat across
+        matrices and runs, so they are interned and the rows are tuples.
+        """
+        return [
+            tuple(
+                tuple(sys.intern(pp_to_str(a, self.params)) for a in row)
+                for row in M.grid
             )
-        return grids
+            for M in self.matlist
+        ]
 
 
 _MULT_CACHE: dict = {}
@@ -179,42 +185,41 @@ def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
             if key in _MULT_CACHE:
                 return _MULT_CACHE[key]
     if inst.d == 0:
-        res = _multiplicity_dim_zero(inst, modp)
+        gens, field = _dim_zero_generators(inst), inst.base
     else:
-        gens, ff = generic_generators(inst)
-        stats = ModpStats()
-        solver = make_solver(modp or ModpConfig(), stats)
-        dual = compute_dual_basis(
-            gens,
-            inst.order,
-            inst.caps,
-            solver=solver,
-            initial_truncation=initial_truncation,
-        )
-        params = ff.params if isinstance(ff, FunctionField) else ()
-        res = MultiplicityResult(
-            e=dual.length,
-            d=inst.d,
-            m=inst.m,
-            params=params,
-            field=ff,
-            base=inst.base,
-            t1_size=len(dual.t1_points),
-            xi_count=len(dual.xis),
-            polylist=list(dual.polylist),
-            matlist=list(dual.matlist),
-            dual=dual,
-            instance=inst,
-            modp_stats=stats.as_dict(),
-        )
+        gens, field = generic_generators(inst)
+    stats = ModpStats()
+    solver = make_solver(modp or ModpConfig(), stats)
+    dual = compute_dual_basis(
+        gens,
+        inst.order,
+        inst.caps,
+        solver=solver,
+        initial_truncation=initial_truncation,
+    )
+    res = MultiplicityResult(
+        e=dual.length,
+        d=inst.d,
+        m=inst.m,
+        params=field.params if isinstance(field, FunctionField) else (),
+        field=field,
+        base=inst.base,
+        t1_size=len(dual.t1_points),
+        xi_count=len(dual.xis),
+        polylist=list(dual.polylist),
+        matlist=list(dual.matlist),
+        dual=dual,
+        instance=inst,
+        modp_stats=stats.as_dict(),
+    )
     if use_cache:
         with _CACHE_LOCK:
             _MULT_CACHE[key] = res
     return res
 
 
-def _multiplicity_dim_zero(inst, modp):
-    """dim 0: J must contain a unit, and e equals the length of R itself."""
+def _dim_zero_generators(inst):
+    """dim 0: J must contain a unit, and e is the length of R, generated by I."""
     has_unit = False
     for g in inst.j_gens:
         p = g if isinstance(g, SparsePoly) else g.truncate(0)
@@ -225,24 +230,7 @@ def _multiplicity_dim_zero(inst, modp):
         raise ValueError("dim 0 requires the ideal to contain a unit")
     if not inst.i_gens:
         raise ValueError("dim 0 with R = S has infinite length")
-    stats = ModpStats()
-    solver = make_solver(modp or ModpConfig(), stats)
-    dual = compute_dual_basis(list(inst.i_gens), inst.order, inst.caps, solver=solver)
-    return MultiplicityResult(
-        e=dual.length,
-        d=0,
-        m=inst.m,
-        params=(),
-        field=inst.base,
-        base=inst.base,
-        t1_size=len(dual.t1_points),
-        xi_count=len(dual.xis),
-        polylist=[],
-        matlist=[],
-        dual=dual,
-        instance=inst,
-        modp_stats=stats.as_dict(),
-    )
+    return list(inst.i_gens)
 
 
 def _coerce_matrix(res, a):
@@ -320,22 +308,11 @@ class ReductionCertificate:
 
 def reduction_generators(inst, rows):
     """The d combined generators f_i + sum_j a_ij f_j over the base field."""
-    d, m = inst.d, inst.m
-    base = inst.base
-    gens = []
-    for i in range(d):
-        tail = [(rows[i][j - d], inst.j_gens[j]) for j in range(d, m)]
-        parts = [(base.one(), as_oracle(inst.j_gens[i]))] + [
-            (s, as_oracle(g)) for s, g in tail
-        ]
-        if all(o.is_polynomial() for _, o in parts):
-            total = SparsePoly.zero(base, inst.nvars)
-            for s, o in parts:
-                total = total + o.exact_poly().scale(s)
-            gens.append(total)
-        else:
-            gens.append(LinearCombination(base, parts))
-    return tuple(gens)
+    d = inst.d
+    return tuple(
+        _combination(inst.base, inst.j_gens[i], zip(rows[i], inst.j_gens[d:]))
+        for i in range(d)
+    )
 
 
 def find_reduction(res, bound=5):

@@ -603,8 +603,11 @@ class FunctionField:
         return RationalFunction(self, {e: 1}, pp_const(1, r, self.char))
 
     def from_ppoly(self, num, den=None):
-        r = len(self.params)
-        return RationalFunction(self, num, den or pp_const(1, r, self.char))
+        """num/den made canonical; with no den, num is taken as is (no gcd)."""
+        if den is None:
+            one = pp_const(1, len(self.params), self.char)
+            return RationalFunction(self, num, one, _canonical=True)
+        return RationalFunction(self, num, den)
 
     def to_str(self, a):
         num = pp_to_str(a.num, self.params)

@@ -1,0 +1,48 @@
+"""CLI reports compared byte for byte with the recorded ones.
+
+``fixtures/golden/<command>/<fixture>`` holds the output of
+``hsmult <command> fixtures/<fixture> [EXPR] --json --no-timing``.  Refactors
+of the engine must leave these bytes unchanged: they include the e values, the
+PolyList/MatList certificates and the reductions.
+"""
+
+import json
+
+import pytest
+
+from hsmult.cli import main, run_command
+from hsmult.instance import parse_instance
+from tests.conftest import FIXTURES
+
+GOLDEN = FIXTURES / "golden"
+EXPRESSIONS = {"member": ["x"]}
+
+
+def _report(capsys, command, fixture, *extra):
+    code = main([command, str(FIXTURES / fixture), *extra, "--json", "--no-timing"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "case", sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.glob("*/*"))
+)
+def test_report_matches_golden(case, capsys):
+    command, fixture = case.split("/")
+    code, out = _report(capsys, command, fixture, *EXPRESSIONS.get(command, []))
+    assert code == 0
+    assert out.encode() == (GOLDEN / case).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
+)
+def test_reduce_generators_have_colength_e(fixture, capsys):
+    code, out = _report(capsys, "reduce", fixture)
+    assert code == 0
+    report = json.loads(out)
+    assert (GOLDEN / "reduce" / fixture).is_file()
+    # the printed reduction plus I, parsed back, is an ideal of colength e
+    payload = dict(report["input"], ideal=report["result"]["reduction"]["generators"])
+    inst, options = parse_instance(json.dumps(payload))
+    result, _ = run_command("length", inst, options)
+    assert result["length"] == report["result"]["e"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hsmult import (
+    GF,
     QQ,
     ExactMatrix,
     FunctionField,
@@ -13,6 +14,7 @@ from hsmult import (
     rank,
 )
 from hsmult.linalg import matvec, specialize_matrix
+from hsmult.scalars import pp_const, pp_gcd, pp_leading
 
 
 @pytest.fixture
@@ -92,12 +94,27 @@ def _random_ff_matrix(ff, rng, nrows, ncols):
         a - ff.one(),
         ff.from_int(2),
         a * b,
+        ff.one() / (a + ff.one()),
+        a / ff.from_int(2),
     ]
     return ExactMatrix(
         ff,
         tuple(tuple(rng.choice(pool) for _ in range(ncols)) for _ in range(nrows)),
         ncols,
     )
+
+
+def _assert_canonical(ff, v):
+    """Denominator 1, entries with gcd 1, lead positive (char 0) or monic (char p)."""
+    char = ff.char
+    one = pp_const(1, len(ff.params), char)
+    assert all(x.den == one for x in v)
+    g = {}
+    for x in v:
+        g = pp_gcd(g, x.num, char)
+    assert g == one
+    _, lc = pp_leading(next(x.num for x in v if x))
+    assert lc == 1 if char else lc > 0
 
 
 def _naive_fraction_kernel(M):
@@ -134,20 +151,26 @@ def _naive_fraction_kernel(M):
     return v
 
 
+def _scaled(row, c):
+    return tuple(x * c for x in row)
+
+
 def test_fraction_free_agrees_with_naive_elimination(ff):
     rng = random.Random(7)
-    checked_vectors = 0
-    for _ in range(60):
-        M = _random_ff_matrix(ff, rng, rng.randint(1, 4), rng.randint(1, 4))
-        naive = _naive_fraction_kernel(M)
-        if isinstance(naive, int):  # nullity count
-            if naive == 0:
-                assert kernel(M) is None
-            else:
-                with pytest.raises(UnexpectedNullity):
-                    kernel(M)
-            assert rank(M) == M.ncols - naive
-        else:
+    for field in (ff, FunctionField(GF(7), ("a", "b"))):
+        checked_vectors = 0
+        scalars = [field.from_int(k) for k in (2, -3, 5)]
+        for _ in range(60):
+            M = _random_ff_matrix(field, rng, rng.randint(1, 4), rng.randint(1, 4))
+            naive = _naive_fraction_kernel(M)
+            if isinstance(naive, int):  # nullity count
+                if naive == 0:
+                    assert kernel(M) is None
+                else:
+                    with pytest.raises(UnexpectedNullity):
+                        kernel(M)
+                assert rank(M) == M.ncols - naive
+                continue
             v = kernel(M)
             assert v is not None
             assert all(not s for s in matvec(M, v))
@@ -156,8 +179,13 @@ def test_fraction_free_agrees_with_naive_elimination(ff):
             for i in range(M.ncols):
                 assert naive[k] * v[i] == v[k] * naive[i]
             assert rank(M) == M.ncols - 1
+            _assert_canonical(field, v)
+            # the canonical vector ignores row order and constant row scalings
+            rows = [_scaled(row, rng.choice(scalars)) for row in M.rows]
+            rng.shuffle(rows)
+            assert kernel(ExactMatrix(field, tuple(rows), M.ncols)) == v
             checked_vectors += 1
-    assert checked_vectors >= 5
+        assert checked_vectors >= 5
 
 
 def test_specialize_matrix(ff):
