@@ -27,6 +27,7 @@ from .errors import (
     UnexpectedNullity,
 )
 from .instance import (
+    check_options,
     instance_to_jsonable,
     modp_config,
     parse_instance,
@@ -213,6 +214,7 @@ def _apply_flag_overrides(inst, options, args):
             options[key] = value
     if args.modp:
         options["modp"] = args.modp
+    check_options(options)
     caps = ResourceCaps(
         max_terms=options["max_terms"],
         max_degree=options["max_degree"],

@@ -6,9 +6,11 @@ scalar combinations of dual terms.  The contraction action is
     x^gamma . 1/x^(beta+1) = 1/x^(beta-gamma+1)   if beta - gamma >= 0,
                              0                    otherwise,
 
-extended bilinearly.  Finite order ideals of exponents ("staircases") are kept
-by their corners (pairwise incomparable maxima); every colon or membership
-query reduces to componentwise comparisons against corners.
+extended bilinearly.  Finite order ideals of exponents ("staircases") are given
+by their corners (pairwise incomparable maxima) and keep their point set once
+enumerated: membership is a set lookup, and the colon by the maximal ideal
+adds the upper neighbours of points that lie outside while all their lower
+neighbours lie inside.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapExceeded, NotZeroDimensional, RingMismatch, ZeroElement
-from .poly import exp_leq, exp_sub_nonneg
+from .poly import _canon_key, exp_leq, exp_sub_nonneg
 
 
 class DualElement:
@@ -129,10 +131,55 @@ def leading(eta, order):
     return lt, eta.coeffs[lt]
 
 
-class Staircase:
-    """A finite order ideal of Z_{>=0}^n given by its corners."""
+def _below(p, i):
+    return p[:i] + (p[i] - 1,) + p[i + 1 :]
 
-    __slots__ = ("nvars", "corners", "_size", "_points")
+
+def _above(p, i):
+    return p[:i] + (p[i] + 1,) + p[i + 1 :]
+
+
+def _down_closure(tops, known, nvars, limit=None):
+    """Points at or below some top that are not in the order ideal known."""
+    seen = {t for t in tops if t not in known}
+    stack = list(seen)
+    while stack:
+        p = stack.pop()
+        for i in range(nvars):
+            if p[i]:
+                q = _below(p, i)
+                if q not in known and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        if limit is not None and len(seen) > limit:
+            raise CapExceeded("staircase size", limit)
+    return seen
+
+
+def _outer_border(points, members, nvars):
+    """Upper neighbours of points that lie outside members while all their
+    lower neighbours lie inside."""
+    out = set()
+    for p in points:
+        for i in range(nvars):
+            q = _above(p, i)
+            if q not in members and q not in out and all(
+                _below(q, j) in members for j in range(nvars) if q[j]
+            ):
+                out.add(q)
+    return out
+
+
+class Staircase:
+    """A finite order ideal of Z_{>=0}^n given by its corners.
+
+    Its point set is enumerated once, on first use, and membership is a set
+    lookup in it; the minimal generators of the complement are derived from
+    the same set and kept as well.  ``extended`` carries both over to a
+    larger staircase, enumerating only the new points.
+    """
+
+    __slots__ = ("nvars", "corners", "_points", "_members", "_min_gens")
 
     def __init__(self, nvars, corners=()):
         corners = {tuple(c) for c in corners}
@@ -144,74 +191,79 @@ class Staircase:
         }
         self.nvars = nvars
         self.corners = frozenset(maxima)
-        self._size = None
         self._points = None
+        self._members = None
+        self._min_gens = None
 
     def is_empty(self):
         return not self.corners
 
+    def members(self, limit=None):
+        """The set of points.  Raises CapExceeded past limit."""
+        if self._members is None:
+            self._members = frozenset(
+                _down_closure(self.corners, frozenset(), self.nvars, limit)
+            )
+        if limit is not None and len(self._members) > limit:
+            raise CapExceeded("staircase size", limit)
+        return self._members
+
     def contains(self, beta):
-        return any(exp_leq(beta, c) for c in self.corners)
+        return tuple(beta) in self.members()
 
     def with_corner(self, beta):
-        return Staircase(self.nvars, set(self.corners) | {tuple(beta)})
+        return self.extended([tuple(beta)])
+
+    def extended(self, terms):
+        """The staircase spanned by this one and the given terms.
+
+        A minimal generator stays one unless it became a point; new ones are
+        upper neighbours of new points.  Corners likewise are old corners or
+        new points that have no upper neighbour inside.
+        """
+        n = self.nvars
+        old = self.members()
+        new = _down_closure(terms, old, n)
+        if not new:
+            return self
+        members = old | new
+        st = Staircase(n)
+        st.corners = frozenset(
+            c
+            for part in (self.corners, new)
+            for c in part
+            if all(_above(c, i) not in members for i in range(n))
+        )
+        st._members = members
+        gens = {g for g in self.min_generators() if g not in new}
+        gens |= _outer_border(new, members, n)
+        st._min_gens = sorted(gens, key=_canon_key)
+        return st
 
     def points(self, limit=None):
         """All members, sorted canonically.  Raises CapExceeded past limit."""
+        members = self.members(limit)
         if self._points is None:
-            seen = set()
-            stack = []
-            for c in self.corners:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-            while stack:
-                p = stack.pop()
-                for i in range(self.nvars):
-                    if p[i]:
-                        q = p[:i] + (p[i] - 1,) + p[i + 1 :]
-                        if q not in seen:
-                            seen.add(q)
-                            stack.append(q)
-                if limit is not None and len(seen) > limit:
-                    raise CapExceeded("staircase size", limit)
-            self._points = sorted(seen, key=lambda e: (sum(e), e))
-        if limit is not None and len(self._points) > limit:
-            raise CapExceeded("staircase size", limit)
+            self._points = sorted(members, key=_canon_key)
         return self._points
 
     def size(self, limit=None):
-        if self._size is None:
-            self._size = len(self.points(limit))
-        return self._size
+        return len(self.members(limit))
 
     def min_generators(self):
         """Minimal monomial generators of the complementary monomial ideal.
 
-        Each coordinate of a minimal generator is 0 or corner_i + 1 for some
-        corner, so scanning that finite grid is exhaustive.
+        A nonzero minimal generator lies outside while each of its lower
+        neighbours lies inside, so it is an upper neighbour of some point.
         """
-        if not self.corners:
-            return [(0,) * self.nvars]
-        coord_cands = []
-        for i in range(self.nvars):
-            vals = {0}
-            vals.update(c[i] + 1 for c in self.corners)
-            coord_cands.append(sorted(vals))
-        gens = []
-        for beta in itertools.product(*coord_cands):
-            if self.contains(beta):
-                continue
-            ok = True
-            for i in range(self.nvars):
-                if beta[i]:
-                    down = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
-                    if not self.contains(down):
-                        ok = False
-                        break
-            if ok:
-                gens.append(beta)
-        return sorted(gens, key=lambda e: (sum(e), e))
+        if self._min_gens is None:
+            members = self.members()
+            if members:
+                gens = _outer_border(members, members, self.nvars)
+            else:
+                gens = {(0,) * self.nvars}
+            self._min_gens = sorted(gens, key=_canon_key)
+        return self._min_gens
 
     def __eq__(self, other):
         return (
@@ -262,7 +314,7 @@ def initial_staircase(supports, nvars, max_size=None):
             pts.append(alpha)
             if max_size is not None and len(pts) > max_size:
                 raise CapExceeded("staircase size", max_size)
-    pts.sort(key=lambda e: (sum(e), e))
+    pts.sort(key=_canon_key)
     ptset = set(pts)
     corners = [
         p
@@ -271,7 +323,7 @@ def initial_staircase(supports, nvars, max_size=None):
     ]
     st = Staircase(nvars, corners)
     st._points = pts
-    st._size = len(pts)
+    st._members = frozenset(ptset)
     return st, pts
 
 
@@ -300,14 +352,16 @@ def gamma_candidates(t2, ltn, order, tau0, limit=None):
     The colon of a term module adds exactly the minimal generators of the
     complementary monomial ideal to the staircase itself.
     """
-    if ltn.contains(tau0):
+    lt_members = ltn.members(limit)
+    if tau0 in lt_members:
         raise ValueError("tau0 must lie outside the LT staircase")
     k0 = order.key(tau0)
-    out = [p for p in t2.points(limit) if order.key(p) < k0 and not ltn.contains(p)]
-    out.extend(
-        g
-        for g in t2.min_generators()
-        if order.key(g) < k0 and not ltn.contains(g)
-    )
-    out.sort(key=order.key, reverse=True)
+    key = order.key
+    out = [
+        p
+        for part in (t2.members(limit), t2.min_generators())
+        for p in part
+        if p not in lt_members and key(p) < k0
+    ]
+    out.sort(key=key, reverse=True)
     return out

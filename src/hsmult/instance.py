@@ -29,6 +29,17 @@ DEFAULT_OPTIONS = {
     "trunc_degree": 4,
 }
 
+# the least value of each integer option
+_INT_OPTION_MIN = {
+    "max_terms": 1,
+    "max_degree": 1,
+    "max_iterations": 1,
+    "modp_threshold": 0,
+    "modp_retries": 1,
+    "search_bound": 0,
+    "trunc_degree": 1,
+}
+
 _PARAM_NAME = re.compile(r"^t_\d+_\d+$")
 
 
@@ -159,8 +170,7 @@ def build_instance(mapping):
         if key not in DEFAULT_OPTIONS:
             _fail(f"unknown option {key!r}")
         options[key] = value
-    if options["modp"] not in ("on", "off", "auto"):
-        _fail("option modp must be on|off|auto")
+    check_options(options)
     caps = ResourceCaps(
         max_terms=options["max_terms"],
         max_degree=options["max_degree"],
@@ -179,6 +189,18 @@ def build_instance(mapping):
         caps=caps,
     )
     return inst, options
+
+
+def check_options(options):
+    """Raise ParseError unless every option has its type and range."""
+    if options["modp"] not in ("on", "off", "auto"):
+        _fail("option modp must be on|off|auto")
+    for key, least in _INT_OPTION_MIN.items():
+        value = options[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            _fail(f"option {key} must be an integer, got {value!r}")
+        if value < least:
+            _fail(f"option {key} must be >= {least}, got {value}")
 
 
 def _parse_gen(expr, base, variables, where):

@@ -4,8 +4,12 @@ Starting from the staircase dual of the support monomial ideal, the engine
 repeatedly picks the smallest candidate leading term tau0 not yet settled,
 assembles the annihilation matrix over the colon candidates below tau0, and
 either accepts a new basis element xi (one-dimensional kernel) or records the
-rejection.  The accepted xi's and staircase terms together form a K-basis of
-the dual module, so the basis size is the colength of <F>.
+rejection.  The candidates come from the point sets of the staircases (set
+lookups, and minimal generators kept per staircase); the matrix cells are
+looked up in the generators' coefficients, and over a parameter field the
+rows are cleared into the matrix's polynomial grid as they are built.  The
+accepted xi's and staircase terms together form a K-basis of the dual
+module, so the basis size is the colength of <F>.
 
 On a parameter field, the leading-coefficient numerators of accepted xi's and
 the rejected matrices are retained: they are the genericity certificate used
@@ -19,15 +23,13 @@ from dataclasses import dataclass
 
 from .dual import (
     DualElement,
-    Staircase,
-    act,
     gamma_candidates,
     initial_staircase,
     socle_candidates,
 )
 from .errors import CapExceeded, InternalInconsistency, NotZeroDimensional
 from .linalg import ExactMatrix, kernel, normalize_row_unit
-from .poly import SparsePoly
+from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
 from .scalars import FunctionField, pp_primitive
 from .series import SeriesOracle
 
@@ -60,33 +62,44 @@ def _gen_exact_poly(g):
     return None
 
 
-def _gen_act(g, tau, nvars):
-    p = _gen_exact_poly(g)
-    if p is None:
-        p = g.truncate(sum(tau) + nvars)
-    return act(p, tau)
-
-
 def build_matrix(gens, gamma, order, nvars):
     """Annihilation matrix: block rows per generator, columns indexed by gamma.
 
     Within a block, rows are indexed by the dual terms appearing in the images
     of the gamma terms, sorted descending; entry (s, k) is the coefficient of
-    s in generator . gamma_k.  All-zero rows never appear.
+    s in generator . gamma_k.  That is the generator's coefficient at
+    x^(gamma_k - s), so every cell is looked up in the generator, with no
+    product.  A series generator is truncated once, at max|gamma| + nvars,
+    which holds every term that can reach a gamma term.  All-zero rows never
+    appear.  Over a function field the rows are cleared of denominators here,
+    into the matrix's grid.
     """
     field = _gen_field(gens[0])
     zero = field.zero()
+    ncols = len(gamma)
+    depth = max(sum(tau) for tau in gamma) + nvars
     rows = []
     tags = []
     for gi, g in enumerate(gens):
-        images = [_gen_act(g, tau, nvars) for tau in gamma]
-        terms = set()
-        for img in images:
-            terms.update(img.coeffs)
-        for s in sorted(terms, key=order.key, reverse=True):
-            rows.append(tuple(img.coeffs.get(s, zero) for img in images))
+        p = _gen_exact_poly(g)
+        if p is None:
+            p = g.truncate(depth)
+        block = {}
+        for k, tau in enumerate(gamma):
+            for e, c in p.coeffs.items():
+                s = exp_sub_nonneg(tau, e)
+                if s is not None:
+                    block.setdefault(s, {})[k] = c
+        for s in sorted(block, key=order.key, reverse=True):
+            cells = block[s]
+            rows.append(tuple(cells.get(k, zero) for k in range(ncols)))
             tags.append((gi, s))
-    return ExactMatrix(field, tuple(rows), len(gamma), tuple(tags))
+    M = ExactMatrix(field, tuple(rows), ncols, tuple(tags))
+    if isinstance(field, FunctionField):
+        M.__dict__["grid"] = tuple(
+            tuple(clear_row_denominators(field, row)) for row in rows
+        )
+    return M
 
 
 def canonical_cleared_matrix(M):
@@ -234,7 +247,7 @@ def step(state):
             state._polyset.add(key)
             state.polylist.append(entry)
     state.ltn = state.ltn.with_corner(tau0)
-    state.t2 = Staircase(state.nvars, set(state.t2.corners) | set(xi.terms()))
+    state.t2 = state.t2.extended(xi.terms())
     state.l2 = set(socle_candidates(state.ltn))
     return True
 

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsmult import (
@@ -134,6 +135,74 @@ def test_socle_candidates_are_outer_border(gens):
             if cand[i]:
                 down = cand[:i] + (cand[i] - 1,) + cand[i + 1 :]
                 assert st_.contains(down)
+
+
+def _corner_grid_min_generators(st_):
+    """Reference: scan the grid whose coordinates are 0 or corner_i + 1."""
+    if not st_.corners:
+        return [(0,) * st_.nvars]
+
+    def inside(beta):
+        return any(all(b <= c for b, c in zip(beta, corner)) for corner in st_.corners)
+
+    axes = [sorted({0} | {c[i] + 1 for c in st_.corners}) for i in range(st_.nvars)]
+    gens = [
+        beta
+        for beta in itertools.product(*axes)
+        if not inside(beta)
+        and all(
+            inside(beta[:i] + (beta[i] - 1,) + beta[i + 1 :])
+            for i in range(st_.nvars)
+            if beta[i]
+        )
+    ]
+    return sorted(gens, key=lambda e: (sum(e), e))
+
+
+@settings(max_examples=120, deadline=None)
+@example((1, set()))
+@example((4, set()))
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.sets(st.tuples(*[st.integers(0, 3)] * n), max_size=4).map(
+            lambda corners: (n, corners)
+        )
+    )
+)
+def test_min_generators_match_corner_grid_scan(case):
+    nvars, corners = case
+    st_ = Staircase(nvars, corners)
+    assert st_.min_generators() == _corner_grid_min_generators(st_)
+    members = {
+        beta
+        for beta in itertools.product(range(5), repeat=nvars)
+        if any(all(b <= c for b, c in zip(beta, corner)) for corner in corners)
+    }
+    assert st_.members() == members
+    assert all(st_.contains(beta) for beta in members)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(*[st.integers(0, 3)] * n), max_size=3),
+            st.lists(st.sets(st.tuples(*[st.integers(0, 3)] * n), max_size=3), max_size=3),
+        )
+    )
+)
+def test_extended_staircase_matches_fresh_one(case):
+    nvars, corners, batches = case
+    grown = Staircase(nvars, corners)
+    spanned = set(corners)
+    for terms in batches:
+        grown = grown.extended(terms)
+        spanned |= terms
+        fresh = Staircase(nvars, spanned)
+        assert grown == fresh
+        assert grown.members() == fresh.members()
+        assert grown.min_generators() == _corner_grid_min_generators(fresh)
 
 
 def _random_poly(rng, field, nvars, maxdeg=3, nterms=3):

@@ -262,3 +262,128 @@ def test_cli_trunc_degree_flag_accepted():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"]["length"] == 2
+
+
+# --- option validation and exit codes ---------------------------------------
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hsmult.cli import main
+
+SMALL = {
+    "characteristic": 0,
+    "variables": ["x", "y"],
+    "order": "glex",
+    "ideal": ["x^3 + x*y", "y^2 + x*y"],
+    "dim": 2,
+}
+
+
+def _run_main(argv):
+    """In-process CLI run: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _write_instance(tmp_path, payload):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "options, flags",
+    [
+        ({"search_bound": "3"}, []),
+        ({"max_terms": "50"}, []),
+        ({"search_bound": -1}, []),
+        ({"modp_threshold": -1}, []),
+        ({"trunc_degree": 0}, []),
+        ({"max_degree": True}, []),
+        ({"modp_retries": 1.5}, []),
+        ({"trunc_degree": None}, []),
+        ({}, ["--search-bound", "-1"]),
+        ({}, ["--trunc-degree", "0"]),
+        ({}, ["--modp-threshold", "-1"]),
+        ({}, ["--max-terms", "0"]),
+    ],
+)
+def test_cli_rejects_mistyped_options(tmp_path, options, flags):
+    path = _write_instance(tmp_path, dict(SMALL, options=options))
+    code, err = _run_main(["reduce", path, *flags])
+    assert code == 2
+    assert err.startswith("error: option ")
+
+
+_option_values = st.one_of(
+    st.integers(-2, 4),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.floats(-2, 4, allow_nan=False),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from(["on", "off", "auto"]),
+)
+_option_keys = st.sampled_from(
+    [
+        "max_terms",
+        "max_degree",
+        "max_iterations",
+        "modp",
+        "modp_threshold",
+        "modp_retries",
+        "search_bound",
+        "trunc_degree",
+        "bogus",
+    ]
+)
+_flag = st.one_of(
+    st.tuples(st.sampled_from(["--order"]), st.sampled_from(["glex", "grevlex", "lex", "weird"])),
+    st.tuples(st.sampled_from(["--modp"]), st.sampled_from(["on", "off", "auto", "never"])),
+    st.tuples(
+        st.sampled_from(
+            ["--max-terms", "--max-degree", "--search-bound", "--trunc-degree", "--modp-threshold"]
+        ),
+        st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["x", "1.5", ""])),
+    ),
+)
+_instances = st.sampled_from(
+    [
+        SMALL,
+        dict(SMALL, characteristic=2, ideal=["x^3 + x^2 + y^2", "x^2 + y^2", "x^2*y"]),
+        dict(SMALL, ideal=["1/(1 - x) - 1 + y^2", "y^3 + x^2"]),
+        dict(SMALL, ideal=["x^2", "x*y"]),
+        dict(SMALL, variables=["x"], ideal=["x^2"], dim=1),
+    ]
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    _instances,
+    st.dictionaries(_option_keys, _option_values, max_size=3),
+    st.lists(_flag, max_size=3),
+    st.sampled_from(["mult", "reduce", "length", "dual", "member"]),
+)
+def test_cli_exit_codes_are_documented(tmp_path, instance, options, flags, command):
+    # small caps keep every run short; explicit options may replace them
+    payload = dict(instance, options=dict({"max_terms": 60, "max_degree": 12}, **options))
+    argv = [command, _write_instance(tmp_path, payload)]
+    if command == "member":
+        argv.append("x*y")
+    argv.extend(part for flag in flags for part in flag)
+    code, _ = _run_main(argv)
+    assert code in {0, 2, 3, 4, 5}

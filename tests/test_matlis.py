@@ -21,6 +21,7 @@ from hsmult import (
 from hsmult.errors import CapExceeded
 from hsmult.matlis import DEFAULT_CAPS
 from hsmult.oracles import monomial_length, vector_space_length
+from hsmult.poly import clear_row_denominators
 from hsmult.series import PolySeries, RationalSeries
 
 
@@ -54,6 +55,77 @@ def test_build_matrix_prunes_zero_rows(glex):
     assert M.row_tags == ((0, (0, 0)),)
     M0 = build_matrix([x], [(0, 1)], glex, 2)
     assert M0.nrows == 0 and M0.ncols == 1
+
+
+def _act_build(gens, gamma, order, nvars):
+    """Reference: images by act, truncating a series generator per column."""
+    field = gens[0].field
+    rows, tags = [], []
+    for gi, g in enumerate(gens):
+        images = []
+        for tau in gamma:
+            p = g if isinstance(g, SparsePoly) else g.truncate(sum(tau) + nvars)
+            images.append(act(p, tau))
+        terms = set().union(*(img.coeffs for img in images))
+        for s in sorted(terms, key=order.key, reverse=True):
+            rows.append(tuple(img.coeffs.get(s, field.zero()) for img in images))
+            tags.append((gi, s))
+    grid = None
+    if isinstance(field, FunctionField):
+        grid = tuple(tuple(clear_row_denominators(field, row)) for row in rows)
+    return tuple(rows), tuple(tags), grid
+
+
+def test_build_matrix_matches_act_build(glex):
+    rng = random.Random(29)
+    qq_t = FunctionField(QQ, ("a", "b"))
+    gf_t = FunctionField(GF(7), ("a",))
+    fields = [qq_t, gf_t, QQ, GF(7)]
+
+    def scalar(field):
+        if field is qq_t:
+            a, b = qq_t.param("a"), qq_t.param("b")
+            pool = [qq_t.from_int(3) / qq_t.from_int(2), a / qq_t.from_int(3),
+                    qq_t.one() / (a + qq_t.one()), a * b - qq_t.one(), -b]
+        elif field is gf_t:
+            a = gf_t.param("a")
+            pool = [gf_t.from_int(3), a, gf_t.one() / (a + gf_t.from_int(2)), a * a]
+        else:
+            pool = [field.from_int(k) for k in (1, 2, -3)]
+            if field is QQ:
+                pool.append(Fraction(2, 3))
+        return rng.choice(pool)
+
+    def poly(field, nvars):
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, 3) for _ in range(nvars))
+            coeffs[e] = scalar(field)
+        return SparsePoly(field, nvars, coeffs)
+
+    fractional = 0
+    for trial in range(40):
+        field = fields[trial % len(fields)]
+        nvars = rng.choice([2, 3])
+        gens = [poly(field, nvars) for _ in range(rng.randint(1, 3))]
+        if trial % 5 == 0:
+            # a series generator: p/(1 - x_0)
+            den = SparsePoly(field, nvars, {(0,) * nvars: field.one(),
+                                            (1,) + (0,) * (nvars - 1): -field.one()})
+            gens.append(RationalSeries(poly(field, nvars), den))
+        gamma = sorted(
+            {tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(1, 5))},
+            key=glex.key,
+            reverse=True,
+        )
+        M = build_matrix(gens, gamma, glex, nvars)
+        rows, tags, grid = _act_build(gens, gamma, glex, nvars)
+        assert M.rows == rows and M.row_tags == tags and M.ncols == len(gamma)
+        if grid is not None:
+            assert M.grid == grid
+        if field is qq_t:
+            fractional += any(c.den != {(0, 0): 1} for row in rows for c in row if c)
+    assert fractional
 
 
 def test_step_trace_example1(ff, glex):

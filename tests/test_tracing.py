@@ -29,3 +29,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert hsmult.linalg.kernel is original
     assert tracer.calls["linalg.kernel_ff"] > 0
     assert tracer.calls["matlis.canonical_cleared_matrix"] > 0
+    # the work of one example1 run: 4 steps over 8 colon candidates
+    assert tracer.calls["matlis.step"] == 4
+    assert tracer.counts["dual.gamma_candidates.terms"] == 8
+    assert tracer.counts["matlis.build_matrix.cells"] == 47
