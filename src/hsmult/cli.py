@@ -27,6 +27,7 @@ from .errors import (
     UnexpectedNullity,
 )
 from .instance import (
+    check_dimension,
     check_options,
     instance_to_jsonable,
     modp_config,
@@ -60,13 +61,15 @@ def run_command(command, inst, options, member_expr=None):
             gens, inst.order, inst.caps, solver=solver, initial_truncation=trunc
         )
         result = {"length": dual.length, "t1_size": len(dual.t1_points),
-                  "xi_count": len(dual.xis)}
+                  "xi_count": len(dual.elements)}
         if command == "dual":
             result["basis"] = [
                 [[_flatten_exponent(e), c] for e, c in eta.to_pairs(inst.order)]
                 for eta in dual.basis()
             ]
         return result, stats
+    if command in ("mult", "reduce", "member"):
+        check_dimension(inst)
     if command == "mult":
         res = multiplicity(inst, modp=cfg, use_cache=False, initial_truncation=trunc)
         return _mult_payload(res), ModpStats(**res.modp_stats)

@@ -27,6 +27,7 @@ from .scalars import (
     pp_add,
     pp_const,
     pp_divexact,
+    pp_eval,
     pp_gcd,
     pp_leading,
     pp_mul,
@@ -38,19 +39,21 @@ from .scalars import (
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable rectangular matrix of field scalars with optional row tags."""
+    """Immutable rectangular matrix of field scalars with optional row tags.
+
+    A function-field matrix may be grid-only (``rows`` is None): it is given by
+    its polynomial grid alone, as the MatList matrices are, and is read only
+    through that grid.
+    """
 
     field: object
-    rows: tuple
+    rows: tuple | None
     ncols: int
     row_tags: tuple | None = None
 
     @property
     def nrows(self):
-        return len(self.rows)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
+        return len(self.grid if self.rows is None else self.rows)
 
     @cached_property
     def grid(self):
@@ -64,22 +67,19 @@ class ExactMatrix:
         )
 
     @classmethod
-    def from_grid(cls, field, grid, ncols, row_tags=None):
-        """The function-field matrix whose entries are the polynomials of grid."""
-        rows = tuple(tuple(field.from_ppoly(a) for a in row) for row in grid)
+    def of_grid(cls, field, grid, ncols, rows=None, row_tags=None):
+        """A function-field matrix with its grid given; rows None means grid-only."""
         M = cls(field, rows, ncols, row_tags)
-        M.__dict__["grid"] = tuple(tuple(row) for row in grid)
+        M.__dict__["grid"] = grid
         return M
 
     def columns(self, cols):
-        """The submatrix on the given columns; a function-field grid carries over."""
-        rows = tuple(tuple(row[j] for j in cols) for row in self.rows)
-        sub = ExactMatrix(self.field, rows, len(cols))
+        """The submatrix on the given columns; over a function field, grid-only."""
         if isinstance(self.field, FunctionField):
-            sub.__dict__["grid"] = tuple(
-                tuple(row[j] for j in cols) for row in self.grid
-            )
-        return sub
+            grid = tuple(tuple(row[j] for j in cols) for row in self.grid)
+            return ExactMatrix.of_grid(self.field, grid, len(cols))
+        rows = tuple(tuple(row[j] for j in cols) for row in self.rows)
+        return ExactMatrix(self.field, rows, len(cols))
 
 
 def _strip_row_content(row, char, r):
@@ -180,7 +180,7 @@ def _free_column(pivots, ncols):
 
 def _base_kernel(M):
     """Kernel of a base-field matrix: None, or the vector whose first nonzero
-    entry is 1.  The mod-p path calls this directly, not through kernel."""
+    entry is 1."""
     field = M.field
     rows = [list(row) for row in M.rows]
     pivots = _eliminate_generic(rows, M.ncols, field)
@@ -260,12 +260,18 @@ def matvec(M, v):
 
 
 def specialize_matrix(M, assignment):
-    """Entry-wise evaluation of a function-field matrix at a parameter point."""
+    """M's grid evaluated at a parameter point, as a base-field matrix.
+
+    Each row is the entry row times a polynomial (1 for a MatList matrix, whose
+    grid is its entries), so this is the entry-wise specialization wherever
+    those polynomials do not vanish.
+    """
     ff = M.field
     values = tuple(assignment[name] for name in ff.params)
     base = ff.base
+    zero = base.zero()
     rows = tuple(
-        tuple(a.evaluate(values) if a else base.zero() for a in row) for row in M.rows
+        tuple(pp_eval(a, values, base) if a else zero for a in row) for row in M.grid
     )
     return ExactMatrix(base, rows, M.ncols)
 

@@ -9,11 +9,13 @@ lookups, and minimal generators kept per staircase); the matrix cells are
 looked up in the generators' coefficients, and over a parameter field the
 rows are cleared into the matrix's polynomial grid as they are built.  The
 accepted xi's and staircase terms together form a K-basis of the dual
-module, so the basis size is the colength of <F>.
+module, so the basis size is the colength of <F>.  An accepted xi is kept as
+the kernel vector that found it; ``xis`` and ``basis()`` scale it to leading
+coefficient 1 only when read, so the loop itself never normalizes.
 
 On a parameter field, the leading-coefficient numerators of accepted xi's and
-the rejected matrices are retained: they are the genericity certificate used
-by the reduction engine.
+the rejected matrices (as grid-only matrices over K[t]) are retained: they are
+the genericity certificate used by the reduction engine.
 """
 
 from __future__ import annotations
@@ -94,16 +96,15 @@ def build_matrix(gens, gamma, order, nvars):
             cells = block[s]
             rows.append(tuple(cells.get(k, zero) for k in range(ncols)))
             tags.append((gi, s))
-    M = ExactMatrix(field, tuple(rows), ncols, tuple(tags))
-    if isinstance(field, FunctionField):
-        M.__dict__["grid"] = tuple(
-            tuple(clear_row_denominators(field, row)) for row in rows
-        )
-    return M
+    rows, tags = tuple(rows), tuple(tags)
+    if not isinstance(field, FunctionField):
+        return ExactMatrix(field, rows, ncols, tags)
+    grid = tuple(tuple(clear_row_denominators(field, row)) for row in rows)
+    return ExactMatrix.of_grid(field, grid, ncols, rows, tags)
 
 
 def canonical_cleared_matrix(M):
-    """M's cleared grid, canonically scaled, as a matrix with K[t] entries.
+    """M's cleared grid, canonically scaled, as a grid-only matrix over K[t].
 
     Only constant row scalings are applied beyond the clearing (integer
     content and sign in characteristic 0, a leading-coefficient unit in
@@ -117,12 +118,25 @@ def canonical_cleared_matrix(M):
             g = math.gcd(*(c for nm in nums for c in nm.values()))
             if g > 1:
                 nums = [{e: c // g for e, c in nm.items()} for nm in nums]
-        grid.append(normalize_row_unit(nums, char))
-    return ExactMatrix.from_grid(M.field, grid, M.ncols, M.row_tags)
+        grid.append(tuple(normalize_row_unit(nums, char)))
+    return ExactMatrix.of_grid(M.field, tuple(grid), M.ncols, row_tags=M.row_tags)
 
 
 class _DualBasis:
     """The basis shared by a running state and its finished result."""
+
+    @property
+    def length(self):
+        return len(self.t1_points) + len(self.elements)
+
+    @property
+    def xis(self):
+        """The accepted xi's in acceptance order, each monic at its leading term."""
+        one = self.field.one()
+        return [
+            eta.scale(one / eta.coeffs[lt])
+            for eta, lt in zip(self.elements, self.accepted_lts)
+        ]
 
     def basis(self):
         """T1 terms ascending in the order, then xi's in acceptance order."""
@@ -161,16 +175,12 @@ class DualBasisState(_DualBasis):
         self.t2 = t1
         self.l1 = set()
         self.l2 = set(socle_candidates(t1))
-        self.xis = []
+        self.elements = []
         self.accepted_lts = []
         self.polylist = []
         self._polyset = set()
         self.matlist = []
         self.iterations = 0
-
-    @property
-    def length(self):
-        return len(self.t1_points) + len(self.xis)
 
     def done(self):
         return self.l1 == self.l2
@@ -233,12 +243,10 @@ def step(state):
         raise InternalInconsistency(
             "kernel vector with vanishing leading coefficient"
         )
-    xi = DualElement(state.field, state.nvars, dict(zip(gamma, vec)))
-    inv = state.field.one() / c0
-    xi = xi.scale(inv)
+    eta = DualElement(state.field, state.nvars, dict(zip(gamma, vec)))
     if state.accepted_lts and order.key(tau0) <= order.key(state.accepted_lts[-1]):
         raise InternalInconsistency("leading terms of accepted elements not increasing")
-    state.xis.append(xi)
+    state.elements.append(eta)
     state.accepted_lts.append(tau0)
     if state.track_certificates:
         entry = pp_primitive(c0.num, state.field.char)
@@ -247,7 +255,7 @@ def step(state):
             state._polyset.add(key)
             state.polylist.append(entry)
     state.ltn = state.ltn.with_corner(tau0)
-    state.t2 = state.t2.extended(xi.terms())
+    state.t2 = state.t2.extended(eta.terms())
     state.l2 = set(socle_candidates(state.ltn))
     return True
 
@@ -258,8 +266,8 @@ class DualBasisResult(_DualBasis):
     nvars: int
     order: object
     t1_points: list
-    xis: list
-    length: int
+    elements: list
+    accepted_lts: list
     polylist: list
     matlist: list
     iterations: int
@@ -284,8 +292,8 @@ def compute_dual_basis(gens, order, caps=None, solver=None, initial_truncation=N
         nvars=state.nvars,
         order=order,
         t1_points=list(state.t1_points),
-        xis=list(state.xis),
-        length=state.length,
+        elements=list(state.elements),
+        accepted_lts=list(state.accepted_lts),
         polylist=list(state.polylist),
         matlist=list(state.matlist),
         iterations=state.iterations,

@@ -9,20 +9,27 @@ a failed confirmation costs only a retry with the next deterministic point
 never depends on the specialization point being generic.
 
 Every step reads the matrix's cleared grid (``ExactMatrix.grid``): the points
-are hashed from its text, the image is its evaluation mod p, the restricted
-solve takes its columns, and the confirmation multiplies it by the kernel
-vector, whose entries have denominator 1 by the kernel contract of ``linalg``.
-No rational-function arithmetic runs here.
+are hashed from its text, the image is its evaluation mod p as rows of
+machine ints, the restricted solve takes its columns, and the confirmation
+multiplies it by the kernel vector, whose entries have denominator 1 by the
+kernel contract of ``linalg``.  The image is eliminated in plain ints mod p:
+no prime-field element or rational function is built for it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
+# CPython's built-in SHA-256 gives the same digests as hashlib's without
+# loading OpenSSL's libcrypto (3.7 MB resident with CPython 3.11 on Linux)
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 from .errors import UnexpectedNullity
-from .linalg import ExactMatrix, _base_kernel, kernel
-from .scalars import GF, FunctionField, pp_add, pp_mul, pp_to_str
+from .linalg import _free_column, kernel
+from .scalars import FunctionField, pp_add, pp_mul, pp_to_str
 
 # largest primes below 2^31, descending
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
@@ -58,7 +65,7 @@ class ModpPolicy:
         values = []
         counter = 0
         while len(values) < nparams:
-            h = hashlib.sha256(
+            h = sha256(
                 serial + b"|" + str(retry).encode() + b"|" + str(counter).encode()
             ).digest()
             for k in range(0, len(h) - 7, 8):
@@ -101,21 +108,60 @@ def _serial(M):
 
 
 def specialize(M, pt):
-    """Entry-wise evaluation at pt.values followed by reduction mod pt.prime."""
-    base = GF(pt.prime)
+    """The grid evaluated at pt.values mod pt.prime: a tuple of int rows.
+
+    Each monomial of the parameters is evaluated once per point.
+    """
+    p = pt.prime
+    monomials = {}
     rows = []
     for row in M.grid:
         out = []
         for e in row:
             acc = 0
             for expo, c in e.items():
-                term = c % pt.prime
-                for v, d in zip(pt.values, expo):
-                    term = term * pow(v, d, pt.prime) % pt.prime
-                acc = (acc + term) % pt.prime
-            out.append(base.from_int(acc))
+                m = monomials.get(expo)
+                if m is None:
+                    m = 1
+                    for v, d in zip(pt.values, expo):
+                        m = m * pow(v, d, p) % p
+                    monomials[expo] = m
+                acc += c * m
+            out.append(acc % p)
         rows.append(tuple(out))
-    return ExactMatrix(base, tuple(rows), M.ncols)
+    return tuple(rows)
+
+
+def kernel_support(rows, ncols, p):
+    """Kernel of an int matrix mod p: None when trivial, the set of columns
+    where the kernel vector is nonzero when it is a line, and UnexpectedNullity
+    beyond that.
+    """
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        prow = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(r + 1, len(rows)):
+            a = rows[i][c]
+            if a:
+                rows[i] = [(x - a * y) % p for x, y in zip(rows[i], prow)]
+        pivots.append((r, c))
+        if len(pivots) == len(rows):
+            break
+    free = _free_column(pivots, ncols)
+    if free is None:
+        return None
+    v = [0] * ncols
+    v[free] = 1
+    for r, c in reversed(pivots):
+        v[c] = -sum(a * b for a, b in zip(rows[r][c + 1 :], v[c + 1 :])) % p
+    return {j for j, a in enumerate(v) if a}
 
 
 def _restricted_solve(M, support):
@@ -162,16 +208,14 @@ def kernel_via_modp(M, policy=None, stats=None):
         if retry and stats is not None:
             stats.retries += 1
         pt = policy.point(serial, retry, nparams, ff.char)
-        Mp = specialize(M, pt)
         try:
-            vp = _base_kernel(Mp)
+            support = kernel_support(specialize(M, pt), M.ncols, pt.prime)
         except UnexpectedNullity:
             continue
-        if vp is None:
+        if support is None:
             if stats is not None:
                 stats.trivial_by_modp += 1
             return None
-        support = {j for j, a in enumerate(vp) if a}
         v = _restricted_solve(M, support)
         if v is not None and _annihilates(M, v):
             if stats is not None:

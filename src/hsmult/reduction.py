@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import sys
-import threading
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NotZeroDimensional, SearchExhausted
@@ -169,7 +168,6 @@ class MultiplicityResult:
 
 
 _MULT_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
@@ -180,10 +178,8 @@ def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
     are the safety net for bad inputs.
     """
     key = inst.canonical_key()
-    if use_cache:
-        with _CACHE_LOCK:
-            if key in _MULT_CACHE:
-                return _MULT_CACHE[key]
+    if use_cache and key in _MULT_CACHE:
+        return _MULT_CACHE[key]
     if inst.d == 0:
         gens, field = _dim_zero_generators(inst), inst.base
     else:
@@ -205,7 +201,7 @@ def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
         field=field,
         base=inst.base,
         t1_size=len(dual.t1_points),
-        xi_count=len(dual.xis),
+        xi_count=len(dual.elements),
         polylist=list(dual.polylist),
         matlist=list(dual.matlist),
         dual=dual,
@@ -213,8 +209,7 @@ def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
         modp_stats=stats.as_dict(),
     )
     if use_cache:
-        with _CACHE_LOCK:
-            _MULT_CACHE[key] = res
+        _MULT_CACHE[key] = res
     return res
 
 
@@ -400,5 +395,4 @@ def is_in_integral_closure(inst, h, modp=None):
 
 
 def clear_multiplicity_cache():
-    with _CACHE_LOCK:
-        _MULT_CACHE.clear()
+    _MULT_CACHE.clear()

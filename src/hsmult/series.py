@@ -9,8 +9,6 @@ degree-<=D part of ``truncate(D')`` equals ``truncate(D)`` for D <= D'.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import NonUnitDenominator
 from .poly import SparsePoly
 
@@ -71,7 +69,6 @@ class RationalSeries(SeriesOracle):
         self.field = num.field
         self.nvars = num.nvars
         self._parts = []  # homogeneous components of the expansion, by degree
-        self._lock = threading.Lock()
 
     def _extend(self, degree):
         # out_k = (num_k - sum_{j=1..k} den_j * out_{k-j}) / den_0
@@ -95,9 +92,8 @@ class RationalSeries(SeriesOracle):
     def truncate(self, degree):
         if degree < 0:
             raise ValueError("truncation degree must be >= 0")
-        with self._lock:
-            self._extend(degree)
-            parts = self._parts[: degree + 1]
+        self._extend(degree)
+        parts = self._parts[: degree + 1]
         total = SparsePoly.zero(self.field, self.nvars)
         for part in parts:
             total = total + part

@@ -92,7 +92,7 @@ def test_criterion_4_example4(example4, example4_perturbed):
     assert res_p.polylist == res.polylist
     assert len(res_p.matlist) == len(res.matlist)
     for A, B in zip(res.matlist, res_p.matlist):
-        assert A.rows == B.rows and A.ncols == B.ncols
+        assert A.grid == B.grid and A.ncols == B.ncols
     _passed(4, f"e=24, perturbed run identical e/PolyList/MatList ({first:.3f}s, {second:.3f}s < 30s)")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from hsmult import ParseError, QQ, RationalSeries
 from hsmult.exprparse import parse_generator, parse_polynomial, parse_rational
-from hsmult.instance import instance_to_json, parse_instance
+from hsmult.instance import check_dimension, instance_to_json, parse_instance
 from tests.conftest import FIXTURES
 
 
@@ -322,6 +322,39 @@ def test_cli_rejects_mistyped_options(tmp_path, options, flags):
     code, err = _run_main(["reduce", path, *flags])
     assert code == 2
     assert err.startswith("error: option ")
+
+
+@pytest.mark.parametrize("command", ["mult", "reduce", "member"])
+def test_cli_rejects_dim_that_contradicts_the_quotient(tmp_path, command):
+    # R = S, so dim must be 2; dim 1 used to run until the term cap
+    payload = {"characteristic": 0, "variables": ["x", "y"], "ideal": ["x^2", "y", "x*y"], "dim": 1}
+    argv = [command, _write_instance(tmp_path, payload)] + (["x"] if command == "member" else [])
+    code, err = _run_main(argv)
+    assert code == 2
+    assert err.startswith("error: dim must be 2")
+    # length and dual ignore dim
+    assert _run_main(["length", argv[1]])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "quotient, dims_ok",
+    [
+        ([], {3}),
+        (["0"], {3}),
+        (["x*y - z^2"], {2}),
+        (["x*y", "x*z"], {1, 2}),
+        (["x^2", "0", "y/(1 - z)"], {1, 2}),
+    ],
+)
+def test_check_dimension_follows_krull(quotient, dims_ok):
+    text = {"variables": ["x", "y", "z"], "ideal": ["x", "y", "z"], "quotient_ideal": quotient}
+    for dim in range(4):
+        inst, _ = parse_instance(json.dumps(dict(text, dim=dim)))
+        if dim in dims_ok:
+            check_dimension(inst)
+        else:
+            with pytest.raises(ParseError):
+                check_dimension(inst)
 
 
 _option_values = st.one_of(

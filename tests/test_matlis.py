@@ -134,11 +134,11 @@ def test_step_trace_example1(ff, glex):
     # 1/xy^3: matrix [[1]] from the y^2-block, trivial kernel -> rejected
     assert step(state) is False
     assert state.l1 == {(0, 2)}
-    assert state.matlist[-1].rows == ((ff.one(),),)
+    assert state.matlist[-1].grid == (({(0, 0): 1},),)
     # 1/x^2y^2: [[a,0],[b,1]] rejected
     assert step(state) is False
     assert state.l1 == {(0, 2), (1, 1)}
-    assert state.matlist[-1].rows == ((ff.param("a"), ff.zero()), (ff.param("b"), ff.one()))
+    assert state.matlist[-1].grid == (({(1, 0): 1}, {}), ({(0, 1): 1}, {(0, 0): 1}))
     # 1/x^4y: accepts xi_1, polylist gains the primitive numerator of a
     assert step(state) is True
     assert state.polylist == [{(1, 0): 1}]

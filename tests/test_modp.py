@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,17 @@ from hsmult import (
     ModpPolicy,
     ModpStats,
     SpecPoint,
+    UnexpectedNullity,
     kernel,
     kernel_via_modp,
     multiplicity,
+    nonsingular_at,
+    rank,
     solve_dispatch,
     specialize,
 )
+from hsmult.linalg import _base_kernel
+from hsmult.modp import kernel_support
 
 
 @pytest.fixture
@@ -29,13 +35,13 @@ def test_specialize_spec_examples(ff):
     one, zero = ff.one(), ff.zero()
     M2 = ExactMatrix(ff, ((a, zero), (b, one)), 2)
     S = specialize(M2, SpecPoint(5, (2, 3)))
-    assert [[e.v for e in row] for row in S.rows] == [[2, 0], [3, 1]]
+    assert [list(row) for row in S] == [[2, 0], [3, 1]]
     M3 = ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)
     S3 = specialize(M3, SpecPoint(5, (2, 3)))
-    assert [[e.v for e in row] for row in S3.rows] == [[1, 2, 0], [0, 3, 1]]
+    assert [list(row) for row in S3] == [[1, 2, 0], [0, 3, 1]]
     Z = ExactMatrix(ff, ((zero, zero),), 2)
     SZ = specialize(Z, SpecPoint(7, (1, 1)))
-    assert all(not e for row in SZ.rows for e in row)
+    assert all(not e for row in SZ for e in row)
 
 
 def test_kernel_via_modp_spec_examples(ff):
@@ -147,3 +153,97 @@ def test_config_validation():
         ModpPolicy(max_retries=0)
     with pytest.raises(ValueError):
         ModpConfig(mode="sometimes")
+
+
+def test_kernel_support_agrees_with_base_kernel():
+    rng = random.Random(11)
+    seen = {"trivial": 0, "line": 0, "many": 0}
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 2147483647))
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        ints = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        F = GF(p)
+        M = ExactMatrix(F, tuple(tuple(F.from_int(x) for x in row) for row in ints), ncols)
+        try:
+            v = _base_kernel(M)
+        except UnexpectedNullity as err:
+            with pytest.raises(UnexpectedNullity) as err2:
+                kernel_support(ints, ncols, p)
+            assert str(err2.value) == str(err)
+            seen["many"] += 1
+            continue
+        support = kernel_support(ints, ncols, p)
+        if v is None:
+            assert support is None
+            seen["trivial"] += 1
+        else:
+            assert support == {j for j, a in enumerate(v) if a}
+            seen["line"] += 1
+    assert min(seen.values()) >= 20
+
+
+def _random_param_matrix(field, rng, nrows, ncols):
+    one = field.one()
+    params = [field.param(name) for name in field.params]
+    pool = [field.zero(), field.zero(), one, -one, field.from_int(2)] + params
+    pool += [t + one for t in params] + [t * t - one for t in params]
+    pool += [params[0] * params[-1], one / (params[0] + one)]
+    return ExactMatrix(
+        field,
+        tuple(tuple(rng.choice(pool) for _ in range(ncols)) for _ in range(nrows)),
+        ncols,
+    )
+
+
+def _kernel_or_nullity(solve, M):
+    try:
+        return solve(M)
+    except UnexpectedNullity:
+        return "nullity > 1"
+
+
+def test_kernel_via_modp_agrees_with_kernel_on_random_matrices():
+    rng = random.Random(5)
+    fields = (
+        (FunctionField(QQ, ("a", "b")), ((5, (0, 0)), (3, (1, 2)))),
+        (FunctionField(GF(7), ("a",)), ((7, (0,)), (7, (6,)))),
+    )
+    seen = {"vector": 0, "trivial": 0, "nullity > 1": 0}
+    stats = ModpStats()
+    for field, degenerate in fields:
+        for _ in range(60):
+            # near-square shapes keep most kernels trivial or one-dimensional
+            ncols = rng.randint(2, 4)
+            M = _random_param_matrix(field, rng, ncols + rng.choice((-2, -1, 1)), ncols)
+            exact = _kernel_or_nullity(kernel, M)
+            for forced in ((), degenerate[:1], degenerate):
+                policy = ModpPolicy(forced_points=forced)
+                got = _kernel_or_nullity(lambda A: kernel_via_modp(A, policy, stats), M)
+                assert got == exact
+            seen["vector" if isinstance(exact, tuple) else "trivial" if exact is None else exact] += 1
+    assert min(seen.values()) >= 5
+    assert stats.retries and stats.fallbacks
+    assert stats.accepted_by_support and stats.trivial_by_modp
+
+
+def test_nonsingular_at_grid_only_matlist_matches_entrywise_rank(
+    example1, example2, example3, example4
+):
+    rng = random.Random(3)
+    verdicts = set()
+    for inst in (example1, example2, example3, example4):
+        res = multiplicity(inst, use_cache=False)
+        ff = res.field
+        for M in res.matlist:
+            assert M.rows is None
+            for _ in range(6):
+                values = tuple(Fraction(rng.randint(-2, 2)) for _ in ff.params)
+                rows = tuple(
+                    tuple(ff.from_ppoly(a).evaluate(values) for a in row) for row in M.grid
+                )
+                expected = rank(ExactMatrix(ff.base, rows, M.ncols)) == M.ncols
+                got = nonsingular_at(M, dict(zip(ff.params, values)))
+                assert got == expected
+                verdicts.add(got)
+    assert verdicts == {True, False}

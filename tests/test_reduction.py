@@ -280,7 +280,7 @@ def test_perturbation_stability(example1):
     res2 = multiplicity(inst2)
     assert res2.e == res.e
     assert res2.polylist == res.polylist
-    assert [m.rows for m in res2.matlist] == [m.rows for m in res.matlist]
+    assert [m.grid for m in res2.matlist] == [m.grid for m in res.matlist]
 
 
 def test_reduction_generators_match_oracle_lengths(example1):

@@ -33,3 +33,30 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert tracer.calls["matlis.step"] == 4
     assert tracer.counts["dual.gamma_candidates.terms"] == 8
     assert tracer.counts["matlis.build_matrix.cells"] == 47
+
+
+def test_reduce_example1_keeps_its_decisions(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance("example1.json")
+        _, stats = run_command("reduce", inst, options)
+    finally:
+        tracer.uninstall()
+    # certify calls and mod-p decisions as recorded when the mod-p image and
+    # the MatList matrices were still built from scalar objects
+    assert tracer.calls["reduction.certify"] == 5
+    assert tracer.calls["linalg.nonsingular_at"] == 6
+    assert stats.as_dict() == {
+        "dispatched": 4,
+        "direct": 3,
+        "trivial_by_modp": 1,
+        "accepted_by_support": 0,
+        "retries": 0,
+        "fallbacks": 0,
+    }
+    # that build created 63 rational functions per run
+    assert tracer.counts["scalars.rational_function.created"] < 63
