@@ -17,7 +17,6 @@ from .modp import ModpConfig, ModpPolicy
 from .orders import MonomialOrder, ORDER_KINDS
 from .reduction import ProblemInstance, generator_to_str
 from .scalars import GF, QQ, is_prime
-from .series import RationalSeries
 
 DEFAULT_OPTIONS = {
     "max_terms": 5000,
@@ -205,19 +204,14 @@ def check_options(options):
 
 
 def check_dimension(inst):
-    """Raise ParseError unless dim fits the quotient ideal I of S = K[[x]].
-
-    S is a regular local domain, so by Krull's height theorem k nonzero
-    generators of I give n - k <= dim S/I <= n - 1, and dim S/I = n when
-    k = 0.  mult, reduce and member rest on dim; length and dual ignore it.
+    """Raise ParseError unless dim fits the quotient ideal (Krull's height
+    theorem, see ProblemInstance.check_dimension).  mult, reduce and member
+    rest on dim; length and dual ignore it.
     """
-    n = inst.nvars
-    k = sum(1 for g in inst.i_gens if (g.num if isinstance(g, RationalSeries) else g))
-    if k == 0 and inst.d != n:
-        _fail(f"dim must be {n}: there is no quotient ideal")
-    if k and not (n - k <= inst.d <= n - 1):
-        _fail(f"dim must satisfy {max(n - k, 0)} <= dim <= {n - 1} for a quotient "
-              f"ideal with {k} nonzero generators")
+    try:
+        inst.check_dimension()
+    except ValueError as err:
+        _fail(str(err))
 
 
 def _parse_gen(expr, base, variables, where):

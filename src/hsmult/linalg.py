@@ -41,9 +41,12 @@ from .scalars import (
 class ExactMatrix:
     """Immutable rectangular matrix of field scalars with optional row tags.
 
-    A function-field matrix may be grid-only (``rows`` is None): it is given by
-    its polynomial grid alone, as the MatList matrices are, and is read only
-    through that grid.
+    A function-field matrix may be grid-only (``rows`` is None, no row tags):
+    it is given by its polynomial grid alone, as the kept rejected matrices and
+    the MatList matrices are, and is read only through that grid.  Grid
+    polynomials are shared, within a row (one empty dict per row for its zero
+    cells) and with the matrices a grid was made from, so nothing may write
+    into them.
     """
 
     field: object
@@ -95,6 +98,13 @@ def _strip_row_content(row, char, r):
                 row[j] = pp_divexact(e, g, char)
 
 
+def map_nonzero(fn, row):
+    """fn applied to the nonzero polynomials of a row; every zero becomes the
+    new row's one empty dict."""
+    zero = {}
+    return [fn(a) if a else zero for a in row]
+
+
 def normalize_row_unit(nums, char):
     """Scale polynomials by the unit that makes the leading coefficient of the
     first nonzero one positive (characteristic 0) or 1 (characteristic p)."""
@@ -104,9 +114,9 @@ def normalize_row_unit(nums, char):
     _, lc = pp_leading(first)
     if char and lc != 1:
         inv = pow(lc, char - 2, char)
-        return [pp_scale(nm, inv, char) for nm in nums]
+        return map_nonzero(lambda nm: pp_scale(nm, inv, char), nums)
     if not char and lc < 0:
-        return [pp_neg(nm, 0) for nm in nums]
+        return map_nonzero(lambda nm: pp_neg(nm, 0), nums)
     return nums
 
 
@@ -233,7 +243,7 @@ def kernel(M):
         g = pp_gcd(s, row[pc], char)
         factor = pp_divexact(row[pc], g, char)
         if factor != one:
-            v = [pp_mul(a, factor, char) if a else {} for a in v]
+            v = map_nonzero(lambda a: pp_mul(a, factor, char), v)
         v[pc] = pp_neg(pp_divexact(s, g, char), char)
     _strip_row_content(v, char, r)
     return tuple(field.from_ppoly(a) for a in normalize_row_unit(v, char))

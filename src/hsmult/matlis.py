@@ -14,8 +14,11 @@ the kernel vector that found it; ``xis`` and ``basis()`` scale it to leading
 coefficient 1 only when read, so the loop itself never normalizes.
 
 On a parameter field, the leading-coefficient numerators of accepted xi's and
-the rejected matrices (as grid-only matrices over K[t]) are retained: they are
-the genericity certificate used by the reduction engine.
+the rejected matrices are retained: they are the genericity certificate used
+by the reduction engine.  A rejected matrix is kept as its cleared grid
+(grid-only, every zero cell of a row one shared empty dict); ``matlist`` makes
+those grids canonical when first read and keeps the result, so a run whose
+certificate nobody reads never canonicalizes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .dual import (
     socle_candidates,
 )
 from .errors import CapExceeded, InternalInconsistency, NotZeroDimensional
-from .linalg import ExactMatrix, kernel, normalize_row_unit
+from .linalg import ExactMatrix, kernel, map_nonzero, normalize_row_unit
 from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
 from .scalars import FunctionField, pp_primitive
 from .series import SeriesOracle
@@ -117,9 +120,9 @@ def canonical_cleared_matrix(M):
         if not char:
             g = math.gcd(*(c for nm in nums for c in nm.values()))
             if g > 1:
-                nums = [{e: c // g for e, c in nm.items()} for nm in nums]
+                nums = map_nonzero(lambda nm: {e: c // g for e, c in nm.items()}, nums)
         grid.append(tuple(normalize_row_unit(nums, char)))
-    return ExactMatrix.of_grid(M.field, tuple(grid), M.ncols, row_tags=M.row_tags)
+    return ExactMatrix.of_grid(M.field, tuple(grid), M.ncols)
 
 
 class _DualBasis:
@@ -128,6 +131,13 @@ class _DualBasis:
     @property
     def length(self):
         return len(self.t1_points) + len(self.elements)
+
+    @property
+    def matlist(self):
+        """The MatList: the rejected matrices made canonical, each on first read."""
+        made = self._matlist
+        made.extend(canonical_cleared_matrix(M) for M in self.rejected[len(made):])
+        return made
 
     @property
     def xis(self):
@@ -179,7 +189,8 @@ class DualBasisState(_DualBasis):
         self.accepted_lts = []
         self.polylist = []
         self._polyset = set()
-        self.matlist = []
+        self.rejected = []
+        self._matlist = []
         self.iterations = 0
 
     def done(self):
@@ -236,7 +247,7 @@ def step(state):
     if vec is None:
         state.l1.add(tau0)
         if state.track_certificates:
-            state.matlist.append(canonical_cleared_matrix(M))
+            state.rejected.append(ExactMatrix.of_grid(M.field, M.grid, M.ncols))
         return False
     c0 = vec[0]
     if not c0:
@@ -269,8 +280,11 @@ class DualBasisResult(_DualBasis):
     elements: list
     accepted_lts: list
     polylist: list
-    matlist: list
+    rejected: list
     iterations: int
+
+    def __post_init__(self):
+        self._matlist = []
 
     def export_basis(self):
         return [eta.to_pairs(self.order) for eta in self.basis()]
@@ -295,6 +309,6 @@ def compute_dual_basis(gens, order, caps=None, solver=None, initial_truncation=N
         elements=list(state.elements),
         accepted_lts=list(state.accepted_lts),
         polylist=list(state.polylist),
-        matlist=list(state.matlist),
+        rejected=list(state.rejected),
         iterations=state.iterations,
     )

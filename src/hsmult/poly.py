@@ -237,7 +237,8 @@ def clear_row_denominators(field, row):
     """Scale a row of function-field scalars to polynomial (denominator 1) form.
 
     Returns the list of numerator ppoly dicts after multiplying the row by the
-    lcm of the denominators.  Kernels and ranks are invariant under this.
+    lcm of the denominators; every zero entry is the row's one empty dict.
+    Kernels and ranks are invariant under this.
     """
     from .scalars import pp_const, pp_divexact, pp_lcm, pp_mul
 
@@ -248,9 +249,10 @@ def clear_row_denominators(field, row):
         if isinstance(a, RationalFunction) and a and a.den != lcm:
             lcm = pp_lcm(lcm, a.den, char)
     out = []
+    zero = {}
     for a in row:
         if not a:
-            out.append({})
+            out.append(zero)
         elif a.den == lcm:
             out.append(a.num)
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NotZeroDimensional, SearchExhausted
@@ -25,12 +26,10 @@ from .modp import ModpConfig, ModpStats, make_solver
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly
 from .scalars import FunctionField, pp_eval, pp_to_str
-from .series import LinearCombination, as_oracle
+from .series import LinearCombination, PolySeries, RationalSeries, as_oracle
 
 
 def generator_to_str(gen, names):
-    from .series import PolySeries, RationalSeries
-
     if isinstance(gen, SparsePoly):
         return gen.to_str(names)
     if isinstance(gen, PolySeries):
@@ -75,6 +74,23 @@ class ProblemInstance:
     @property
     def m(self):
         return len(self.j_gens)
+
+    def check_dimension(self):
+        """Raise ValueError unless dim fits the quotient ideal I of S = K[[x]].
+
+        S is a regular local domain, so by Krull's height theorem k nonzero
+        generators of I give n - k <= dim S/I <= n - 1, and dim S/I = n when
+        k = 0.  Multiplicities rest on dim; colengths ignore it.
+        """
+        n = self.nvars
+        k = sum(1 for g in self.i_gens if (g.num if isinstance(g, RationalSeries) else g))
+        if k == 0 and self.d != n:
+            raise ValueError(f"dim must be {n}: there is no quotient ideal")
+        if k and not (n - k <= self.d <= n - 1):
+            raise ValueError(
+                f"dim must satisfy {max(n - k, 0)} <= dim <= {n - 1} for a quotient "
+                f"ideal with {k} nonzero generators"
+            )
 
     def with_extra_generator(self, h):
         return dataclasses.replace(self, j_gens=self.j_gens + (h,))
@@ -144,10 +160,14 @@ class MultiplicityResult:
     t1_size: int
     xi_count: int
     polylist: list
-    matlist: list
     dual: object
     instance: ProblemInstance
     modp_stats: dict
+
+    @property
+    def matlist(self):
+        """The MatList, made canonical when first read (see DualBasisResult)."""
+        return self.dual.matlist
 
     def polylist_strings(self):
         return [pp_to_str(p, self.params) for p in self.polylist]
@@ -167,7 +187,9 @@ class MultiplicityResult:
         ]
 
 
-_MULT_CACHE: dict = {}
+# least recently used first; a hit moves its entry to the end
+_MULT_CACHE: OrderedDict = OrderedDict()
+_MULT_CACHE_SIZE = 256
 
 
 def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
@@ -175,11 +197,15 @@ def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
 
     R must be Cohen-Macaulay of the supplied dimension and J primary for the
     maximal ideal; neither is decidable from the input, so the resource caps
-    are the safety net for bad inputs.
+    are the safety net for bad inputs.  A dim that contradicts I raises
+    ValueError.  With use_cache, results are kept for the last 256 distinct
+    instances.
     """
     key = inst.canonical_key()
     if use_cache and key in _MULT_CACHE:
+        _MULT_CACHE.move_to_end(key)
         return _MULT_CACHE[key]
+    inst.check_dimension()
     if inst.d == 0:
         gens, field = _dim_zero_generators(inst), inst.base
     else:
@@ -203,13 +229,14 @@ def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
         t1_size=len(dual.t1_points),
         xi_count=len(dual.elements),
         polylist=list(dual.polylist),
-        matlist=list(dual.matlist),
         dual=dual,
         instance=inst,
         modp_stats=stats.as_dict(),
     )
     if use_cache:
         _MULT_CACHE[key] = res
+        if len(_MULT_CACHE) > _MULT_CACHE_SIZE:
+            _MULT_CACHE.popitem(last=False)
     return res
 
 

@@ -568,6 +568,8 @@ class FunctionField:
         self.base = base
         self.params = tuple(params)
         self.char = base.char
+        # the denominator of every from_ppoly polynomial, shared; never mutated
+        self._unit = pp_const(1, len(self.params), self.char)
 
     def zero(self):
         return RationalFunction(self, {}, pp_const(1, len(self.params), self.char))
@@ -605,8 +607,7 @@ class FunctionField:
     def from_ppoly(self, num, den=None):
         """num/den made canonical; with no den, num is taken as is (no gcd)."""
         if den is None:
-            one = pp_const(1, len(self.params), self.char)
-            return RationalFunction(self, num, one, _canonical=True)
+            return RationalFunction(self, num, self._unit, _canonical=True)
         return RationalFunction(self, num, den)
 
     def to_str(self, a):

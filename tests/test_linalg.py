@@ -194,3 +194,65 @@ def test_specialize_matrix(ff):
     S = specialize_matrix(M, {"a": Fraction(2), "b": Fraction(-1)})
     assert S.rows == ((Fraction(2), Fraction(-1)),)
     assert S.field == QQ
+
+
+def test_polynomial_operations_never_write_into_their_inputs():
+    """Zero cells of a grid row share one dict, and grids share polynomials
+    with the matrices they came from, so an in-place write anywhere would
+    corrupt other cells."""
+    import copy
+
+    from hsmult.linalg import _strip_row_content, normalize_row_unit
+    from hsmult.matlis import canonical_cleared_matrix
+    from hsmult.scalars import pp_add, pp_divexact, pp_mul, pp_neg, pp_scale, pp_sub
+
+    rng = random.Random(53)
+
+    def poly(char):
+        out = {}
+        for _ in range(rng.randint(0, 4)):
+            c = rng.randint(-6, 6) % char if char else rng.randint(-6, 6)
+            if c:
+                out[(rng.randint(0, 2), rng.randint(0, 2))] = c
+        return out
+
+    def row(char, ncols, content):
+        """A row with a common factor; its zero cells are one shared dict."""
+        zero = {}
+        cells = [pp_mul(content, poly(char), char) for _ in range(ncols)]
+        return [a if a and rng.random() < 0.6 else zero for a in cells]
+
+    def snapshot(*objs):
+        return [(o, copy.deepcopy(o)) for o in objs]
+
+    def unchanged(snaps):
+        return all(o == saved for o, saved in snaps)
+
+    for trial in range(300):
+        char = (0, 2, 3, 7)[trial % 4]
+        a, b, c = poly(char), poly(char), poly(char)
+        ab = pp_mul(a, b, char)
+        snaps = snapshot(a, b, c, ab)
+        pp_add(a, b, char), pp_sub(a, b, char), pp_mul(a, c, char)
+        pp_scale(a, rng.randint(-3, 3), char), pp_neg(a, char)
+        pp_gcd(a, b, char), pp_gcd(pp_mul(a, c, char), pp_mul(b, c, char), char)
+        if b:
+            assert pp_divexact(ab, b, char) == a
+        assert unchanged(snaps)
+
+        ncols = rng.randint(1, 5)
+        content = poly(char) or pp_const(1, 2, char)
+        rows = [row(char, ncols, content) for _ in range(rng.randint(1, 4))]
+        ff = FunctionField(GF(char) if char else QQ, ("a", "b"))
+        M = ExactMatrix.of_grid(ff, tuple(tuple(rw) for rw in rows), ncols)
+        snaps = snapshot(*(cell for rw in rows for cell in rw))
+        canonical = canonical_cleared_matrix(M)
+        for rw in rows:
+            normalize_row_unit(rw, char)
+            slots = list(rw)
+            _strip_row_content(rw, char, 2)
+            # only nonzero slots may be replaced
+            assert all(new is old for new, old in zip(rw, slots) if not old)
+        assert unchanged(snaps)
+        for crow in canonical.grid:
+            assert len({id(x) for x in crow if not x}) <= 1

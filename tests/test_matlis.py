@@ -19,10 +19,13 @@ from hsmult import (
     step,
 )
 from hsmult.errors import CapExceeded
-from hsmult.matlis import DEFAULT_CAPS
+from hsmult.linalg import kernel
+from hsmult.matlis import DEFAULT_CAPS, canonical_cleared_matrix
 from hsmult.oracles import monomial_length, vector_space_length
 from hsmult.poly import clear_row_denominators
+from hsmult.reduction import generic_generators, multiplicity
 from hsmult.series import PolySeries, RationalSeries
+from tests.conftest import FIXTURES, load_instance
 
 
 @pytest.fixture
@@ -300,3 +303,80 @@ def test_injected_solver_inconsistencies(ff, glex):
     state2 = DualBasisState(gens, glex, DEFAULT_CAPS, solver=nullity_solver)
     with pytest.raises(UnexpectedNullity):
         step(state2)
+
+
+FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
+
+
+def _eager_run(gens, order, caps):
+    """The run with every rejected matrix made canonical when it is rejected,
+    from the full matrix (rows and row tags included)."""
+    eager = []
+
+    def solver(M):
+        v = kernel(M)
+        if v is None and isinstance(M.field, FunctionField) and M.field.params:
+            eager.append(canonical_cleared_matrix(M))
+        return v
+
+    return compute_dual_basis(gens, order, caps, solver=solver), eager
+
+
+def _assert_one_zero_per_row(matrices):
+    for M in matrices:
+        for row in M.grid:
+            assert len({id(a) for a in row if not a}) <= 1
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_matlist_on_read_equals_eager_canonical_forms(name):
+    inst = load_instance(name)[0]
+    if inst.d == 0:
+        return
+    gens, _ = generic_generators(inst)
+    res, eager = _eager_run(gens, inst.order, inst.caps)
+    assert res.matlist == [] or res.matlist[0].rows is None
+    assert [M.grid for M in res.matlist] == [M.grid for M in eager]
+    assert all(M.row_tags is None for M in res.matlist + res.rejected)
+    _assert_one_zero_per_row(res.matlist + res.rejected)
+    # a second read returns the very same matrices, made once
+    for result in (res, multiplicity(inst, use_cache=False)):
+        first = list(result.matlist)
+        assert [M.grid for M in first] == [M.grid for M in eager]
+        assert all(a is b for a, b in zip(first, result.matlist, strict=True))
+
+
+def test_matlist_on_read_equals_eager_on_random_parameter_ideals(glex):
+    rng = random.Random(41)
+    qq_t = FunctionField(QQ, ("a", "b"))
+    gf_t = FunctionField(GF(7), ("a", "b"))
+    caps = ResourceCaps(max_terms=400, max_degree=16, max_iterations=400)
+    compared = 0
+    for trial in range(24):
+        field = qq_t if trial % 2 else gf_t
+        a, b = field.param("a"), field.param("b")
+        one = field.one()
+        pool = [a, b, a + one, one / (a + one), a * b - one, field.from_int(3),
+                a / field.from_int(2) if not field.char else a * a]
+        nvars = rng.choice([2, 3])
+        gens = []
+        for i in range(nvars):
+            power = tuple(rng.randint(2, 3) if j == i else 0 for j in range(nvars))
+            coeffs = {power: one}
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(0, 2) for _ in range(nvars))
+                if sum(e) >= 1 and e != power:
+                    coeffs[e] = rng.choice(pool)
+            gens.append(SparsePoly(field, nvars, coeffs))
+        res, eager = _eager_run(gens, glex, caps)
+        # read after every step too: the matrices read before are not remade
+        state = DualBasisState(gens, glex, caps)
+        while not state.done():
+            before = list(state.matlist)
+            step(state)
+            assert all(x is y for x, y in zip(before, state.matlist))
+        assert [M.grid for M in state.matlist] == [M.grid for M in eager]
+        assert [M.grid for M in res.matlist] == [M.grid for M in eager]
+        _assert_one_zero_per_row(res.matlist + res.rejected)
+        compared += len(eager)
+    assert compared >= 20

@@ -309,3 +309,66 @@ def test_substitute_params_requires_full_assignment(example1):
     gens, ff = generic_generators(example1)
     with pytest.raises(ValueError):
         substitute_params(gens[0], {"t_1_3": Fraction(1)})
+
+
+def test_multiplicity_rejects_dim_that_contradicts_the_quotient():
+    import json
+
+    from hsmult import length_verified_certificate
+    from hsmult.instance import parse_instance
+
+    # small caps: without the check the run ends in CapExceeded, not ValueError
+    payload = {"variables": ["x", "y"], "ideal": ["x^2", "y", "x*y"], "dim": 1,
+               "options": {"max_terms": 300, "max_iterations": 60}}
+    inst, _ = parse_instance(json.dumps(payload))
+    h = SparsePoly.variable(QQ, 2, 0)
+    with pytest.raises(ValueError, match="dim must be 2"):
+        multiplicity(inst)
+    with pytest.raises(ValueError, match="dim must be 2"):
+        is_in_integral_closure(inst, h)
+    with pytest.raises(ValueError, match="dim must be 2"):
+        length_verified_certificate(inst, ((0, 0),))
+    ok, _ = parse_instance(json.dumps(dict(payload, dim=2)))
+    assert multiplicity(ok).e == 2
+
+
+def _cheap_instance(c):
+    """J = (x + c*x^2) in one variable: e = 1, no parameters."""
+    x = SparsePoly.variable(QQ, 1, 0)
+    g = x + x * x.scale(QQ.from_int(c))
+    return ProblemInstance(base=QQ, nvars=1, var_names=("x",), i_gens=(), j_gens=(g,), d=1)
+
+
+def test_multiplicity_cache_is_lru(monkeypatch):
+    from hsmult import reduction
+
+    monkeypatch.setattr(reduction, "_MULT_CACHE_SIZE", 2)
+    i1, i2, i3 = (_cheap_instance(c) for c in (1, 2, 3))
+    r1, r2 = multiplicity(i1), multiplicity(i2)
+    assert multiplicity(i1) is r1  # the hit makes i2 the oldest
+    r3 = multiplicity(i3)
+    assert list(reduction._MULT_CACHE) == [i1.canonical_key(), i3.canonical_key()]
+    assert multiplicity(i1) is r1 and multiplicity(i3) is r3
+    assert multiplicity(i2) is not r2  # evicted, so recomputed; i1 goes now
+    assert list(reduction._MULT_CACHE) == [i3.canonical_key(), i2.canonical_key()]
+    # use_cache=False neither reads nor refreshes nor inserts
+    assert multiplicity(i3, use_cache=False) is not r3
+    assert multiplicity(i1, use_cache=False) is not r1
+    assert list(reduction._MULT_CACHE) == [i3.canonical_key(), i2.canonical_key()]
+    reduction.clear_multiplicity_cache()
+    assert not reduction._MULT_CACHE
+    assert multiplicity(i3) is not r3
+
+
+def test_multiplicity_cache_keeps_256_entries():
+    from hsmult import reduction
+
+    first = multiplicity(_cheap_instance(0))
+    for c in range(1, 256):
+        multiplicity(_cheap_instance(c))
+    assert len(reduction._MULT_CACHE) == 256
+    assert multiplicity(_cheap_instance(0)) is first
+    multiplicity(_cheap_instance(256))  # evicts c = 1, not the refreshed c = 0
+    assert len(reduction._MULT_CACHE) == 256
+    assert _cheap_instance(1).canonical_key() not in reduction._MULT_CACHE
+    assert multiplicity(_cheap_instance(0)) is first

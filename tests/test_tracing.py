@@ -60,3 +60,22 @@ def test_reduce_example1_keeps_its_decisions(monkeypatch):
     }
     # that build created 63 rational functions per run
     assert tracer.counts["scalars.rational_function.created"] < 63
+    # the MatList is made canonical once, when certify first reads it
+    assert tracer.calls["matlis.canonical_cleared_matrix"] == 3
+
+
+def test_member_never_canonicalizes(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance("example3.json")
+        result, _ = run_command("member", inst, options, "x")
+    finally:
+        tracer.uninstall()
+    # membership compares multiplicities; nothing reads the MatList
+    assert result["e"] == 10
+    assert tracer.calls["matlis.step"] > 0
+    assert tracer.calls["matlis.canonical_cleared_matrix"] == 0
