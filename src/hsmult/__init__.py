@@ -54,6 +54,7 @@ from .reduction import (
     generic_generators,
     is_in_integral_closure,
     length_verified_certificate,
+    membership,
     multiplicity,
     verify_reduction_by_length,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "leading",
     "length_verified_certificate",
     "lift_poly",
+    "membership",
     "multiplicity",
     "nonsingular_at",
     "rank",

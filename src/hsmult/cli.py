@@ -4,8 +4,11 @@
 
 One command per process; reports go to stdout (--json for the canonical
 machine form, which is byte-identical across runs when --no-timing is set).
-Exit codes: 0 success, 2 parse/validation, 3 resource caps, 4 search
-exhausted, 5 internal inconsistency.
+Exit codes: 0 success, 2 parse/validation (including ValueError from input
+checks), 3 resource caps, 4 search exhausted, 5 engine fault: a broken
+invariant (InternalInconsistency, UnexpectedNullity), arithmetic that should
+not fail (ArithmeticError, ZeroDivisionError, DenominatorVanishes), or
+RingMismatch / ZeroElement.
 """
 
 from __future__ import annotations
@@ -17,14 +20,17 @@ import time
 
 from .errors import (
     CapExceeded,
+    DenominatorVanishes,
     HsmultError,
     InternalInconsistency,
     NonUnitDenominator,
     NotStabilized,
     NotZeroDimensional,
     ParseError,
+    RingMismatch,
     SearchExhausted,
     UnexpectedNullity,
+    ZeroElement,
 )
 from .instance import (
     check_dimension,
@@ -37,7 +43,7 @@ from .instance import (
 from .matlis import ResourceCaps, compute_dual_basis
 from .modp import ModpStats, make_solver
 from .orders import MonomialOrder
-from .reduction import find_reduction, generator_to_str, multiplicity
+from .reduction import find_reduction, generator_to_str, membership, multiplicity
 from .scalars import scalar_to_str
 
 REPORT_SCHEMA = "hsmult-report/1"
@@ -87,23 +93,18 @@ def run_command(command, inst, options, member_expr=None):
         return payload, ModpStats(**res.modp_stats)
     if command == "member":
         h = parse_member_expression(member_expr, inst)
-        res = multiplicity(inst, modp=cfg)
-        res2 = multiplicity(inst.with_extra_generator(h), modp=cfg)
-        merged = ModpStats(
-            **{
-                k: res.modp_stats[k] + res2.modp_stats[k]
-                for k in res.modp_stats
-            }
-        )
-        return (
-            {
-                "element": h.to_str(inst.var_names),
-                "e": res.e,
-                "e_extended": res2.e,
-                "member": res.e == res2.e,
-            },
-            merged,
-        )
+        res = membership(inst, h, modp=cfg)
+        payload = {
+            "element": h.to_str(inst.var_names),
+            "e": res.e,
+            "member": res.member,
+            "decided_by": res.decided_by,
+        }
+        if res.decided_by == "point-length":
+            payload["point_length"] = res.point_length
+        else:
+            payload["e_extended"] = res.e_extended
+        return payload, ModpStats(**res.modp_stats)
     raise ValueError(f"unknown command {command!r}")
 
 
@@ -250,9 +251,13 @@ def _human_lines(command, result):
             lines.append(f"reduction generators = {result['reduction']['generators']}")
             lines.append(f"mode = {result['reduction']['mode']}")
     elif command == "member":
+        if result["decided_by"] == "point-length":
+            evidence = f"e = {result['e']}; colength {result['point_length']} at a point"
+        else:
+            evidence = f"e = {result['e']} vs {result['e_extended']}"
         lines.append(
             f"{result['element']} is{'' if result['member'] else ' not'} "
-            f"in the integral closure (e = {result['e']} vs {result['e_extended']})"
+            f"in the integral closure ({evidence})"
         )
     elif command == "selftest":
         for suite in result["suites"]:
@@ -318,7 +323,14 @@ def main(argv=None):
     except SearchExhausted as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEARCH
-    except (InternalInconsistency, UnexpectedNullity) as err:
+    except (
+        InternalInconsistency,
+        UnexpectedNullity,
+        ArithmeticError,
+        DenominatorVanishes,
+        RingMismatch,
+        ZeroElement,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
     elapsed = time.perf_counter() - started

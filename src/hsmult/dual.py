@@ -17,7 +17,13 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceeded, NotZeroDimensional, RingMismatch, ZeroElement
+from .errors import (
+    CapExceeded,
+    InternalInconsistency,
+    NotZeroDimensional,
+    RingMismatch,
+    ZeroElement,
+)
 from .poly import _canon_key, exp_leq, exp_sub_nonneg
 
 
@@ -195,9 +201,6 @@ class Staircase:
         self._members = None
         self._min_gens = None
 
-    def is_empty(self):
-        return not self.corners
-
     def members(self, limit=None):
         """The set of points.  Raises CapExceeded past limit."""
         if self._members is None:
@@ -354,7 +357,7 @@ def gamma_candidates(t2, ltn, order, tau0, limit=None):
     """
     lt_members = ltn.members(limit)
     if tau0 in lt_members:
-        raise ValueError("tau0 must lie outside the LT staircase")
+        raise InternalInconsistency("tau0 must lie outside the LT staircase")
     k0 = order.key(tau0)
     key = order.key
     out = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import UnexpectedNullity
+from .errors import InternalInconsistency, UnexpectedNullity
 from .poly import clear_row_denominators
 from .scalars import (
     FunctionField,
@@ -216,7 +216,7 @@ def kernel(M):
     context guarantees it cannot, so this signals a degenerate input).
     """
     if M.ncols < 1:
-        raise ValueError("kernel of a matrix with no columns")
+        raise InternalInconsistency("kernel of a matrix with no columns")
     field = M.field
     if not isinstance(field, FunctionField):
         return _base_kernel(M)

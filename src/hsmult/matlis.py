@@ -168,7 +168,7 @@ class DualBasisState(_DualBasis):
         nvars = gens[0].nvars
         for g in gens:
             if _gen_field(g) != field or g.nvars != nvars:
-                raise ValueError("generators live in different rings")
+                raise InternalInconsistency("generators live in different rings")
         self.gens = list(gens)
         self.order = order
         self.caps = caps
@@ -234,7 +234,7 @@ def _initial_data(gens, nvars, caps, initial_truncation=None):
 def step(state):
     """One loop iteration: accept a xi or move tau0 to the rejected set."""
     if state.done():
-        raise ValueError("step called on a finished state")
+        raise InternalInconsistency("step called on a finished state")
     order = state.order
     caps = state.caps
     tau0 = min(state.l2 - state.l1, key=order.key)
@@ -286,17 +286,21 @@ class DualBasisResult(_DualBasis):
     def __post_init__(self):
         self._matlist = []
 
-    def export_basis(self):
-        return [eta.to_pairs(self.order) for eta in self.basis()]
 
+def compute_dual_basis(
+    gens, order, caps=None, solver=None, initial_truncation=None, budget=None
+):
+    """Run the full composition-series loop; the basis size is the colength.
 
-def compute_dual_basis(gens, order, caps=None, solver=None, initial_truncation=None):
-    """Run the full composition-series loop; the basis size is the colength."""
+    With a budget the loop also stops once the basis has that many elements:
+    a length below the budget is then the colength, and a length at or above
+    it shows only that the colength is at least the budget.
+    """
     caps = caps or DEFAULT_CAPS
     state = DualBasisState(
         gens, order, caps, solver=solver, initial_truncation=initial_truncation
     )
-    while not state.done():
+    while not state.done() and (budget is None or state.length < budget):
         state.iterations += 1
         if state.iterations > caps.max_iterations:
             raise CapExceeded("loop iterations", caps.max_iterations)

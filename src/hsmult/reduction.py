@@ -7,8 +7,24 @@ certificate: PolyList (polynomials that must not vanish at a specialization)
 and MatList (matrices that must keep full column rank).  A coefficient matrix
 passing both checks yields a reduction with those coefficients; an exhaustive
 small-coefficient search and an independent length-recomputation check are
-built on top, and equality of multiplicities decides integral-closure
-membership.
+built on top.
+
+Integral-closure membership: h lies in the integral closure of J exactly when
+e(J + (h)) = e(J) (Rees; R formally equidimensional, e.g. Cohen-Macaulay).
+``membership`` first tries to refute it over the base field.  At a coefficient
+point a, Q_a = (f_i + sum_j a_ij g_j) + I with g_j running over the remaining
+generators of J + (h); when Q_a is m-primary,
+
+    l(R/Q_a) >= e(Q_a) >= e(J + (h)),
+
+the first by Serre's bound for a parameter ideal, the second because
+Q_a is inside J + (h).  So a colength l(R/Q_a) < e(J) proves that h is not
+integral.  The point is hashed from the instance, with entries in 1..30, and
+its colength is computed only until it reaches e(J).  When it does, or when
+the caps end the run or Q_a is not m-primary, e(J + (h)) is computed over
+K(t) and compared; every member takes that path.  The result names the path
+in decided_by ("point-length" or "multiplicity") and carries point_length or
+e_extended to match; the CLI's member report uses the same keys.
 """
 
 from __future__ import annotations
@@ -22,7 +38,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded, NotZeroDimensional, SearchExhausted
 from .linalg import nonsingular_at
 from .matlis import DEFAULT_CAPS, compute_dual_basis
-from .modp import ModpConfig, ModpStats, make_solver
+from .modp import ModpConfig, ModpStats, make_solver, sha256
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly
 from .scalars import FunctionField, pp_eval, pp_to_str
@@ -398,27 +414,94 @@ def verify_reduction_by_length(inst, a, res=None, modp=None):
     if res is None:
         res = multiplicity(inst, modp=modp)
     rows = _coerce_matrix(res, a)
-    gens = list(reduction_generators(inst, rows)) + list(inst.i_gens)
-    stats = ModpStats()
-    solver = make_solver(modp or ModpConfig(), stats)
     try:
-        dual = compute_dual_basis(gens, inst.order, inst.caps, solver=solver)
+        length = _colength_at(inst, rows, modp, ModpStats())
     except (CapExceeded, NotZeroDimensional):
         if not certify(rows, res):
             return False
         raise
-    return dual.length == res.e
+    return length == res.e
+
+
+def _colength_at(inst, rows, modp, stats, budget=None):
+    """Colength of the d combinations with coefficients rows, plus I.
+
+    Runs over the base field; with a budget, a result at or above it is only
+    a lower bound (see compute_dual_basis).
+    """
+    gens = list(reduction_generators(inst, rows)) + list(inst.i_gens)
+    solver = make_solver(modp or ModpConfig(), stats)
+    dual = compute_dual_basis(
+        gens, inst.order, inst.caps, solver=solver, budget=budget
+    )
+    return dual.length
+
+
+def _member_point(ext):
+    """A d x (m - d) coefficient matrix for ext, entries in 1..30 hashed from it."""
+    d, cols = ext.d, ext.m - ext.d
+    key = ext.canonical_key().encode()
+    values = []
+    counter = 0
+    while len(values) < d * cols:
+        values.extend(1 + b % 30 for b in sha256(key + b"|%d" % counter).digest())
+        counter += 1
+    return tuple(
+        tuple(ext.base.from_int(v) for v in values[i * cols : (i + 1) * cols])
+        for i in range(d)
+    )
+
+
+@dataclass(frozen=True)
+class Membership:
+    """Verdict on h in the integral closure of J, and how it was reached.
+
+    decided_by is "point-length" when the colength point_length at the hashed
+    point was below e, and "multiplicity" when e_extended = e(J + (h)) was
+    computed.  modp_stats sums the mod-p counters of every run made.
+    """
+
+    member: bool
+    e: int
+    decided_by: str
+    modp_stats: dict
+    point_length: int | None = None
+    e_extended: int | None = None
+
+
+def membership(inst, h, modp=None):
+    """Membership of h in the integral closure of J (see the module docstring).
+
+    Requires R equidimensional (implied by Cohen-Macaulay).  e(J) comes from
+    the multiplicity cache.  Exceptions other than the caps and a non
+    m-primary point ideal propagate.
+    """
+    res = multiplicity(inst, modp=modp)
+    ext = inst.with_extra_generator(h)
+    point_stats = ModpStats()
+    try:
+        length = _colength_at(ext, _member_point(ext), modp, point_stats, res.e)
+    except (CapExceeded, NotZeroDimensional):
+        length = res.e  # the point decides nothing
+    runs = [res.modp_stats, point_stats.as_dict()]
+    if length < res.e:
+        return Membership(
+            False, res.e, "point-length", _sum_stats(runs), point_length=length
+        )
+    res2 = multiplicity(ext, modp=modp)
+    runs.append(res2.modp_stats)
+    return Membership(
+        res.e == res2.e, res.e, "multiplicity", _sum_stats(runs), e_extended=res2.e
+    )
+
+
+def _sum_stats(runs):
+    return {k: sum(run[k] for run in runs) for k in runs[0]}
 
 
 def is_in_integral_closure(inst, h, modp=None):
-    """Membership in the integral closure of J, by multiplicity comparison.
-
-    Requires R equidimensional (implied by Cohen-Macaulay).  h is integral
-    over J exactly when adjoining it leaves the multiplicity unchanged.
-    """
-    e1 = multiplicity(inst, modp=modp).e
-    e2 = multiplicity(inst.with_extra_generator(h), modp=modp).e
-    return e1 == e2
+    """Whether h is integral over J; see membership for the verdict's details."""
+    return membership(inst, h, modp=modp).member
 
 
 def clear_multiplicity_cache():

@@ -35,10 +35,6 @@ def pp_key(expo):
     return (sum(expo), expo)
 
 
-def pp_zero():
-    return {}
-
-
 def pp_const(c, r, char):
     if char:
         c %= char
@@ -106,10 +102,6 @@ def pp_leading(a):
     """(exponent, coefficient) of the canonical leading term."""
     e = max(a, key=pp_key)
     return e, a[e]
-
-
-def pp_total_degree(a):
-    return max((sum(e) for e in a), default=-1)
 
 
 def pp_divexact(a, b, char):

@@ -10,6 +10,7 @@ from hsmult import (
     QQ,
     DualElement,
     FunctionField,
+    InternalInconsistency,
     MonomialOrder,
     NotZeroDimensional,
     SparsePoly,
@@ -94,7 +95,7 @@ def test_gamma_candidates_spec_examples(glex):
 
 def test_gamma_candidates_requires_tau0_outside():
     origin = Staircase(2, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalInconsistency):
         gamma_candidates(origin, origin, MonomialOrder("glex"), (0, 0))
 
 

@@ -3,7 +3,8 @@
 ``fixtures/golden/<command>/<fixture>`` holds the output of
 ``hsmult <command> fixtures/<fixture> [EXPR] --json --no-timing``.  Refactors
 of the engine must leave these bytes unchanged: they include the e values, the
-PolyList/MatList certificates and the reductions.
+PolyList/MatList certificates and the reductions.  A fixture has several
+``member`` goldens, ``<fixture>@<case>``, one per element in MEMBER_CASES.
 """
 
 import json
@@ -15,7 +16,16 @@ from hsmult.instance import parse_instance
 from tests.conftest import FIXTURES
 
 GOLDEN = FIXTURES / "golden"
-EXPRESSIONS = {"member": ["x"]}
+
+# member golden -> (element, verdict, e); the verdicts and e values are the
+# ones the generic multiplicity comparison gave when each golden was recorded
+MEMBER_CASES = {
+    "example3.json": ("x", False, 10),
+    "example3.json@xz": ("x*z", True, 10),
+    "example1_gf32003.json@x": ("x", False, 5),
+    "series_geometric.json@x": ("x", False, 2),
+    "series_geometric.json@y": ("y", True, 2),
+}
 
 
 def _report(capsys, command, fixture, *extra):
@@ -27,10 +37,18 @@ def _report(capsys, command, fixture, *extra):
     "case", sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.glob("*/*"))
 )
 def test_report_matches_golden(case, capsys):
-    command, fixture = case.split("/")
-    code, out = _report(capsys, command, fixture, *EXPRESSIONS.get(command, []))
+    command, name = case.split("/")
+    extra = [MEMBER_CASES[name][0]] if command == "member" else []
+    code, out = _report(capsys, command, name.split("@")[0], *extra)
     assert code == 0
     assert out.encode() == (GOLDEN / case).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(MEMBER_CASES))
+def test_member_goldens_keep_verdict_and_e(name):
+    element, member, e = MEMBER_CASES[name]
+    result = json.loads((GOLDEN / "member" / name).read_bytes())["result"]
+    assert (result["element"], result["member"], result["e"]) == (element, member, e)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from hsmult import ParseError, QQ, RationalSeries
+from hsmult import (
+    QQ,
+    CapExceeded,
+    DenominatorVanishes,
+    InternalInconsistency,
+    ParseError,
+    RationalSeries,
+    RingMismatch,
+    SearchExhausted,
+    UnexpectedNullity,
+    ZeroElement,
+)
 from hsmult.exprparse import parse_generator, parse_polynomial, parse_rational
 from hsmult.instance import check_dimension, instance_to_json, parse_instance
 from tests.conftest import FIXTURES
@@ -420,3 +431,30 @@ def test_cli_exit_codes_are_documented(tmp_path, instance, options, flags, comma
     argv.extend(part for flag in flags for part in flag)
     code, _ = _run_main(argv)
     assert code in {0, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ValueError("need at least dim generators"), 2),
+        (CapExceeded("loop iterations", 3), 3),
+        (SearchExhausted(5), 4),
+        (InternalInconsistency("step called on a finished state"), 5),
+        (UnexpectedNullity(2), 5),
+        (ArithmeticError("division not exact"), 5),
+        (ZeroDivisionError("division by zero in GF(p)"), 5),
+        (DenominatorVanishes("1/t_1_3", (0,)), 5),
+        (RingMismatch("mixed prime-field arithmetic"), 5),
+        (ZeroElement("zero element has no leading term"), 5),
+    ],
+)
+def test_cli_exit_code_per_error_class(tmp_path, monkeypatch, error, code):
+    from hsmult import cli
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "run_command", fail)
+    got, err = _run_main(["mult", _write_instance(tmp_path, SMALL)])
+    assert got == code
+    assert err == f"error: {error}\n"

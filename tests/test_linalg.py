@@ -8,6 +8,7 @@ from hsmult import (
     QQ,
     ExactMatrix,
     FunctionField,
+    InternalInconsistency,
     UnexpectedNullity,
     kernel,
     nonsingular_at,
@@ -78,7 +79,7 @@ def test_unexpected_nullity(ff):
 
 
 def test_no_columns_rejected(ff):
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalInconsistency):
         kernel(ExactMatrix(ff, ((),), 0))
 
 

@@ -283,6 +283,24 @@ def test_finite_field_run(glex):
     assert compute_dual_basis(gens, glex).length == 4
 
 
+def test_budget_stops_the_loop_at_that_length(glex):
+    from hsmult.errors import InternalInconsistency
+
+    x3, y2, xy = (SparsePoly.monomial(QQ, e) for e in [(3, 0), (0, 2), (1, 1)])
+    gens = [x3 + xy, y2 + xy]  # 4 staircase terms and 1 element
+    full = compute_dual_basis(gens, glex)
+    assert full.length == 5
+    for budget in range(1, 7):
+        run = compute_dual_basis(gens, glex, budget=budget)
+        assert run.length == min(5, max(4, budget))
+        assert run.iterations <= full.iterations
+    state = DualBasisState(gens, glex, DEFAULT_CAPS)
+    while not state.done():
+        step(state)
+    with pytest.raises(InternalInconsistency, match="finished state"):
+        step(state)
+
+
 def test_injected_solver_inconsistencies(ff, glex):
     from hsmult.errors import InternalInconsistency
     from hsmult import UnexpectedNullity

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsmult import (
     GF,
     QQ,
     FunctionField,
+    InternalInconsistency,
     ProblemInstance,
     SearchExhausted,
     SparsePoly,
@@ -13,6 +16,7 @@ from hsmult import (
     find_reduction,
     generic_generators,
     is_in_integral_closure,
+    membership,
     multiplicity,
     verify_reduction_by_length,
 )
@@ -220,6 +224,111 @@ def test_membership_monotone_on_ideal_elements(example1):
     for g in example1.j_gens:
         assert is_in_integral_closure(example1, g) is True
         assert is_in_integral_closure(example1, g * x) is True
+
+
+def _check_membership(inst, h):
+    """membership agrees with comparing fresh generic multiplicities."""
+    got = membership(inst, h)
+    e = multiplicity(inst, use_cache=False).e
+    e2 = multiplicity(inst.with_extra_generator(h), use_cache=False).e
+    assert got.e == e
+    assert got.member == (e == e2)
+    if got.decided_by == "point-length":
+        assert got.point_length < e and got.e_extended is None
+    else:
+        assert got.decided_by == "multiplicity"
+        assert got.e_extended == e2 and got.point_length is None
+    return got
+
+
+_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+_small_polys = st.dictionaries(_exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(32003)]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.lists(_small_polys, max_size=2),
+    st.permutations(range(4)),
+    _small_polys,
+    st.lists(_small_polys, min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_membership_agrees_with_multiplicities(
+    field, a, b, extra, perm, h_coeffs, cofactors, h_in_j
+):
+    # J holds pure powers of x and y, so it is m-primary in K[[x, y]]
+    gens = [{(a, 0): 1}, {(0, b): 1}] + extra
+    gens = [make_poly(field, 2, gens[i]) for i in perm if i < len(gens)]
+    inst = ProblemInstance(
+        base=field, nvars=2, var_names=("x", "y"), i_gens=(), j_gens=tuple(gens), d=2
+    )
+    if h_in_j:
+        h = make_poly(field, 2, {})
+        for g, c in zip(gens, cofactors):
+            h = h + g * make_poly(field, 2, {**c, (0, 0): 1})
+    else:
+        h = make_poly(field, 2, h_coeffs)
+    got = _check_membership(inst, h)
+    if h_in_j:
+        # a member never has a point colength below e(J)
+        assert got.member and got.decided_by == "multiplicity"
+
+
+@pytest.mark.parametrize("h", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 2, 0)])
+def test_membership_in_a_quotient_ring(example3, h):
+    got = _check_membership(example3, make_poly(QQ, 3, {h: 1}))
+    assert got.decided_by == ("multiplicity" if got.member else "point-length")
+
+
+@pytest.mark.parametrize(
+    "j, h, rows, member, point_runs",
+    [
+        # Q_a = (x^3, x^2): no pure power of y, so the run stops at once
+        ([{(3, 0): 1}, {(0, 3): 1}], {(2, 0): 1, (0, 3): -1}, ((0,), (1,)), False, []),
+        # Q_a = (x(x + y), y(x + y)): the run ends at the budget e(J) = 4
+        ([{(2, 0): 1}, {(0, 2): 1}], {(1, 1): 1}, ((1,), (1,)), True, [(4, 4)]),
+    ],
+)
+def test_membership_falls_back_at_a_degenerate_point(
+    monkeypatch, glex, j, h, rows, member, point_runs
+):
+    from hsmult import reduction
+    from hsmult.matlis import ResourceCaps, compute_dual_basis
+
+    gens = tuple(make_poly(QQ, 2, g) for g in j)
+    inst = ProblemInstance(
+        base=QQ, nvars=2, var_names=("x", "y"), i_gens=(), j_gens=gens, d=2, order=glex,
+        caps=ResourceCaps(max_terms=300, max_degree=20),
+    )
+    point = tuple(tuple(QQ.from_int(v) for v in row) for row in rows)
+    monkeypatch.setattr(reduction, "_member_point", lambda ext: point)
+    runs = []
+
+    def recording(*args, **kwargs):
+        dual = compute_dual_basis(*args, **kwargs)
+        runs.append((kwargs.get("budget"), dual.length))
+        return dual
+
+    monkeypatch.setattr(reduction, "compute_dual_basis", recording)
+    got = _check_membership(inst, make_poly(QQ, 2, h))
+    assert (got.member, got.decided_by) == (member, "multiplicity")
+    # (budget, length) of the finished point runs
+    assert [r for r in runs if r[0] is not None] == point_runs
+
+
+def test_membership_propagates_other_errors(monkeypatch, example1):
+    from hsmult import reduction
+
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("broken point run")
+
+    multiplicity(example1)
+    monkeypatch.setattr(reduction, "compute_dual_basis", broken)
+    with pytest.raises(InternalInconsistency):
+        membership(example1, make_poly(QQ, 2, {(1, 0): 1}))
 
 
 def test_dim_zero_contract(glex, P):

@@ -79,3 +79,24 @@ def test_member_never_canonicalizes(monkeypatch):
     assert result["e"] == 10
     assert tracer.calls["matlis.step"] > 0
     assert tracer.calls["matlis.canonical_cleared_matrix"] == 0
+
+
+def test_member_example3_x_is_decided_at_a_point(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance("example3.json")
+        result, _ = run_command("member", inst, options, "x")
+    finally:
+        tracer.uninstall()
+    assert (result["member"], result["decided_by"], result["point_length"]) == (False, "point-length", 6)
+    # one generic K(t) run, for J alone (6 steps, 5 kernels over K(t)); J + (x)
+    # is not run over K(t), so x costs one base-field run of 3 steps
+    assert tracer.calls["reduction.multiplicity"] == 1
+    assert tracer.calls["matlis.compute_dual_basis"] == 2
+    assert tracer.calls["linalg.kernel_ff"] == 5
+    assert tracer.calls["matlis.step"] == 6 + 3
+    assert tracer.calls["linalg.kernel_base"] == 3
