@@ -241,15 +241,20 @@ def _check_membership(inst, h):
     return got
 
 
-_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+# Exponents stay at most 2, so e(J) <= 4. The generic K(t) multiplicity of
+# J + (h) grows steeply with e and the parameter count: with exponents up to
+# 3 or 4, some draws with h in J did not finish in 20 s, e.g.
+# J = (x^3, y^3, -3xy^2, -3xy^2) over GF(32003), and
+# J = (x^4, y^4, -x^3 y) over QQ, which ran past 200 s.
+_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
 _small_polys = st.dictionaries(_exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([QQ, GF(32003)]),
-    st.integers(1, 4),
-    st.integers(1, 4),
+    st.integers(1, 2),
+    st.integers(1, 2),
     st.lists(_small_polys, max_size=2),
     st.permutations(range(4)),
     _small_polys,
