@@ -7,8 +7,9 @@ machine form, which is byte-identical across runs when --no-timing is set).
 Exit codes: 0 success, 2 parse/validation (including ValueError from input
 checks), 3 resource caps, 4 search exhausted, 5 engine fault: a broken
 invariant (InternalInconsistency, UnexpectedNullity), arithmetic that should
-not fail (ArithmeticError, ZeroDivisionError, DenominatorVanishes), or
-RingMismatch / ZeroElement.
+not fail (ArithmeticError, ZeroDivisionError, DenominatorVanishes),
+RingMismatch / ZeroElement, or any other exception (a bug), printed with its
+class.
 """
 
 from __future__ import annotations
@@ -332,6 +333,9 @@ def main(argv=None):
         ZeroElement,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
     elapsed = time.perf_counter() - started
     report = {

@@ -4,8 +4,10 @@ A function-field matrix is read through its ``grid``: every row cleared of
 denominators once into parameter polynomials.  Elimination on the grid is
 fraction-free (Bareiss-style two-term cross products, stripping the full
 content of every updated row, which keeps entry degrees linear in the pivot
-count), and so is back-substitution.  Base-field matrices use ordinary
-Gaussian elimination.  Pivoting is deterministic: first row with a nonzero
+count), and so is back-substitution.  Base-field matrices, and the mod-p
+images of ``modp``, share one ordinary Gaussian elimination and
+back-substitution on plain numbers (``plain_kernel``): ints in [0, p) over
+GF(p), Fractions over QQ.  Pivoting is deterministic: first row with a nonzero
 entry in the current column, columns left to right.
 
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
@@ -18,6 +20,7 @@ coefficient of the first nonzero entry is positive (characteristic 0) or 1
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import InternalInconsistency, UnexpectedNullity
@@ -151,30 +154,39 @@ def _eliminate_ff(grid, ncols, char, r):
     return pivots
 
 
-def _eliminate_generic(rows, ncols, field):
+def _eliminate(rows, ncols, p):
+    """Row-reduce a list of row lists in place; return the pivots (row, column).
+
+    Entries are plain numbers: ints reduced into [0, p) over GF(p), Fractions
+    over QQ (p == 0).  Each row below the pivot subtracts row[c] / pivot times
+    the pivot row, on the pivot row's nonzero columns only; column c itself is
+    never read again, so it is left as it is.
+    """
     pivots = []
-    rank_row = 0
-    zero = field.zero()
     for c in range(ncols):
-        pr = next((i for i in range(rank_row, len(rows)) if rows[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[rank_row], rows[pr] = rows[pr], rows[rank_row]
-        prow = rows[rank_row]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
         piv = prow[c]
-        for i in range(rank_row + 1, len(rows)):
-            a = rows[i][c]
+        inv = pow(piv, -1, p) if p else None
+        cols = [j for j in range(c + 1, ncols) if prow[j]]
+        for row in rows[r + 1 :]:
+            a = row[c]
             if not a:
                 continue
-            f = a / piv
-            row = rows[i]
-            row[c] = zero
-            for j in range(c + 1, ncols):
-                if prow[j]:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append((rank_row, c))
-        rank_row += 1
-        if rank_row == len(rows):
+            if p:
+                f = a * inv % p
+                for j in cols:
+                    row[j] = (row[j] - f * prow[j]) % p
+            else:
+                f = a / piv
+                for j in cols:
+                    row[j] -= f * prow[j]
+        pivots.append((r, c))
+        if len(pivots) == len(rows):
             break
     return pivots
 
@@ -188,25 +200,34 @@ def _free_column(pivots, ncols):
     return free[0] if free else None
 
 
-def _base_kernel(M):
-    """Kernel of a base-field matrix: None, or the vector whose first nonzero
-    entry is 1."""
-    field = M.field
-    rows = [list(row) for row in M.rows]
-    pivots = _eliminate_generic(rows, M.ncols, field)
-    free = _free_column(pivots, M.ncols)
+def plain_kernel(rows, ncols, p):
+    """Kernel of a matrix of plain numbers (see ``_eliminate``), reducing its
+    row lists in place: None when trivial, the vector whose first nonzero
+    entry is 1 when it is a line, and UnexpectedNullity beyond that.
+    """
+    pivots = _eliminate(rows, ncols, p)
+    free = _free_column(pivots, ncols)
     if free is None:
         return None
-    v = [field.zero()] * M.ncols
-    v[free] = field.one()
-    for pr, pc in reversed(pivots):
-        s = field.zero()
-        for j in range(pc + 1, M.ncols):
-            if rows[pr][j] and v[j]:
-                s = s + rows[pr][j] * v[j]
-        v[pc] = -(s / rows[pr][pc])
-    inv = field.one() / next(a for a in v if a)
-    return tuple(a * inv for a in v)
+    v = [0] * ncols
+    v[free] = 1 if p else Fraction(1)
+    for r, c in reversed(pivots):
+        row = rows[r]
+        s = sum(row[j] * v[j] for j in range(c + 1, ncols) if row[j] and v[j])
+        if s:
+            v[c] = -s * pow(row[c], -1, p) % p if p else -s / row[c]
+    first = next(a for a in v if a)
+    if p:
+        inv = pow(first, -1, p)
+        return [a * inv % p for a in v]
+    return [a / first for a in v]
+
+
+def _plain_rows(M):
+    """A base-field matrix's rows as new lists of plain numbers."""
+    if M.field.char:
+        return [[a.v for a in row] for row in M.rows]
+    return [list(row) for row in M.rows]
 
 
 def kernel(M):
@@ -219,7 +240,8 @@ def kernel(M):
         raise InternalInconsistency("kernel of a matrix with no columns")
     field = M.field
     if not isinstance(field, FunctionField):
-        return _base_kernel(M)
+        v = plain_kernel(_plain_rows(M), M.ncols, field.char)
+        return v if v is None else tuple(map(field.from_int, v) if field.char else v)
     char = field.char
     r = len(field.params)
     grid = list(M.grid)
@@ -254,8 +276,7 @@ def rank(M):
     field = M.field
     if isinstance(field, FunctionField):
         return len(_eliminate_ff(list(M.grid), M.ncols, field.char, len(field.params)))
-    rows = [list(row) for row in M.rows]
-    return len(_eliminate_generic(rows, M.ncols, field))
+    return len(_eliminate(_plain_rows(M), M.ncols, field.char))
 
 
 def matvec(M, v):

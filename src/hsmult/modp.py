@@ -12,8 +12,9 @@ Every step reads the matrix's cleared grid (``ExactMatrix.grid``): the points
 are hashed from its text, the image is its evaluation mod p as rows of
 machine ints, the restricted solve takes its columns, and the confirmation
 multiplies it by the kernel vector, whose entries have denominator 1 by the
-kernel contract of ``linalg``.  The image is eliminated in plain ints mod p:
-no prime-field element or rational function is built for it.
+kernel contract of ``linalg``.  The image is eliminated by
+``linalg.plain_kernel``, the one base-field eliminator, on its ints mod p: no
+prime-field element or rational function is built for it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ except ImportError:
     from hashlib import sha256
 
 from .errors import UnexpectedNullity
-from .linalg import _free_column, kernel
+from .linalg import kernel, plain_kernel
 from .scalars import FunctionField, pp_add, pp_mul, pp_to_str
 
 # largest primes below 2^31, descending
@@ -108,7 +109,8 @@ def _serial(M):
 
 
 def specialize(M, pt):
-    """The grid evaluated at pt.values mod pt.prime: a tuple of int rows.
+    """The grid evaluated at pt.values mod pt.prime: a new list of int rows,
+    reduced into [0, pt.prime).
 
     Each monomial of the parameters is evaluated once per point.
     """
@@ -128,45 +130,12 @@ def specialize(M, pt):
                     monomials[expo] = m
                 acc += c * m
             out.append(acc % p)
-        rows.append(tuple(out))
-    return tuple(rows)
+        rows.append(out)
+    return rows
 
 
-def kernel_support(rows, ncols, p):
-    """Kernel of an int matrix mod p: None when trivial, the set of columns
-    where the kernel vector is nonzero when it is a line, and UnexpectedNullity
-    beyond that.
-    """
-    rows = [list(row) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        prow = rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(r + 1, len(rows)):
-            a = rows[i][c]
-            if a:
-                rows[i] = [(x - a * y) % p for x, y in zip(rows[i], prow)]
-        pivots.append((r, c))
-        if len(pivots) == len(rows):
-            break
-    free = _free_column(pivots, ncols)
-    if free is None:
-        return None
-    v = [0] * ncols
-    v[free] = 1
-    for r, c in reversed(pivots):
-        v[c] = -sum(a * b for a, b in zip(rows[r][c + 1 :], v[c + 1 :])) % p
-    return {j for j, a in enumerate(v) if a}
-
-
-def _restricted_solve(M, support):
+def _restricted_solve(M, cols):
     """Exact kernel on the column-restricted system, embedded back with zeros."""
-    cols = sorted(support)
     try:
         v = kernel(M.columns(cols))
     except UnexpectedNullity:
@@ -209,14 +178,14 @@ def kernel_via_modp(M, policy=None, stats=None):
             stats.retries += 1
         pt = policy.point(serial, retry, nparams, ff.char)
         try:
-            support = kernel_support(specialize(M, pt), M.ncols, pt.prime)
+            image = plain_kernel(specialize(M, pt), M.ncols, pt.prime)
         except UnexpectedNullity:
             continue
-        if support is None:
+        if image is None:
             if stats is not None:
                 stats.trivial_by_modp += 1
             return None
-        v = _restricted_solve(M, support)
+        v = _restricted_solve(M, [j for j, a in enumerate(image) if a])
         if v is not None and _annihilates(M, v):
             if stats is not None:
                 stats.accepted_by_support += 1

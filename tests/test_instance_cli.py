@@ -446,6 +446,10 @@ def test_cli_exit_codes_are_documented(tmp_path, instance, options, flags, comma
         (DenominatorVanishes("1/t_1_3", (0,)), 5),
         (RingMismatch("mixed prime-field arithmetic"), 5),
         (ZeroElement("zero element has no leading term"), 5),
+        # any other exception is an engine bug, reported with its class
+        (TypeError("unsupported operand type(s)"), 5),
+        (KeyError((0, 1)), 5),
+        (IndexError("list index out of range"), 5),
     ],
 )
 def test_cli_exit_code_per_error_class(tmp_path, monkeypatch, error, code):
@@ -457,4 +461,7 @@ def test_cli_exit_code_per_error_class(tmp_path, monkeypatch, error, code):
     monkeypatch.setattr(cli, "run_command", fail)
     got, err = _run_main(["mult", _write_instance(tmp_path, SMALL)])
     assert got == code
-    assert err == f"error: {error}\n"
+    if isinstance(error, (TypeError, KeyError, IndexError)):
+        assert err == f"error: {type(error).__name__}: {error}\n"
+    else:
+        assert err == f"error: {error}\n"

@@ -14,8 +14,8 @@ from hsmult import (
     nonsingular_at,
     rank,
 )
-from hsmult.linalg import matvec, specialize_matrix
-from hsmult.scalars import pp_const, pp_gcd, pp_leading
+from hsmult.linalg import matvec, plain_kernel, specialize_matrix
+from hsmult.scalars import GFElement, pp_const, pp_gcd, pp_leading
 
 
 @pytest.fixture
@@ -187,6 +187,53 @@ def test_fraction_free_agrees_with_naive_elimination(ff):
             assert kernel(ExactMatrix(field, tuple(rows), M.ncols)) == v
             checked_vectors += 1
         assert checked_vectors >= 5
+
+
+def _random_base_matrix(field, rng, nrows, ncols):
+    def entry():
+        if rng.random() < 0.4:
+            return field.zero()
+        if field.char:
+            return field.from_int(rng.randrange(field.char))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    return ExactMatrix(
+        field, tuple(tuple(entry() for _ in range(ncols)) for _ in range(nrows)), ncols
+    )
+
+
+def test_base_kernel_agrees_with_naive_elimination():
+    """Base-field kernels, ranks and the mod-p images share one eliminator on
+    plain numbers; check it against elimination in field elements."""
+    rng = random.Random(11)
+    for field in (QQ, GF(2), GF(3), GF(7), GF(2147483647)):
+        seen = {"trivial": 0, "line": 0, "many": 0}
+        for _ in range(300):
+            M = _random_base_matrix(field, rng, rng.randint(1, 5), rng.randint(1, 5))
+            naive = _naive_fraction_kernel(M)
+            nullity = naive if isinstance(naive, int) else 1
+            assert rank(M) == M.ncols - nullity
+            if nullity > 1:
+                with pytest.raises(UnexpectedNullity) as err:
+                    kernel(M)
+                assert str(err.value) == str(UnexpectedNullity(nullity))
+                seen["many"] += 1
+                continue
+            v = kernel(M)
+            if nullity == 0:
+                assert v is None
+                seen["trivial"] += 1
+                continue
+            first = next(a for a in naive if a)
+            assert v == tuple(a / first for a in naive)
+            # field elements, never bare ints: an int would let DualElement
+            # arithmetic skip the reduction mod p
+            assert all(type(a) is (GFElement if field.char else Fraction) for a in v)
+            if field.char:  # a mod-p image is the same solve on the ints
+                ints = [[a.v for a in row] for row in M.rows]
+                assert plain_kernel(ints, M.ncols, field.char) == [a.v for a in v]
+            seen["line"] += 1
+        assert min(seen.values()) >= 20, (field, seen)
 
 
 def test_specialize_matrix(ff):

@@ -21,8 +21,6 @@ from hsmult import (
     solve_dispatch,
     specialize,
 )
-from hsmult.linalg import _base_kernel
-from hsmult.modp import kernel_support
 
 
 @pytest.fixture
@@ -153,34 +151,6 @@ def test_config_validation():
         ModpPolicy(max_retries=0)
     with pytest.raises(ValueError):
         ModpConfig(mode="sometimes")
-
-
-def test_kernel_support_agrees_with_base_kernel():
-    rng = random.Random(11)
-    seen = {"trivial": 0, "line": 0, "many": 0}
-    for _ in range(300):
-        p = rng.choice((2, 3, 5, 7, 2147483647))
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        ints = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(ncols)]
-                for _ in range(nrows)]
-        F = GF(p)
-        M = ExactMatrix(F, tuple(tuple(F.from_int(x) for x in row) for row in ints), ncols)
-        try:
-            v = _base_kernel(M)
-        except UnexpectedNullity as err:
-            with pytest.raises(UnexpectedNullity) as err2:
-                kernel_support(ints, ncols, p)
-            assert str(err2.value) == str(err)
-            seen["many"] += 1
-            continue
-        support = kernel_support(ints, ncols, p)
-        if v is None:
-            assert support is None
-            seen["trivial"] += 1
-        else:
-            assert support == {j for j, a in enumerate(v) if a}
-            seen["line"] += 1
-    assert min(seen.values()) >= 20
 
 
 def _random_param_matrix(field, rng, nrows, ncols):

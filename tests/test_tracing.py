@@ -100,3 +100,22 @@ def test_member_example3_x_is_decided_at_a_point(monkeypatch):
     assert tracer.calls["linalg.kernel_ff"] == 5
     assert tracer.calls["matlis.step"] == 6 + 3
     assert tracer.calls["linalg.kernel_base"] == 3
+
+
+def test_member_gf32003_images_stay_off_kernel(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance("example1_gf32003.json")
+        result, _ = run_command("member", inst, options, "x")
+    finally:
+        tracer.uninstall()
+    assert (result["member"], result["decided_by"]) == (False, "point-length")
+    # the mod-p image shares the base-field eliminator but not `kernel`, so
+    # these are the counts recorded while it had an eliminator of its own
+    assert tracer.calls["modp.kernel_via_modp"] == 1
+    assert tracer.calls["linalg.kernel_ff"] == 3
+    assert tracer.calls["linalg.kernel_base"] == 2
