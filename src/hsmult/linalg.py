@@ -4,11 +4,12 @@ A function-field matrix is read through its ``grid``: every row cleared of
 denominators once into parameter polynomials.  Elimination on the grid is
 fraction-free (Bareiss-style two-term cross products, stripping the full
 content of every updated row, which keeps entry degrees linear in the pivot
-count), and so is back-substitution.  Base-field matrices, and the mod-p
-images of ``modp``, share one ordinary Gaussian elimination and
-back-substitution on plain numbers (``plain_kernel``): ints in [0, p) over
-GF(p), Fractions over QQ.  Pivoting is deterministic: first row with a nonzero
-entry in the current column, columns left to right.
+count), and so is back-substitution.  Base-field matrices, the mod-p images
+of ``modp`` and the grids ``nonsingular_at`` evaluates at a point share one
+ordinary Gaussian elimination and back-substitution on plain numbers
+(``plain_kernel``): ints in [0, p) over GF(p), Fractions over QQ.  Pivoting
+is deterministic: first row with a nonzero entry in the current column,
+columns left to right.
 
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
 one-dimensional kernel is returned as one canonical vector.  Over a function
@@ -30,7 +31,7 @@ from .scalars import (
     pp_add,
     pp_const,
     pp_divexact,
-    pp_eval,
+    pp_eval_rows,
     pp_gcd,
     pp_leading,
     pp_mul,
@@ -42,11 +43,11 @@ from .scalars import (
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable rectangular matrix of field scalars with optional row tags.
+    """Immutable rectangular matrix of field scalars.
 
-    A function-field matrix may be grid-only (``rows`` is None, no row tags):
-    it is given by its polynomial grid alone, as the kept rejected matrices and
-    the MatList matrices are, and is read only through that grid.  Grid
+    A function-field matrix may be grid-only (``rows`` is None): it is given
+    by its polynomial grid alone, as every matrix ``build_matrix`` makes over
+    a function field is, and is read only through that grid.  Grid
     polynomials are shared, within a row (one empty dict per row for its zero
     cells) and with the matrices a grid was made from, so nothing may write
     into them.
@@ -55,7 +56,6 @@ class ExactMatrix:
     field: object
     rows: tuple | None
     ncols: int
-    row_tags: tuple | None = None
 
     @property
     def nrows(self):
@@ -73,19 +73,16 @@ class ExactMatrix:
         )
 
     @classmethod
-    def of_grid(cls, field, grid, ncols, rows=None, row_tags=None):
-        """A function-field matrix with its grid given; rows None means grid-only."""
-        M = cls(field, rows, ncols, row_tags)
+    def of_grid(cls, field, grid, ncols):
+        """A grid-only function-field matrix."""
+        M = cls(field, None, ncols)
         M.__dict__["grid"] = grid
         return M
 
     def columns(self, cols):
-        """The submatrix on the given columns; over a function field, grid-only."""
-        if isinstance(self.field, FunctionField):
-            grid = tuple(tuple(row[j] for j in cols) for row in self.grid)
-            return ExactMatrix.of_grid(self.field, grid, len(cols))
-        rows = tuple(tuple(row[j] for j in cols) for row in self.rows)
-        return ExactMatrix(self.field, rows, len(cols))
+        """The grid-only submatrix of a function-field matrix on the given columns."""
+        grid = tuple(tuple(row[j] for j in cols) for row in self.grid)
+        return ExactMatrix.of_grid(self.field, grid, len(cols))
 
 
 def _strip_row_content(row, char, r):
@@ -290,23 +287,13 @@ def matvec(M, v):
     return out
 
 
-def specialize_matrix(M, assignment):
-    """M's grid evaluated at a parameter point, as a base-field matrix.
+def nonsingular_at(M, values):
+    """True iff M keeps full column rank at a parameter point.
 
-    Each row is the entry row times a polynomial (1 for a MatList matrix, whose
-    grid is its entries), so this is the entry-wise specialization wherever
-    those polynomials do not vanish.
+    ``values`` holds one plain number per parameter of M's field (see
+    ``scalars.pp_eval_rows``).  Each grid row is the entry row times a
+    polynomial (1 for a MatList matrix, whose grid is its entries), so this is
+    the entry-wise specialization wherever those polynomials do not vanish.
     """
-    ff = M.field
-    values = tuple(assignment[name] for name in ff.params)
-    base = ff.base
-    zero = base.zero()
-    rows = tuple(
-        tuple(pp_eval(a, values, base) if a else zero for a in row) for row in M.grid
-    )
-    return ExactMatrix(base, rows, M.ncols)
-
-
-def nonsingular_at(M, assignment):
-    """True iff M keeps full column rank after substituting the parameter point."""
-    return rank(specialize_matrix(M, assignment)) == M.ncols
+    p = M.field.char
+    return len(_eliminate(pp_eval_rows(M.grid, values, p), M.ncols, p)) == M.ncols

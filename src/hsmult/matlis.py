@@ -7,17 +7,17 @@ either accepts a new basis element xi (one-dimensional kernel) or records the
 rejection.  The candidates come from the point sets of the staircases (set
 lookups, and minimal generators kept per staircase); the matrix cells are
 looked up in the generators' coefficients, and over a parameter field the
-rows are cleared into the matrix's polynomial grid as they are built.  The
-accepted xi's and staircase terms together form a K-basis of the dual
-module, so the basis size is the colength of <F>.  An accepted xi is kept as
-the kernel vector that found it; ``xis`` and ``basis()`` scale it to leading
-coefficient 1 only when read, so the loop itself never normalizes.
+rows are cleared into the polynomial grid of a grid-only matrix as they are
+built.  The accepted xi's and staircase terms together form a K-basis of the
+dual module, so the basis size is the colength of <F>.  An accepted xi is
+kept as the kernel vector that found it; ``xis`` and ``basis()`` scale it to
+leading coefficient 1 only when read, so the loop itself never normalizes.
 
 On a parameter field, the leading-coefficient numerators of accepted xi's and
 the rejected matrices are retained: they are the genericity certificate used
-by the reduction engine.  A rejected matrix is kept as its cleared grid
-(grid-only, every zero cell of a row one shared empty dict); ``matlist`` makes
-those grids canonical when first read and keeps the result, so a run whose
+by the reduction engine.  A rejected matrix is kept as built (grid-only,
+every zero cell of a row one shared empty dict); ``matlist`` makes those
+grids canonical when first read and keeps the result, so a run whose
 certificate nobody reads never canonicalizes.
 """
 
@@ -77,15 +77,14 @@ def build_matrix(gens, gamma, order, nvars):
     product.  A series generator is truncated once, at max|gamma| + nvars,
     which holds every term that can reach a gamma term.  All-zero rows never
     appear.  Over a function field the rows are cleared of denominators here,
-    into the matrix's grid.
+    into the grid of a grid-only matrix.
     """
     field = _gen_field(gens[0])
     zero = field.zero()
     ncols = len(gamma)
     depth = max(sum(tau) for tau in gamma) + nvars
     rows = []
-    tags = []
-    for gi, g in enumerate(gens):
+    for g in gens:
         p = _gen_exact_poly(g)
         if p is None:
             p = g.truncate(depth)
@@ -98,12 +97,10 @@ def build_matrix(gens, gamma, order, nvars):
         for s in sorted(block, key=order.key, reverse=True):
             cells = block[s]
             rows.append(tuple(cells.get(k, zero) for k in range(ncols)))
-            tags.append((gi, s))
-    rows, tags = tuple(rows), tuple(tags)
     if not isinstance(field, FunctionField):
-        return ExactMatrix(field, rows, ncols, tags)
+        return ExactMatrix(field, tuple(rows), ncols)
     grid = tuple(tuple(clear_row_denominators(field, row)) for row in rows)
-    return ExactMatrix.of_grid(field, grid, ncols, rows, tags)
+    return ExactMatrix.of_grid(field, grid, ncols)
 
 
 def canonical_cleared_matrix(M):
@@ -247,7 +244,7 @@ def step(state):
     if vec is None:
         state.l1.add(tau0)
         if state.track_certificates:
-            state.rejected.append(ExactMatrix.of_grid(M.field, M.grid, M.ncols))
+            state.rejected.append(M)
         return False
     c0 = vec[0]
     if not c0:

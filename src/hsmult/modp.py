@@ -12,7 +12,8 @@ Every step reads the matrix's cleared grid (``ExactMatrix.grid``): the points
 are hashed from its text, the image is its evaluation mod p as rows of
 machine ints, the restricted solve takes its columns, and the confirmation
 multiplies it by the kernel vector, whose entries have denominator 1 by the
-kernel contract of ``linalg``.  The image is eliminated by
+kernel contract of ``linalg``.  The image is made by ``scalars.pp_eval_rows``,
+the one evaluator of parameter polynomials at a point, and eliminated by
 ``linalg.plain_kernel``, the one base-field eliminator, on its ints mod p: no
 prime-field element or rational function is built for it.
 """
@@ -30,7 +31,7 @@ except ImportError:
 
 from .errors import UnexpectedNullity
 from .linalg import kernel, plain_kernel
-from .scalars import FunctionField, pp_add, pp_mul, pp_to_str
+from .scalars import FunctionField, pp_add, pp_eval_rows, pp_mul, pp_to_str
 
 # largest primes below 2^31, descending
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
@@ -110,28 +111,8 @@ def _serial(M):
 
 def specialize(M, pt):
     """The grid evaluated at pt.values mod pt.prime: a new list of int rows,
-    reduced into [0, pt.prime).
-
-    Each monomial of the parameters is evaluated once per point.
-    """
-    p = pt.prime
-    monomials = {}
-    rows = []
-    for row in M.grid:
-        out = []
-        for e in row:
-            acc = 0
-            for expo, c in e.items():
-                m = monomials.get(expo)
-                if m is None:
-                    m = 1
-                    for v, d in zip(pt.values, expo):
-                        m = m * pow(v, d, p) % p
-                    monomials[expo] = m
-                acc += c * m
-            out.append(acc % p)
-        rows.append(out)
-    return rows
+    reduced into [0, pt.prime) by ``scalars.pp_eval_rows``."""
+    return pp_eval_rows(M.grid, pt.values, pt.prime)
 
 
 def _restricted_solve(M, cols):

@@ -7,7 +7,8 @@ certificate: PolyList (polynomials that must not vanish at a specialization)
 and MatList (matrices that must keep full column rank).  A coefficient matrix
 passing both checks yields a reduction with those coefficients; an exhaustive
 small-coefficient search and an independent length-recomputation check are
-built on top.
+built on top.  A coefficient matrix holds ints or base-field scalars, read
+row by row as the parameters t_i_j.
 
 Integral-closure membership: h lies in the integral closure of J exactly when
 e(J + (h)) = e(J) (Rees; R formally equidimensional, e.g. Cohen-Macaulay).
@@ -34,6 +35,7 @@ import itertools
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import CapExceeded, NotZeroDimensional, SearchExhausted
 from .linalg import nonsingular_at
@@ -41,7 +43,7 @@ from .matlis import DEFAULT_CAPS, compute_dual_basis
 from .modp import ModpConfig, ModpStats, make_solver, sha256
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly
-from .scalars import FunctionField, pp_eval, pp_to_str
+from .scalars import FunctionField, GFElement, pp_eval_rows, pp_to_str
 from .series import LinearCombination, PolySeries, RationalSeries, as_oracle
 
 
@@ -271,49 +273,48 @@ def _dim_zero_generators(inst):
     return list(inst.i_gens)
 
 
-def _coerce_matrix(res, a):
-    """Normalize a to a d x (m-d) tuple of base scalars (ints accepted)."""
-    base = res.base
-    rows = []
-    for row in a:
-        rows.append(
-            tuple(base.from_int(v) if isinstance(v, int) else v for v in row)
-        )
-    rows = tuple(rows)
-    if len(rows) != res.d or any(len(r) != res.m - res.d for r in rows):
+def _plain_point(res, a):
+    """The d x (m - d) matrix a row by row as plain numbers: ints mod p over
+    GF(p); over QQ ints, or Fractions where not integral.  ValueError unless
+    every entry is an int (not a bool) or a scalar of the base field."""
+    p = res.base.char
+    rows = [tuple(row) for row in a]
+    if len(rows) != res.d or any(len(row) != res.m - res.d for row in rows):
         raise ValueError(f"coefficient matrix must be {res.d} x {res.m - res.d}")
-    return rows
+    out = []
+    for v in itertools.chain.from_iterable(rows):
+        if isinstance(v, int) and not isinstance(v, bool):
+            out.append(v % p if p else v)
+        elif p and isinstance(v, GFElement) and v.p == p:
+            out.append(v.v)
+        elif not p and isinstance(v, Fraction):
+            out.append(v.numerator if v.denominator == 1 else v)
+        else:
+            raise ValueError(f"coefficient {v!r} is neither an int nor in {res.base}")
+    return out
 
 
-def _assignment(res, rows):
-    values = {}
-    k = 0
-    for i in range(1, res.d + 1):
-        for j in range(res.d + 1, res.m + 1):
-            values[f"t_{i}_{j}"] = rows[i - 1][j - res.d - 1]
-            k += 1
-    return values
+def _coerce_matrix(res, a):
+    """a as a d x (m - d) tuple of base scalars (see _plain_point)."""
+    flat = [res.base.from_int(v) for v in _plain_point(res, a)]
+    cols = res.m - res.d
+    return tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(res.d))
 
 
 def certify(a, res):
     """Check conditions (a) and (b) of the genericity certificate at a.
 
+    a is a d x (m - d) matrix of ints or base scalars (ValueError otherwise).
     True guarantees the combination with coefficients a generates a reduction
     (hence has colength e).  False proves nothing: the conditions are
     sufficient only, and verify_reduction_by_length stays the decisive test.
     """
-    rows = _coerce_matrix(res, a)
+    values = _plain_point(res, a)
     if not res.params:
         return True
-    assignment = _assignment(res, rows)
-    values = tuple(assignment[name] for name in res.params)
-    for poly in res.polylist:
-        if not pp_eval(poly, values, res.base):
-            return False
-    for M in res.matlist:
-        if not nonsingular_at(M, assignment):
-            return False
-    return True
+    if not all(pp_eval_rows((res.polylist,), values, res.base.char)[0]):
+        return False
+    return all(nonsingular_at(M, values) for M in res.matlist)
 
 
 def _shell_values(s):
@@ -372,9 +373,9 @@ def find_reduction(res, bound=5):
             e=res.e,
         )
     for s in range(bound + 1):
-        for flat in _shell_matrices(res.d, cols, s):
-            rows = _coerce_matrix(res, flat)
-            if certify(rows, res):
+        for a in _shell_matrices(res.d, cols, s):
+            if certify(a, res):
+                rows = _coerce_matrix(res, a)
                 return ReductionCertificate(
                     a=rows,
                     mode="symbolic",

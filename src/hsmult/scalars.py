@@ -13,6 +13,7 @@ entries.  Rational functions are kept canonical: numerator and denominator
 coprime (multivariate gcd, integer content included), denominator with a
 positive leading coefficient in characteristic 0 and monic in characteristic p.
 This makes equality a dict comparison and certificate output reproducible.
+``pp_eval_rows`` is the one evaluator of parameter polynomials at a point.
 """
 
 from __future__ import annotations
@@ -274,16 +275,35 @@ def pp_lcm(a, b, char):
     return pp_mul(a, pp_divexact(b, g, char), char)
 
 
-def pp_eval(a, values, base):
-    """Evaluate at a tuple of base-field scalars (one per parameter)."""
-    acc = base.zero()
-    for e, c in a.items():
-        term = base.from_int(c)
-        for val, d in zip(values, e):
-            for _ in range(d):
-                term = term * val
-        acc = acc + term
-    return acc
+def pp_eval_rows(rows, values, p):
+    """Rows of parameter polynomials at a point, as new lists of plain numbers:
+    ints in [0, p) over GF(p); over QQ (p == 0) a Fraction, or the int 0.
+
+    ``values`` holds one int (or, over QQ, Fraction) per parameter.  Each
+    monomial is evaluated once per call; a zero cell, the common case in a
+    grid, costs no arithmetic.
+    """
+    monomials = {}
+    out = []
+    for row in rows:
+        new = []
+        for a in row:
+            if not a:
+                new.append(0)
+                continue
+            acc = 0
+            for expo, c in a.items():
+                m = monomials.get(expo)
+                if m is None:
+                    m = 1
+                    for v, d in zip(values, expo):
+                        if d:
+                            m = m * pow(v, d, p) % p if p else m * v**d
+                    monomials[expo] = m
+                acc += c * m
+            new.append(acc % p if p else Fraction(acc) if acc else 0)
+        out.append(new)
+    return out
 
 
 def pp_to_str(a, names):
@@ -544,10 +564,12 @@ class RationalFunction:
     def evaluate(self, values):
         """Evaluate at base-field scalars, one per parameter of the field."""
         base = self.field.base
-        dval = pp_eval(self.den, values, base)
-        if not dval:
+        p = base.char
+        point = [v.v for v in values] if p else values
+        num, den = pp_eval_rows(((self.num, self.den),), point, p)[0]
+        if not den:
             raise DenominatorVanishes(str(self), values)
-        return pp_eval(self.num, values, base) / dval
+        return base.from_int(num * pow(den, -1, p)) if p else num / den
 
     def __repr__(self):
         return self.field.to_str(self)

@@ -20,6 +20,20 @@ def make_poly(field, nvars, coeffs):
     )
 
 
+def naive_pp_eval(a, values, base):
+    """Reference evaluation of a parameter polynomial, term by term in
+    base-field scalars (one per parameter); shares no code with the engine's
+    evaluator."""
+    acc = base.zero()
+    for e, c in a.items():
+        term = base.from_int(c)
+        for val, d in zip(values, e):
+            for _ in range(d):
+                term = term * val
+        acc = acc + term
+    return acc
+
+
 @pytest.fixture
 def P():
     return make_poly

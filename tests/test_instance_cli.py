@@ -465,3 +465,67 @@ def test_cli_exit_code_per_error_class(tmp_path, monkeypatch, error, code):
         assert err == f"error: {type(error).__name__}: {error}\n"
     else:
         assert err == f"error: {error}\n"
+
+
+_VARS = ("x", "y", "z")
+
+
+@st.composite
+def _engine_instances(draw):
+    """A small random ideal and element: 2-3 variables, exponents <= 2, and at
+    most 3 parameters in the ideal's generic run."""
+    nvars = draw(st.sampled_from([2, 3]))
+    names = _VARS[:nvars]
+    # m generators with dim = nvars give nvars * (m - nvars) parameters
+    ngens = draw(st.integers(nvars, nvars + 1))
+
+    def poly(power_of=None):
+        # generator k < nvars may lead with a pure power of variable k, so
+        # that some ideals are m-primary and run the engine to the end
+        lead = ""
+        if power_of is not None and draw(st.booleans()):
+            lead = f"{names[power_of]}^{draw(st.integers(1, 2))} + "
+        terms = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                    st.tuples(*[st.integers(0, 2)] * nvars),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        return lead + " + ".join(
+            "*".join([f"({c})"] + [f"{v}^{e}" for v, e in zip(names, expo) if e])
+            for c, expo in terms
+        )
+
+    return {
+        "characteristic": draw(st.sampled_from([0, 2, 3])),
+        "variables": list(names),
+        "order": "glex",
+        "ideal": [poly(k if k < nvars else None) for k in range(ngens)],
+        "dim": nvars,
+        "options": {"max_terms": 60, "max_iterations": 200},
+    }, poly()
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    _engine_instances(),
+    st.one_of(
+        st.integers(0, 2).map(lambda b: ["reduce", "--search-bound", str(b)]),
+        st.just(["member"]),
+    ),
+)
+def test_cli_exit_codes_on_engine_inputs(tmp_path, drawn, command):
+    instance, element = drawn
+    argv = [command[0], _write_instance(tmp_path, instance)] + command[1:]
+    if command[0] == "member":
+        argv.append(element)
+    code, _ = _run_main(argv)
+    assert code in {0, 2, 3, 4, 5}

@@ -45,8 +45,9 @@ def test_build_matrix_example1(ff, glex):
     gens = example1_gens(ff)
     gamma = [(3, 0), (1, 1), (0, 2)]
     M = build_matrix(gens, gamma, glex, 2)
-    assert M.rows == ((ff.one(), a, ff.zero()), (ff.zero(), b, ff.one()))
-    assert M.row_tags == ((0, (0, 0)), (1, (0, 0)))
+    assert M.rows is None
+    entries = ((ff.one(), a, ff.zero()), (ff.zero(), b, ff.one()))
+    assert M.grid == tuple(tuple(e.num for e in row) for row in entries)
 
 
 def test_build_matrix_prunes_zero_rows(glex):
@@ -55,7 +56,6 @@ def test_build_matrix_prunes_zero_rows(glex):
     M = build_matrix([x, y], [(1, 0)], glex, 2)
     # the y-block contributes nothing: y kills 1/x^2y
     assert M.rows == ((Fraction(1),),)
-    assert M.row_tags == ((0, (0, 0)),)
     M0 = build_matrix([x], [(0, 1)], glex, 2)
     assert M0.nrows == 0 and M0.ncols == 1
 
@@ -63,8 +63,8 @@ def test_build_matrix_prunes_zero_rows(glex):
 def _act_build(gens, gamma, order, nvars):
     """Reference: images by act, truncating a series generator per column."""
     field = gens[0].field
-    rows, tags = [], []
-    for gi, g in enumerate(gens):
+    rows = []
+    for g in gens:
         images = []
         for tau in gamma:
             p = g if isinstance(g, SparsePoly) else g.truncate(sum(tau) + nvars)
@@ -72,11 +72,10 @@ def _act_build(gens, gamma, order, nvars):
         terms = set().union(*(img.coeffs for img in images))
         for s in sorted(terms, key=order.key, reverse=True):
             rows.append(tuple(img.coeffs.get(s, field.zero()) for img in images))
-            tags.append((gi, s))
     grid = None
     if isinstance(field, FunctionField):
         grid = tuple(tuple(clear_row_denominators(field, row)) for row in rows)
-    return tuple(rows), tuple(tags), grid
+    return tuple(rows), grid
 
 
 def test_build_matrix_matches_act_build(glex):
@@ -122,10 +121,12 @@ def test_build_matrix_matches_act_build(glex):
             reverse=True,
         )
         M = build_matrix(gens, gamma, glex, nvars)
-        rows, tags, grid = _act_build(gens, gamma, glex, nvars)
-        assert M.rows == rows and M.row_tags == tags and M.ncols == len(gamma)
-        if grid is not None:
-            assert M.grid == grid
+        rows, grid = _act_build(gens, gamma, glex, nvars)
+        assert M.ncols == len(gamma)
+        if grid is None:
+            assert M.rows == rows
+        else:
+            assert M.rows is None and M.grid == grid
         if field is qq_t:
             fractional += any(c.den != {(0, 0): 1} for row in rows for c in row if c)
     assert fractional
@@ -355,7 +356,7 @@ def test_matlist_on_read_equals_eager_canonical_forms(name):
     res, eager = _eager_run(gens, inst.order, inst.caps)
     assert res.matlist == [] or res.matlist[0].rows is None
     assert [M.grid for M in res.matlist] == [M.grid for M in eager]
-    assert all(M.row_tags is None for M in res.matlist + res.rejected)
+    assert all(M.rows is None for M in res.matlist + res.rejected)
     _assert_one_zero_per_row(res.matlist + res.rejected)
     # a second read returns the very same matrices, made once
     for result in (res, multiplicity(inst, use_cache=False)):

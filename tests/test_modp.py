@@ -21,6 +21,7 @@ from hsmult import (
     solve_dispatch,
     specialize,
 )
+from tests.conftest import naive_pp_eval
 
 
 @pytest.fixture
@@ -208,12 +209,13 @@ def test_nonsingular_at_grid_only_matlist_matches_entrywise_rank(
         for M in res.matlist:
             assert M.rows is None
             for _ in range(6):
-                values = tuple(Fraction(rng.randint(-2, 2)) for _ in ff.params)
+                values = tuple(rng.randint(-2, 2) for _ in ff.params)
+                scalars = tuple(map(Fraction, values))
                 rows = tuple(
-                    tuple(ff.from_ppoly(a).evaluate(values) for a in row) for row in M.grid
+                    tuple(naive_pp_eval(a, scalars, ff.base) for a in row) for row in M.grid
                 )
                 expected = rank(ExactMatrix(ff.base, rows, M.ncols)) == M.ncols
-                got = nonsingular_at(M, dict(zip(ff.params, values)))
+                got = nonsingular_at(M, values)
                 assert got == expected
                 verdicts.add(got)
     assert verdicts == {True, False}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hsmult import (
     GF,
     QQ,
+    ExactMatrix,
     FunctionField,
     InternalInconsistency,
     ProblemInstance,
@@ -16,13 +18,16 @@ from hsmult import (
     find_reduction,
     generic_generators,
     is_in_integral_closure,
+    length_verified_certificate,
     membership,
     multiplicity,
+    rank,
     verify_reduction_by_length,
 )
 from hsmult.oracles import vector_space_length
 from hsmult.reduction import param_names, reduction_generators
-from tests.conftest import make_poly
+from hsmult.scalars import GFElement
+from tests.conftest import FIXTURES, load_instance, make_poly, naive_pp_eval
 
 
 def test_param_names_indexing():
@@ -103,6 +108,71 @@ def test_certify_example1(example1):
     assert certify(((0,), (5,)), res) is False
     # the third rejected matrix has determinant -a^2 b: b = 0 is degenerate
     assert certify(((1,), (0,)), res) is False
+
+
+def _reference_certify(a, res):
+    """certify recomputed term by term: PolyList values, then the rank of each
+    MatList matrix evaluated entry by entry."""
+    base = res.base
+    values = [base.from_int(v) for row in a for v in row]
+    if not all(naive_pp_eval(q, values, base) for q in res.polylist):
+        return False
+    for M in res.matlist:
+        rows = tuple(tuple(naive_pp_eval(e, values, base) for e in row) for row in M.grid)
+        if rank(ExactMatrix(base, rows, M.ncols)) != M.ncols:
+            return False
+    return True
+
+
+def test_certify_matches_term_by_term_reference():
+    rng = random.Random(71)
+    verdicts = set()
+    names = sorted(f.name for f in FIXTURES.glob("*.json") if f.name != "series_geometric.json")
+    chars = set()
+    for name in names:
+        inst = load_instance(name)[0]
+        res = multiplicity(inst)
+        assert res.params, name
+        chars.add(res.base.char)
+        d, cols = res.d, res.m - res.d
+        size = d * cols
+        flats = [(0,) * size, (1,) * size, (-1,) * size]
+        flats += [tuple(v if k == i else 0 for k in range(size)) for i in range(size) for v in (1, -2)]
+        while len(flats) < 40:
+            flats.append(tuple(rng.randint(-3, 3) for _ in range(size)))
+        for flat in flats[:40]:
+            a = tuple(flat[i * cols : (i + 1) * cols] for i in range(d))
+            expected = _reference_certify(a, res)
+            assert certify(a, res) is expected, (name, a)
+            scalars = tuple(tuple(map(res.base.from_int, row)) for row in a)
+            assert certify(scalars, res) is expected, (name, a)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+    assert chars == {0, 2, 3, 32003}
+
+
+def test_coefficient_matrices_must_be_exact(example1, example1_gf):
+    res_qq, res_gf = multiplicity(example1), multiplicity(example1_gf)
+    bad = [
+        (example1, res_qq, ((1.5,), (0.5,))),
+        (example1, res_qq, ((True,), (1,))),
+        (example1, res_qq, ((GFElement(1, 7),), (1,))),
+        (example1_gf, res_gf, ((Fraction(1, 2),), (1,))),
+        (example1_gf, res_gf, ((Fraction(1),), (1,))),
+        (example1_gf, res_gf, ((GFElement(1, 7),), (1,))),
+        (example1_gf, res_gf, ((1.0,), (1,))),
+        (example1_gf, res_gf, ((1,), (False,))),
+    ]
+    for inst, res, a in bad:
+        with pytest.raises(ValueError):
+            certify(a, res)
+        with pytest.raises(ValueError):
+            verify_reduction_by_length(inst, a, res)
+        with pytest.raises(ValueError):
+            length_verified_certificate(inst, a, res)
+    # ints and scalars of the base field itself are accepted
+    assert certify(((Fraction(2, 2),), (1,)), res_qq) is True
+    assert certify(((GFElement(1, 32003),), (1,)), res_gf) is True
 
 
 def test_certify_m_equals_d_is_trivially_true(glex):

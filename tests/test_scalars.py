@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,14 @@ from hsmult import GF, QQ, DenominatorVanishes, FunctionField, RingMismatch
 from hsmult.scalars import (
     pp_const,
     pp_divexact,
+    pp_eval_rows,
     pp_gcd,
     pp_lcm,
     pp_mul,
     pp_primitive,
     pp_to_str,
 )
+from tests.conftest import naive_pp_eval
 
 
 @pytest.fixture
@@ -80,6 +83,45 @@ def test_lift_and_evaluate(ff):
     assert g.evaluate((Fraction(1), Fraction(9))) == 2
     with pytest.raises(DenominatorVanishes):
         g.evaluate((Fraction(0), Fraction(1)))
+
+
+def test_pp_eval_rows_matches_term_by_term_evaluation():
+    a, b = {(1, 0): 1}, {(0, 1): 1}
+    assert pp_eval_rows(((a, b, {}),), (2, -1), 0) == [[Fraction(2), Fraction(-1), 0]]
+    rng = random.Random(67)
+    for base in (QQ, GF(2), GF(3), GF(7), GF(2**31 - 1)):
+        p = base.char
+        pool = [0, 0, 1, -1, 2, -3, 5, -11, 2**40 + 1]
+        if not p:
+            pool += [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)]
+
+        def poly(r):
+            out = {}
+            for _ in range(rng.randint(0, 4)):
+                c = rng.randint(-9, 9) % p if p else rng.randint(-9, 9)
+                if c:
+                    out[tuple(rng.randint(0, 3) for _ in range(r))] = c
+            return out
+
+        for _ in range(40):
+            r = rng.randint(1, 3)
+            rows = [[poly(r) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 3))]
+            values = [rng.choice(pool) for _ in range(r)]
+            scalars = [base.from_int(v) for v in values]
+            got = pp_eval_rows(rows, values, p)
+            expected = [[naive_pp_eval(e, scalars, base) for e in row] for row in rows]
+            assert got == [[e.v if p else e for e in row] for row in expected]
+            for v in (v for row in got for v in row):
+                if p:
+                    assert type(v) is int and 0 <= v < p
+                else:
+                    assert type(v) is (Fraction if v else int)
+            num, den = rows[0][0], poly(r)
+            if den and naive_pp_eval(den, scalars, base):
+                ff = FunctionField(base, ("a", "b", "c")[:r])
+                assert ff.from_ppoly(num, den).evaluate(scalars) == naive_pp_eval(
+                    num, scalars, base
+                ) / naive_pp_eval(den, scalars, base)
 
 
 def test_function_field_over_prime_field():

@@ -6,6 +6,8 @@ renames or removes one fails here, not only in a traced benchmark run.
 
 from pathlib import Path
 
+import pytest
+
 import hsmult.linalg
 from hsmult.cli import run_command
 from tests.conftest import load_instance
@@ -119,3 +121,33 @@ def test_member_gf32003_images_stay_off_kernel(monkeypatch):
     assert tracer.calls["modp.kernel_via_modp"] == 1
     assert tracer.calls["linalg.kernel_ff"] == 3
     assert tracer.calls["linalg.kernel_base"] == 2
+
+
+@pytest.mark.parametrize(
+    "name, specialize, nonsingular, certify, points",
+    [
+        ("example1.json", 1, 6, 5, 5),
+        ("params_gf2.json", 8, 4, 13, 7),
+        ("params_gf3.json", 13, 5, 2, 2),
+        ("example2_rational.json", 3, 3, 2, 2),
+        ("example4.json", 8, 6, 4, 4),
+    ],
+)
+def test_reduce_keeps_its_point_evaluations(monkeypatch, name, specialize, nonsingular, certify, points):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance(name)
+        run_command("reduce", inst, options)
+    finally:
+        tracer.uninstall()
+    # mod-p images, MatList checks and certify calls as recorded while each
+    # had an evaluator of its own; the tracer tells them apart by name, so
+    # modp.specialize must stay a function of its own
+    assert tracer.calls["modp.specialize"] == specialize
+    assert tracer.calls["linalg.nonsingular_at"] == nonsingular
+    assert tracer.calls["reduction.certify"] == certify
+    assert tracer.distinct_certify_points() == points
