@@ -95,15 +95,17 @@ def run_command(command, inst, options, member_expr=None):
     if command == "member":
         h = parse_member_expression(member_expr, inst)
         res = membership(inst, h, modp=cfg)
+        # reports are kept by long-running callers, which ask about the same
+        # elements again, so the element string is interned
         payload = {
-            "element": h.to_str(inst.var_names),
+            "element": sys.intern(h.to_str(inst.var_names)),
             "e": res.e,
             "member": res.member,
             "decided_by": res.decided_by,
         }
         if res.decided_by == "point-length":
             payload["point_length"] = res.point_length
-        else:
+        elif res.decided_by == "multiplicity":
             payload["e_extended"] = res.e_extended
         return payload, ModpStats(**res.modp_stats)
     raise ValueError(f"unknown command {command!r}")
@@ -252,7 +254,9 @@ def _human_lines(command, result):
             lines.append(f"reduction generators = {result['reduction']['generators']}")
             lines.append(f"mode = {result['reduction']['mode']}")
     elif command == "member":
-        if result["decided_by"] == "point-length":
+        if result["decided_by"] == "in-ideal":
+            evidence = f"e = {result['e']}; it lies in the ideal"
+        elif result["decided_by"] == "point-length":
             evidence = f"e = {result['e']}; colength {result['point_length']} at a point"
         else:
             evidence = f"e = {result['e']} vs {result['e_extended']}"

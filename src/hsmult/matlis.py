@@ -279,6 +279,7 @@ class DualBasisResult(_DualBasis):
     polylist: list
     rejected: list
     iterations: int
+    complete: bool
 
     def __post_init__(self):
         self._matlist = []
@@ -291,7 +292,8 @@ def compute_dual_basis(
 
     With a budget the loop also stops once the basis has that many elements:
     a length below the budget is then the colength, and a length at or above
-    it shows only that the colength is at least the budget.
+    it shows only that the colength is at least the budget.  ``complete``
+    tells whether the loop ran to its end, so that the basis spans the dual.
     """
     caps = caps or DEFAULT_CAPS
     state = DualBasisState(
@@ -312,4 +314,5 @@ def compute_dual_basis(
         polylist=list(state.polylist),
         rejected=list(state.rejected),
         iterations=state.iterations,
+        complete=state.done(),
     )

@@ -12,19 +12,38 @@ row by row as the parameters t_i_j.
 
 Integral-closure membership: h lies in the integral closure of J exactly when
 e(J + (h)) = e(J) (Rees; R formally equidimensional, e.g. Cohen-Macaulay).
-``membership`` first tries to refute it over the base field.  At a coefficient
-point a, Q_a = (f_i + sum_j a_ij g_j) + I with g_j running over the remaining
-generators of J + (h); when Q_a is m-primary,
+``membership`` tries three paths in order.
+
+In the ideal.  Every element of J is integral over J, and whether h lies in
+J + I is decided by Matlis duality.  For an m-primary ideal L of S = K[[x]],
+the functionals on S that vanish on L form the inverse system L^perp, a
+K-space of dimension l(S/L), and L is exactly the set of elements at which
+every functional of L^perp vanishes.  The dual basis computed for the
+generators of L (T1 terms and accepted xi's) is a basis of L^perp, and a
+functional xi = sum_g xi_g / x^(g+1) takes at h the value sum_g xi_g [x^g]h.
+So h is in J + I exactly when each basis functional vanishes at h.  Only a
+complete basis decides: a run stopped by a budget spans part of L^perp, and
+the functional it misses may be the one that does not vanish, so a
+non-member would pass.  With m == d the run behind e(J) is that of J + I
+over the base field, unbudgeted, and its basis is reused; otherwise J + I is
+run once over the base field, without a budget and under the query's caps,
+and the functionals are kept on J's cache entry.  When the caps end that
+run, or h is not a polynomial over the base field, the check is skipped.
+
+At a point.  At a coefficient point a, Q_a = (f_i + sum_j a_ij g_j) + I with
+g_j running over the remaining generators of J + (h); when Q_a is m-primary,
 
     l(R/Q_a) >= e(Q_a) >= e(J + (h)),
 
 the first by Serre's bound for a parameter ideal, the second because
 Q_a is inside J + (h).  So a colength l(R/Q_a) < e(J) proves that h is not
 integral.  The point is hashed from the instance, with entries in 1..30, and
-its colength is computed only until it reaches e(J).  When it does, or when
-the caps end the run or Q_a is not m-primary, e(J + (h)) is computed over
-K(t) and compared; every member takes that path.  The result names the path
-in decided_by ("point-length" or "multiplicity") and carries point_length or
+its colength is computed only until it reaches e(J).
+
+Over K(t).  When the point colength reaches e(J), or the caps end the run or
+Q_a is not m-primary, e(J + (h)) is computed over K(t) and compared; members
+outside J + I take this path.  The result names the path in decided_by
+("in-ideal", "point-length" or "multiplicity") and carries point_length or
 e_extended to match; the CLI's member report uses the same keys.
 """
 
@@ -181,6 +200,9 @@ class MultiplicityResult:
     dual: object
     instance: ProblemInstance
     modp_stats: dict
+    # (T1 points, xi coefficient maps) spanning the inverse system of J + I;
+    # set by the first membership query whose run of J + I ends
+    ideal_dual: tuple | None = None
 
     @property
     def matlist(self):
@@ -457,9 +479,10 @@ def _member_point(ext):
 class Membership:
     """Verdict on h in the integral closure of J, and how it was reached.
 
-    decided_by is "point-length" when the colength point_length at the hashed
-    point was below e, and "multiplicity" when e_extended = e(J + (h)) was
-    computed.  modp_stats sums the mod-p counters of every run made.
+    decided_by is "in-ideal" when h lies in J + I, "point-length" when the
+    colength point_length at the hashed point was below e, and "multiplicity"
+    when e_extended = e(J + (h)) was computed.  modp_stats sums the mod-p
+    counters of the multiplicity and point runs made.
     """
 
     member: bool
@@ -470,14 +493,54 @@ class Membership:
     e_extended: int | None = None
 
 
+def _inverse_system(dual):
+    """(T1 points, xi coefficient maps) of a complete dual basis, else None."""
+    if not dual.complete:
+        return None
+    return frozenset(dual.t1_points), [xi.coeffs for xi in dual.elements]
+
+
+def _ideal_dual(res, caps):
+    """The inverse system of J + I for res's instance, kept on res once found;
+    None when the caps end its run."""
+    if res.ideal_dual is None:
+        inst = res.instance
+        if inst.m == inst.d:
+            res.ideal_dual = _inverse_system(res.dual)
+        else:
+            gens = list(inst.j_gens) + list(inst.i_gens)
+            try:
+                dual = compute_dual_basis(gens, inst.order, caps)
+            except (CapExceeded, NotZeroDimensional):
+                return None
+            res.ideal_dual = _inverse_system(dual)
+    return res.ideal_dual
+
+
+def _in_ideal(ideal_dual, h):
+    """Whether every functional of the inverse system vanishes at h."""
+    t1, xis = ideal_dual
+    coeffs = h.coeffs
+    if not t1.isdisjoint(coeffs):
+        return False
+    zero = h.field.zero()
+    return not any(
+        sum((c * coeffs[e] for e, c in xi.items() if e in coeffs), zero) for xi in xis
+    )
+
+
 def membership(inst, h, modp=None):
     """Membership of h in the integral closure of J (see the module docstring).
 
-    Requires R equidimensional (implied by Cohen-Macaulay).  e(J) comes from
-    the multiplicity cache.  Exceptions other than the caps and a non
-    m-primary point ideal propagate.
+    Requires R equidimensional (implied by Cohen-Macaulay).  e(J) and the
+    inverse system of J + I come from the multiplicity cache.  Exceptions
+    other than the caps and a non m-primary ideal propagate.
     """
     res = multiplicity(inst, modp=modp)
+    if isinstance(h, SparsePoly) and h.field == inst.base:
+        ideal_dual = _ideal_dual(res, inst.caps)
+        if ideal_dual is not None and _in_ideal(ideal_dual, h):
+            return Membership(True, res.e, "in-ideal", dict(res.modp_stats))
     ext = inst.with_extra_generator(h)
     point_stats = ModpStats()
     try:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import signal
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,9 @@ from hsmult.instance import parse_instance
 from hsmult.reduction import clear_multiplicity_cache
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# seconds one test may run; a full tier-1 run takes well under a minute
+TEST_TIME_LIMIT = 120
 
 
 def make_poly(field, nvars, coeffs):
@@ -83,3 +88,28 @@ def example1_gf():
 def _fresh_cache():
     clear_multiplicity_cache()
     yield
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so hypothesis stops at once instead of shrinking the draw."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit(request):
+    """Fail a test that runs past TEST_TIME_LIMIT, naming it, instead of
+    stalling the suite (SIGALRM: POSIX, main thread only)."""
+    main = threading.current_thread() is threading.main_thread()
+    if not (main and hasattr(signal, "setitimer")):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran past {TEST_TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

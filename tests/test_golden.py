@@ -22,7 +22,9 @@ GOLDEN = FIXTURES / "golden"
 MEMBER_CASES = {
     "example3.json": ("x", False, 10),
     "example3.json@xz": ("x*z", True, 10),
+    "example3.json@x2xy": ("x^2 + x*y", True, 10),
     "example1_gf32003.json@x": ("x", False, 5),
+    "example1_gf32003.json@x3y2": ("x^3 + 5*y^2", True, 5),
     "series_geometric.json@x": ("x", False, 2),
     "series_geometric.json@y": ("y", True, 2),
 }

@@ -296,12 +296,23 @@ def test_membership_monotone_on_ideal_elements(example1):
         assert is_in_integral_closure(example1, g * x) is True
 
 
+def _in_ideal_by_oracle(inst, h):
+    """h in J + I by the oracle: adjoining h leaves the colength unchanged."""
+    gens = list(inst.j_gens) + list(inst.i_gens)
+    return vector_space_length(gens) == vector_space_length(gens + [h])
+
+
 def _check_membership(inst, h):
-    """membership agrees with comparing fresh generic multiplicities."""
+    """membership agrees with the oracle on J + I, and otherwise with
+    comparing fresh generic multiplicities."""
     got = membership(inst, h)
     e = multiplicity(inst, use_cache=False).e
-    e2 = multiplicity(inst.with_extra_generator(h), use_cache=False).e
     assert got.e == e
+    assert (got.decided_by == "in-ideal") == _in_ideal_by_oracle(inst, h)
+    if got.decided_by == "in-ideal":
+        assert got.member and got.point_length is None and got.e_extended is None
+        return got
+    e2 = multiplicity(inst.with_extra_generator(h), use_cache=False).e
     assert got.member == (e == e2)
     if got.decided_by == "point-length":
         assert got.point_length < e and got.e_extended is None
@@ -348,14 +359,21 @@ def test_membership_agrees_with_multiplicities(
         h = make_poly(field, 2, h_coeffs)
     got = _check_membership(inst, h)
     if h_in_j:
-        # a member never has a point colength below e(J)
-        assert got.member and got.decided_by == "multiplicity"
+        # an element of J is decided from J's inverse system
+        assert got.member and got.decided_by == "in-ideal"
 
 
-@pytest.mark.parametrize("h", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 2, 0)])
+@pytest.mark.parametrize(
+    "h", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 2, 0), (1, 1, 0), (0, 3, 0)]
+)
 def test_membership_in_a_quotient_ring(example3, h):
     got = _check_membership(example3, make_poly(QQ, 3, {h: 1}))
-    assert got.decided_by == ("multiplicity" if got.member else "point-length")
+    # x*y lies in J, and y^3 in J + I (I = (x^2 + y^3 + z^4)) but not in J;
+    # the other monomials lie outside J + I and take a run of J + (h)
+    if h in ((1, 1, 0), (0, 3, 0)):
+        assert got.decided_by == "in-ideal"
+    else:
+        assert got.decided_by == ("multiplicity" if got.member else "point-length")
 
 
 @pytest.mark.parametrize(
@@ -406,6 +424,156 @@ def test_membership_propagates_other_errors(monkeypatch, example1):
         membership(example1, make_poly(QQ, 2, {(1, 0): 1}))
 
 
+@pytest.mark.parametrize(
+    "char, ideal, h",
+    [
+        # over K(t), J + (h) has four (six) parameters and e = 16; that run
+        # did not finish in 200 s, and members of J used to take it
+        (0, ["x^4", "y^4", "-x^3*y"],
+         "x^4 - x^3*y + y^4 + 3*x^3*y^2 + x^4*y^2 - 2*x^2*y^4 + 2*x^4*y^3 - x^3*y^4"),
+        (32003, ["x^4", "y^4", "3*x*y^3", "3*x*y^3"], "x^4 + 2*y^4 + x*y^3 + x^5*y"),
+    ],
+)
+def test_members_of_j_skip_the_run_over_k_t(char, ideal, h):
+    import json
+    import time
+
+    from hsmult.instance import parse_instance, parse_member_expression
+
+    payload = {"characteristic": char, "variables": ["x", "y"], "ideal": ideal, "dim": 2}
+    inst, _ = parse_instance(json.dumps(payload))
+    start = time.perf_counter()
+    got = membership(inst, parse_member_expression(h, inst))
+    assert (got.member, got.decided_by, got.e) == (True, "in-ideal", 16)
+    assert time.perf_counter() - start < 2.0
+
+
+def _mixed_generators(rng, gens):
+    """gens after two elementary operations g_i += c * u * g_j: same ideal."""
+    gens = list(gens)
+    field, nvars = gens[0].field, gens[0].nvars
+    for _ in range(2):
+        i, j = rng.sample(range(len(gens)), 2)
+        u = tuple(rng.randint(0, 1) for _ in range(nvars))
+        gens[i] = gens[i] + gens[j] * make_poly(field, nvars, {u: rng.randint(1, 3)})
+    return gens
+
+
+def _element_of(rng, gens):
+    """sum of cofactors times generators, each cofactor a small random poly."""
+    field, nvars = gens[0].field, gens[0].nvars
+    h = SparsePoly(field, nvars, {})
+    for g in gens:
+        if rng.random() < 0.7:
+            e = tuple(rng.randint(0, 1) for _ in range(nvars))
+            h = h + g * make_poly(field, nvars, {e: rng.randint(-3, 3), (0,) * nvars: 1})
+    return h
+
+
+def _draws(rng, gens, bounds):
+    """An element of J, an element of J plus a staircase monomial, and 0."""
+    field, nvars = gens[0].field, gens[0].nvars
+    u = tuple(rng.randint(0, b - 1) for b in bounds)
+    return [
+        _element_of(rng, gens),
+        _element_of(rng, gens) + make_poly(field, nvars, {u: 1}),
+        SparsePoly(field, nvars, {}),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(3)], ids=["QQ", "GF32003", "GF3"])
+@pytest.mark.parametrize("seed", range(3))
+def test_in_ideal_check_agrees_with_the_oracle(field, seed):
+    from hsmult import reduction
+
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(4):
+        a, b = rng.randint(2, 3), rng.randint(2, 3)
+        # a binomial inside the box a x b makes J + I non-monomial
+        box = [(i, j) for i in range(a) for j in range(b) if i or j]
+        extra = [
+            {u: rng.randint(1, 2), v: -rng.randint(1, 2)}
+            for u, v in [rng.sample(box, 2)][: rng.randint(0, 1)]
+        ]
+        base = [make_poly(field, 2, g) for g in [{(a, 0): 1}, {(0, b): 1}] + extra]
+        gens = _mixed_generators(rng, base)
+        inst = ProblemInstance(
+            base=field, nvars=2, var_names=("x", "y"), i_gens=(), j_gens=tuple(gens), d=2
+        )
+        ideal_dual = reduction._ideal_dual(multiplicity(inst), inst.caps)
+        for h in _draws(rng, gens, (a, b)):
+            in_ideal = _in_ideal_by_oracle(inst, h)
+            assert reduction._in_ideal(ideal_dual, h) == in_ideal
+            if in_ideal:
+                assert membership(inst, h).decided_by == "in-ideal"
+            verdicts.add(in_ideal)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_in_ideal_check_agrees_with_the_oracle_in_a_quotient_ring(example3, seed):
+    from hsmult import reduction
+
+    rng = random.Random(seed)
+    gens = _mixed_generators(rng, example3.j_gens)
+    inst = ProblemInstance(
+        base=QQ, nvars=3, var_names=example3.var_names, i_gens=example3.i_gens,
+        j_gens=tuple(gens), d=2,
+    )
+    ideal_dual = reduction._ideal_dual(multiplicity(inst), inst.caps)
+    for h in _draws(rng, gens, (2, 3, 2)) + _draws(rng, list(example3.i_gens), (2, 3, 2)):
+        assert reduction._in_ideal(ideal_dual, h) == _in_ideal_by_oracle(inst, h)
+
+
+def test_in_ideal_check_falls_back_when_the_caps_end_its_run(example3):
+    import dataclasses
+
+    from hsmult import reduction
+    from hsmult.errors import CapExceeded
+    from hsmult.matlis import ResourceCaps
+
+    res = multiplicity(example3)  # e(J) cached under the default caps
+    # the run of J + I takes 4 iterations, the point run for x takes 3
+    small = dataclasses.replace(example3, caps=ResourceCaps(max_iterations=3))
+    with pytest.raises(CapExceeded):
+        reduction.compute_dual_basis(
+            list(example3.j_gens) + list(example3.i_gens), example3.order, small.caps
+        )
+    x = make_poly(QQ, 3, {(1, 0, 0): 1})
+    got = membership(small, x)
+    assert (got.member, got.decided_by, got.point_length) == (False, "point-length", 6)
+    # the cut run left nothing on the cache entry; a run that ends does
+    assert res.ideal_dual is None
+    assert got == membership(example3, x)
+    assert res.ideal_dual is not None
+    xy = make_poly(QQ, 3, {(1, 1, 0): 1})
+    assert membership(example3, xy).decided_by == "in-ideal"
+
+
+def test_a_budgeted_dual_basis_is_never_read(glex):
+    from hsmult import reduction
+    from hsmult.matlis import compute_dual_basis
+
+    xy = make_poly(QQ, 2, {(1, 1): 1})
+    g = make_poly(QQ, 2, {(2, 0): 1, (0, 2): -1})
+    x2 = make_poly(QQ, 2, {(2, 0): 1})
+    # J = (xy, x^2 - y^2) has colength 4: the T1 terms 1, x, y and one xi
+    # pairing with x^2 and y^2; x^2 is not in J, but is integral over it
+    partial = compute_dual_basis([xy, g], glex, budget=3)
+    assert (partial.length, partial.complete) == (3, False)
+    assert all(x2.coeffs.get(e) is None for e in partial.t1_points)
+    assert reduction._inverse_system(partial) is None
+    full = compute_dual_basis([xy, g], glex, budget=5)
+    assert (full.length, full.complete) == (4, True)
+    assert not reduction._in_ideal(reduction._inverse_system(full), x2)
+    inst = ProblemInstance(
+        base=QQ, nvars=2, var_names=("x", "y"), i_gens=(), j_gens=(xy, g), d=2, order=glex
+    )
+    got = _check_membership(inst, x2)
+    assert (got.member, got.decided_by) == (True, "multiplicity")
+
+
 def test_dim_zero_contract(glex, P):
     unit = P(QQ, 2, {(0, 0): 1, (1, 0): 1})
     quot = (SparsePoly.monomial(QQ, (2, 0)), SparsePoly.monomial(QQ, (0, 2)))
@@ -416,6 +584,9 @@ def test_dim_zero_contract(glex, P):
     assert res.e == 4  # the length of R itself
     cert = find_reduction(res)
     assert cert.a == ()
+    # J is the whole ring, so every element lies in it
+    got = membership(inst, SparsePoly.variable(QQ, 2, 0))
+    assert (got.member, got.decided_by, got.e) == (True, "in-ideal", 4)
     no_unit = ProblemInstance(
         base=QQ,
         nvars=2,

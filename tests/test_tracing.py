@@ -96,12 +96,14 @@ def test_member_example3_x_is_decided_at_a_point(monkeypatch):
         tracer.uninstall()
     assert (result["member"], result["decided_by"], result["point_length"]) == (False, "point-length", 6)
     # one generic K(t) run, for J alone (6 steps, 5 kernels over K(t)); J + (x)
-    # is not run over K(t), so x costs one base-field run of 3 steps
+    # is not run over K(t).  m > d, so the first query also runs J + I over
+    # the base field for its inverse system (4 steps), and x is not in it;
+    # then x costs one base-field point run of 3 steps
     assert tracer.calls["reduction.multiplicity"] == 1
-    assert tracer.calls["matlis.compute_dual_basis"] == 2
+    assert tracer.calls["matlis.compute_dual_basis"] == 3
     assert tracer.calls["linalg.kernel_ff"] == 5
-    assert tracer.calls["matlis.step"] == 6 + 3
-    assert tracer.calls["linalg.kernel_base"] == 3
+    assert tracer.calls["matlis.step"] == 6 + 4 + 3
+    assert tracer.calls["linalg.kernel_base"] == 4 + 3
 
 
 def test_member_gf32003_images_stay_off_kernel(monkeypatch):
@@ -117,10 +119,31 @@ def test_member_gf32003_images_stay_off_kernel(monkeypatch):
         tracer.uninstall()
     assert (result["member"], result["decided_by"]) == (False, "point-length")
     # the mod-p image shares the base-field eliminator but not `kernel`, so
-    # these are the counts recorded while it had an eliminator of its own
+    # these are the counts recorded while it had an eliminator of its own;
+    # the base-field kernels are the run of J + I (3) and the point run (2)
     assert tracer.calls["modp.kernel_via_modp"] == 1
     assert tracer.calls["linalg.kernel_ff"] == 3
-    assert tracer.calls["linalg.kernel_base"] == 2
+    assert tracer.calls["linalg.kernel_base"] == 3 + 2
+
+
+def test_member_in_j_makes_no_point_run_and_no_k_t_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance("series_geometric.json")
+        result, _ = run_command("member", inst, options, "y")
+    finally:
+        tracer.uninstall()
+    assert (result["member"], result["decided_by"]) == (True, "in-ideal")
+    # m == d: the one run is that of J over the base field (2 steps), and its
+    # dual basis decides y; no point run and no run of J + (y) over K(t)
+    assert tracer.calls["reduction.multiplicity"] == 1
+    assert tracer.calls["matlis.compute_dual_basis"] == 1
+    assert tracer.calls["matlis.step"] == 2
+    assert tracer.calls["linalg.kernel_ff"] == 0
 
 
 @pytest.mark.parametrize(
