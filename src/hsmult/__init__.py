@@ -35,7 +35,6 @@ from .errors import (
 from .linalg import ExactMatrix, kernel, nonsingular_at, rank
 from .matlis import DualBasisState, ResourceCaps, build_matrix, compute_dual_basis, step
 from .modp import (
-    ModpConfig,
     ModpPolicy,
     ModpStats,
     SpecPoint,
@@ -74,7 +73,6 @@ __all__ = [
     "HsmultError",
     "InternalInconsistency",
     "LinearCombination",
-    "ModpConfig",
     "ModpPolicy",
     "ModpStats",
     "MonomialOrder",

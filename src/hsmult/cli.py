@@ -15,6 +15,7 @@ class.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -34,58 +35,49 @@ from .errors import (
     ZeroElement,
 )
 from .instance import (
-    check_dimension,
-    check_options,
+    checked_caps,
     instance_to_jsonable,
-    modp_config,
     parse_instance,
     parse_member_expression,
 )
-from .matlis import ResourceCaps, compute_dual_basis
+from .matlis import compute_dual_basis
 from .modp import ModpStats, make_solver
 from .orders import MonomialOrder
 from .reduction import find_reduction, generator_to_str, membership, multiplicity
-from .scalars import scalar_to_str
 
 REPORT_SCHEMA = "hsmult-report/1"
 
 COMMANDS = ("dual", "length", "mult", "reduce", "member", "selftest")
 
 
-def _flatten_exponent(e):
-    return list(e)
-
-
 def run_command(command, inst, options, member_expr=None):
-    """Execute one command; returns the result payload and engine stats."""
-    stats = ModpStats()
-    cfg = modp_config(options)
-    solver = make_solver(cfg, stats)
-    trunc = options.get("trunc_degree")
+    """Execute one command; returns the result payload and engine stats.
+
+    The caps ride on inst; of the options only search_bound is read here.
+    A dim that contradicts the quotient ideal raises ValueError from
+    multiplicity (mult, reduce, member); length and dual ignore dim.
+    """
     if command in ("dual", "length"):
+        stats = ModpStats()
         gens = list(inst.j_gens) + list(inst.i_gens)
-        dual = compute_dual_basis(
-            gens, inst.order, inst.caps, solver=solver, initial_truncation=trunc
-        )
+        dual = compute_dual_basis(gens, inst.order, inst.caps, solver=make_solver(stats))
         result = {"length": dual.length, "t1_size": len(dual.t1_points),
                   "xi_count": len(dual.elements)}
         if command == "dual":
             result["basis"] = [
-                [[_flatten_exponent(e), c] for e, c in eta.to_pairs(inst.order)]
+                [[list(e), c] for e, c in eta.to_pairs(inst.order)]
                 for eta in dual.basis()
             ]
         return result, stats
-    if command in ("mult", "reduce", "member"):
-        check_dimension(inst)
     if command == "mult":
-        res = multiplicity(inst, modp=cfg, use_cache=False, initial_truncation=trunc)
+        res = multiplicity(inst, use_cache=False)
         return _mult_payload(res), ModpStats(**res.modp_stats)
     if command == "reduce":
-        res = multiplicity(inst, modp=cfg, use_cache=False, initial_truncation=trunc)
+        res = multiplicity(inst, use_cache=False)
         cert = find_reduction(res, bound=options["search_bound"])
         payload = _mult_payload(res)
         payload["reduction"] = {
-            "a": [[scalar_to_str(inst.base, v) for v in row] for row in cert.a],
+            "a": [[inst.base.to_str(v) for v in row] for row in cert.a],
             "mode": cert.mode,
             "generators": [
                 generator_to_str(g, inst.var_names) for g in cert.generators
@@ -94,7 +86,7 @@ def run_command(command, inst, options, member_expr=None):
         return payload, ModpStats(**res.modp_stats)
     if command == "member":
         h = parse_member_expression(member_expr, inst)
-        res = membership(inst, h, modp=cfg)
+        res = membership(inst, h)
         # reports are kept by long-running callers, which ask about the same
         # elements again, so the element string is interned
         payload = {
@@ -203,32 +195,15 @@ def run_selftest(seed=20240811):
 
 
 def _apply_flag_overrides(inst, options, args):
-    import dataclasses
-
     if args.order:
         inst = dataclasses.replace(
             inst, order=MonomialOrder(args.order, tuple(range(inst.nvars)))
         )
-    for name, key in (
-        ("max_terms", "max_terms"),
-        ("max_degree", "max_degree"),
-        ("search_bound", "search_bound"),
-        ("trunc_degree", "trunc_degree"),
-        ("modp_threshold", "modp_threshold"),
-    ):
-        value = getattr(args, name)
+    for key in ("max_terms", "max_degree", "search_bound"):
+        value = getattr(args, key)
         if value is not None:
             options[key] = value
-    if args.modp:
-        options["modp"] = args.modp
-    check_options(options)
-    caps = ResourceCaps(
-        max_terms=options["max_terms"],
-        max_degree=options["max_degree"],
-        max_iterations=options["max_iterations"],
-    )
-    inst = dataclasses.replace(inst, caps=caps)
-    return inst, options
+    return dataclasses.replace(inst, caps=checked_caps(options)), options
 
 
 def _human_lines(command, result):
@@ -282,12 +257,9 @@ def build_arg_parser():
     parser.add_argument("file", nargs="?", help="instance file (JSON or text)")
     parser.add_argument("expr", nargs="?", help="element expression (member command)")
     parser.add_argument("--order", choices=("glex", "grevlex", "lex"))
-    parser.add_argument("--modp", choices=("on", "off", "auto"))
-    parser.add_argument("--modp-threshold", type=int, dest="modp_threshold")
     parser.add_argument("--max-terms", type=int, dest="max_terms")
     parser.add_argument("--max-degree", type=int, dest="max_degree")
     parser.add_argument("--search-bound", type=int, dest="search_bound")
-    parser.add_argument("--trunc-degree", type=int, dest="trunc_degree")
     parser.add_argument("--no-timing", action="store_true")
     parser.add_argument("--json", action="store_true")
     return parser

@@ -7,37 +7,32 @@ echo exactly what ran.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 from .errors import ParseError
 from .exprparse import parse_generator, parse_polynomial
-from .matlis import ResourceCaps
-from .modp import ModpConfig, ModpPolicy
+from .matlis import DEFAULT_CAPS, ResourceCaps
 from .orders import MonomialOrder, ORDER_KINDS
 from .reduction import ProblemInstance, generator_to_str
 from .scalars import GF, QQ, is_prime
 
-DEFAULT_OPTIONS = {
-    "max_terms": 5000,
-    "max_degree": 64,
-    "max_iterations": 10000,
-    "modp": "auto",
-    "modp_threshold": 4,
-    "modp_retries": 3,
-    "search_bound": 5,
-    "trunc_degree": 4,
-}
+# the options: the resource caps, at least 1 each, and the reduction search's
+# last shell, at least 0
+DEFAULT_OPTIONS = {**dataclasses.asdict(DEFAULT_CAPS), "search_bound": 5}
+_OPTION_MIN = {**dict.fromkeys(DEFAULT_OPTIONS, 1), "search_bound": 0}
 
-# the least value of each integer option
-_INT_OPTION_MIN = {
-    "max_terms": 1,
-    "max_degree": 1,
-    "max_iterations": 1,
-    "modp_threshold": 0,
-    "modp_retries": 1,
-    "search_bound": 0,
-    "trunc_degree": 1,
+# the keys of the text front-end, and the aliases it reads as them
+_LIST_KEYS = ("variables", "ideal", "quotient_ideal")
+_TEXT_KEYS = ("characteristic", "order", "dim", *_LIST_KEYS, *DEFAULT_OPTIONS)
+_ALIASES = {
+    "char": "characteristic",
+    "vars": "variables",
+    "dimension": "dim",
+    "j": "ideal",
+    "quotient": "quotient_ideal",
+    "i": "quotient_ideal",
 }
 
 _PARAM_NAME = re.compile(r"^t_\d+_\d+$")
@@ -72,8 +67,11 @@ def _parse_order_value(value, variables):
 
 
 def _text_to_mapping(text):
-    """The lenient front-end: 'key: value' lines, '#' comments."""
-    mapping = {}
+    """The lenient front-end: 'key: value' lines, '#' comments.  A key given
+    twice, under its name or an alias, is an error."""
+    out = {}
+    options = {}
+    seen = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,29 +80,28 @@ def _text_to_mapping(text):
             _fail(f"expected 'key: value' in {raw!r}", ln)
         key, value = line.split(":", 1)
         key = key.strip().lower().replace("-", "_")
-        mapping[key] = (value.strip(), ln)
-    out = {}
-    options = {}
-    for key, (value, ln) in mapping.items():
-        if key in ("characteristic", "char"):
-            out["characteristic"] = _int_or_fail(value, ln)
-        elif key in ("variables", "vars"):
-            out["variables"] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key == "order":
-            out["order"] = value
-        elif key in ("dim", "dimension"):
-            out["dim"] = _int_or_fail(value, ln)
-        elif key in ("ideal", "j"):
-            out["ideal"] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key in ("quotient_ideal", "quotient", "i"):
-            out["quotient_ideal"] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key in DEFAULT_OPTIONS:
-            options[key] = value if key == "modp" else _int_or_fail(value, ln)
-        else:
+        name = _ALIASES.get(key, key)
+        if name not in _TEXT_KEYS:
             _fail(f"unknown key {key!r}", ln)
+        if name in seen:
+            _fail(f"repeated key {key!r} (already given on line {seen[name]})", ln)
+        seen[name] = ln
+        value = value.strip()
+        if name in _LIST_KEYS:
+            out[name] = [v.strip() for v in value.split(",") if v.strip()]
+        elif name == "order":
+            out[name] = value
+        elif name in DEFAULT_OPTIONS:
+            options[name] = _int_or_fail(value, ln)
+        else:
+            out[name] = _int_or_fail(value, ln)
     if options:
         out["options"] = options
     return out
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _int_or_fail(value, line=None):
@@ -119,7 +116,7 @@ def parse_instance(text):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            mapping = json.loads(text)
+            mapping = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise ParseError(f"invalid JSON: {err.msg}", err.lineno, err.colno)
         if not isinstance(mapping, dict):
@@ -129,9 +126,19 @@ def parse_instance(text):
     return build_instance(mapping)
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is an error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            _fail(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def build_instance(mapping):
     char = mapping.get("characteristic", 0)
-    if not isinstance(char, int) or char < 0:
+    if not _is_int(char) or char < 0:
         _fail("characteristic must be 0 or a prime")
     if char and not is_prime(char):
         _fail(f"characteristic {char} is not prime")
@@ -151,7 +158,7 @@ def build_instance(mapping):
     if "dim" not in mapping:
         _fail("missing 'dim'")
     dim = mapping["dim"]
-    if not isinstance(dim, int) or not (0 <= dim <= len(variables)):
+    if not _is_int(dim) or not (0 <= dim <= len(variables)):
         _fail(f"dim must satisfy 0 <= dim <= {len(variables)}")
     ideal_exprs = mapping.get("ideal")
     if not ideal_exprs:
@@ -170,12 +177,7 @@ def build_instance(mapping):
         if key not in DEFAULT_OPTIONS:
             _fail(f"unknown option {key!r}")
         options[key] = value
-    check_options(options)
-    caps = ResourceCaps(
-        max_terms=options["max_terms"],
-        max_degree=options["max_degree"],
-        max_iterations=options["max_iterations"],
-    )
+    caps = checked_caps(options)
     if dim > 0 and len(j_gens) < dim:
         _fail("the ideal needs at least dim generators")
     inst = ProblemInstance(
@@ -191,27 +193,17 @@ def build_instance(mapping):
     return inst, options
 
 
-def check_options(options):
-    """Raise ParseError unless every option has its type and range."""
-    if options["modp"] not in ("on", "off", "auto"):
-        _fail("option modp must be on|off|auto")
-    for key, least in _INT_OPTION_MIN.items():
+def checked_caps(options):
+    """The ResourceCaps the options name; ParseError unless every option is
+    an integer (not a bool) at least its least value."""
+    for key, least in _OPTION_MIN.items():
         value = options[key]
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             _fail(f"option {key} must be an integer, got {value!r}")
         if value < least:
             _fail(f"option {key} must be >= {least}, got {value}")
-
-
-def check_dimension(inst):
-    """Raise ParseError unless dim fits the quotient ideal (Krull's height
-    theorem, see ProblemInstance.check_dimension).  mult, reduce and member
-    rest on dim; length and dual ignore it.
-    """
-    try:
-        inst.check_dimension()
-    except ValueError as err:
-        _fail(str(err))
+    caps = {f.name: options[f.name] for f in dataclasses.fields(ResourceCaps)}
+    return ResourceCaps(**caps)
 
 
 def _parse_gen(expr, base, variables, where):
@@ -225,14 +217,6 @@ def _parse_gen(expr, base, variables, where):
 
 def parse_member_expression(expr, inst):
     return parse_polynomial(expr, inst.base, inst.var_names)
-
-
-def modp_config(options):
-    return ModpConfig(
-        mode=options["modp"],
-        threshold=options["modp_threshold"],
-        policy=ModpPolicy(max_retries=options["modp_retries"]),
-    )
 
 
 def instance_to_jsonable(inst, options=None):

@@ -19,6 +19,14 @@ by the reduction engine.  A rejected matrix is kept as built (grid-only,
 every zero cell of a row one shared empty dict); ``matlist`` makes those
 grids canonical when first read and keeps the result, so a run whose
 certificate nobody reads never canonicalizes.
+
+The engine has no tuning settings.  Kernels are taken by the caller's solver
+(``modp.make_solver``, whose dispatch rule is fixed, in the runs of
+``reduction`` and the CLI; ``linalg.kernel`` by default), and series
+generators are truncated from a fixed start degree (see ``_initial_data``).
+Neither choice changes the basis of a run that finishes: the kernel vector
+is canonical on every path, and the staircase is certified exact whatever
+the truncation.
 """
 
 from __future__ import annotations
@@ -158,7 +166,7 @@ class _DualBasis:
 class DualBasisState(_DualBasis):
     """Single-owner state of one composition-series run."""
 
-    def __init__(self, gens, order, caps, solver=None, initial_truncation=None):
+    def __init__(self, gens, order, caps, solver=None):
         if not gens:
             raise ValueError("empty generator list")
         field = _gen_field(gens[0])
@@ -175,7 +183,7 @@ class DualBasisState(_DualBasis):
         self.track_certificates = isinstance(field, FunctionField) and bool(
             field.params
         )
-        t1, pts = _initial_data(self.gens, nvars, caps, initial_truncation)
+        t1, pts = _initial_data(self.gens, nvars, caps)
         self.t1 = t1
         self.t1_points = pts
         self.ltn = t1
@@ -194,20 +202,19 @@ class DualBasisState(_DualBasis):
         return self.l1 == self.l2
 
 
-def _initial_data(gens, nvars, caps, initial_truncation=None):
+def _initial_data(gens, nvars, caps):
     """T1 staircase; oracle generators are truncated until the result is certified.
 
     A point survives only while no generator monomial of degree <= its own
     degree divides it, so once every staircase point has degree <= the
-    truncation degree the staircase is exact.
+    truncation degree the staircase is exact.  The truncation starts at
+    degree 4, or the largest degree of a polynomial generator, and doubles
+    while the truncated ideal is not m-primary.
     """
     exact = [_gen_exact_poly(g) for g in gens]
     if all(p is not None for p in exact):
         return initial_staircase([p.support() for p in exact], nvars, caps.max_terms)
-    degree = max(
-        [initial_truncation or 4]
-        + [p.total_degree() for p in exact if p is not None]
-    )
+    degree = max([4] + [p.total_degree() for p in exact if p is not None])
     last_error = None
     while degree <= caps.max_degree:
         sups = []
@@ -285,9 +292,7 @@ class DualBasisResult(_DualBasis):
         self._matlist = []
 
 
-def compute_dual_basis(
-    gens, order, caps=None, solver=None, initial_truncation=None, budget=None
-):
+def compute_dual_basis(gens, order, caps=None, solver=None, budget=None):
     """Run the full composition-series loop; the basis size is the colength.
 
     With a budget the loop also stops once the basis has that many elements:
@@ -296,9 +301,7 @@ def compute_dual_basis(
     tells whether the loop ran to its end, so that the basis spans the dual.
     """
     caps = caps or DEFAULT_CAPS
-    state = DualBasisState(
-        gens, order, caps, solver=solver, initial_truncation=initial_truncation
-    )
+    state = DualBasisState(gens, order, caps, solver=solver)
     while not state.done() and (budget is None or state.length < budget):
         state.iterations += 1
         if state.iterations > caps.max_iterations:

@@ -6,7 +6,13 @@ outright.  When the image does have a kernel vector, its support is used to
 restrict the exact solve to few columns; the result is confirmed exactly, and
 a failed confirmation costs only a retry with the next deterministic point
 (falling back to the full exact kernel after that).  Correctness therefore
-never depends on the specialization point being generic.
+never depends on the specialization point being generic, and the kernel
+vector is the canonical one on either path.
+
+The policy is fixed: a matrix over a parameter field with more than
+``DIRECT_MAX_COLUMNS`` (4) columns goes through ``kernel_via_modp``, which tries
+up to three points (one per prime of ``DEFAULT_PRIMES``, or three points of
+GF(p) over a prime base field); every other matrix goes to ``kernel``.
 
 Every step reads the matrix's cleared grid (``ExactMatrix.grid``): the points
 are hashed from its text, the image is its evaluation mod p as rows of
@@ -20,7 +26,7 @@ prime-field element or rational function is built for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # CPython's built-in SHA-256 gives the same digests as hashlib's without
 # loading OpenSSL's libcrypto (3.7 MB resident with CPython 3.11 on Linux)
@@ -33,8 +39,12 @@ from .errors import UnexpectedNullity
 from .linalg import kernel, plain_kernel
 from .scalars import FunctionField, pp_add, pp_eval_rows, pp_mul, pp_to_str
 
-# largest primes below 2^31, descending
-DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
+# largest primes below 2^31, descending: the retry-th point is taken mod the
+# retry-th prime, so their number is the number of points tried
+DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
+
+# parameter matrices with at most this many columns are solved directly
+DIRECT_MAX_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -48,22 +58,20 @@ class SpecPoint:
 
 @dataclass(frozen=True)
 class ModpPolicy:
-    """Deterministic point selection: counter-based hashing, never randomness."""
+    """Deterministic point selection: counter-based hashing, never randomness.
 
-    primes: tuple = DEFAULT_PRIMES
-    max_retries: int = 3
+    forced_points, (prime, values) pairs, replace the first hashed points;
+    tests use them to inject degenerate points.
+    """
+
     forced_points: tuple = ()
-
-    def __post_init__(self):
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
     def point(self, serial, retry, nparams, char):
         """The retry-th specialization point for a matrix with this serialization."""
         if retry < len(self.forced_points):
             p, values = self.forced_points[retry]
             return SpecPoint(p, tuple(v % p for v in values), retry)
-        p = char if char else self.primes[retry % len(self.primes)]
+        p = char if char else DEFAULT_PRIMES[retry]
         values = []
         counter = 0
         while len(values) < nparams:
@@ -89,17 +97,6 @@ class ModpStats:
 
     def as_dict(self):
         return dict(self.__dict__)
-
-
-@dataclass(frozen=True)
-class ModpConfig:
-    mode: str = "auto"  # on | off | auto
-    threshold: int = 4  # minimum column count for the modular path in auto mode
-    policy: ModpPolicy = field(default_factory=ModpPolicy)
-
-    def __post_init__(self):
-        if self.mode not in ("on", "off", "auto"):
-            raise ValueError(f"unknown modp mode {self.mode!r}")
 
 
 def _serial(M):
@@ -154,7 +151,7 @@ def kernel_via_modp(M, policy=None, stats=None):
     ff = M.field
     serial = _serial(M)
     nparams = len(ff.params)
-    for retry in range(policy.max_retries):
+    for retry in range(len(DEFAULT_PRIMES)):
         if retry and stats is not None:
             stats.retries += 1
         pt = policy.point(serial, retry, nparams, ff.char)
@@ -176,29 +173,22 @@ def kernel_via_modp(M, policy=None, stats=None):
     return kernel(M)
 
 
-def solve_dispatch(M, config=None, stats=None):
-    """Route to the modular path for parameter matrices past the size threshold."""
-    config = config or ModpConfig()
+def solve_dispatch(M, stats=None):
+    """Route parameter matrices past DIRECT_MAX_COLUMNS columns to the modular path."""
     if stats is not None:
         stats.dispatched += 1
-    use_modp = (
-        isinstance(M.field, FunctionField)
-        and bool(M.field.params)
-        and config.mode != "off"
-        and (config.mode == "on" or M.ncols > config.threshold)
-    )
-    if not use_modp:
-        if stats is not None:
-            stats.direct += 1
-        return kernel(M)
-    return kernel_via_modp(M, config.policy, stats)
+    ff = M.field
+    if isinstance(ff, FunctionField) and ff.params and M.ncols > DIRECT_MAX_COLUMNS:
+        return kernel_via_modp(M, stats=stats)
+    if stats is not None:
+        stats.direct += 1
+    return kernel(M)
 
 
-def make_solver(config=None, stats=None):
-    """A kernel callable suitable for the composition-series engine."""
-    config = config or ModpConfig()
+def make_solver(stats=None):
+    """A kernel callable for the composition-series engine, counting into stats."""
 
     def solver(M):
-        return solve_dispatch(M, config, stats)
+        return solve_dispatch(M, stats)
 
     return solver

@@ -8,7 +8,9 @@ and MatList (matrices that must keep full column rank).  A coefficient matrix
 passing both checks yields a reduction with those coefficients; an exhaustive
 small-coefficient search and an independent length-recomputation check are
 built on top.  A coefficient matrix holds ints or base-field scalars, read
-row by row as the parameters t_i_j.
+row by row as the parameters t_i_j.  The kernel dispatch
+(``modp.solve_dispatch``) is fixed, so a result and its mod-p counters depend
+on the instance alone, which is the multiplicity cache's key.
 
 Integral-closure membership: h lies in the integral closure of J exactly when
 e(J + (h)) = e(J) (Rees; R formally equidimensional, e.g. Cohen-Macaulay).
@@ -59,7 +61,7 @@ from fractions import Fraction
 from .errors import CapExceeded, NotZeroDimensional, SearchExhausted
 from .linalg import nonsingular_at
 from .matlis import DEFAULT_CAPS, compute_dual_basis
-from .modp import ModpConfig, ModpStats, make_solver, sha256
+from .modp import ModpStats, make_solver, sha256
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly
 from .scalars import FunctionField, GFElement, pp_eval_rows, pp_to_str
@@ -232,7 +234,7 @@ _MULT_CACHE: OrderedDict = OrderedDict()
 _MULT_CACHE_SIZE = 256
 
 
-def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
+def multiplicity(inst, use_cache=True):
     """Hilbert-Samuel multiplicity of J in R = S/I, with certificates.
 
     R must be Cohen-Macaulay of the supplied dimension and J primary for the
@@ -251,14 +253,7 @@ def multiplicity(inst, modp=None, use_cache=True, initial_truncation=None):
     else:
         gens, field = generic_generators(inst)
     stats = ModpStats()
-    solver = make_solver(modp or ModpConfig(), stats)
-    dual = compute_dual_basis(
-        gens,
-        inst.order,
-        inst.caps,
-        solver=solver,
-        initial_truncation=initial_truncation,
-    )
+    dual = compute_dual_basis(gens, inst.order, inst.caps, solver=make_solver(stats))
     res = MultiplicityResult(
         e=dual.length,
         d=inst.d,
@@ -407,7 +402,7 @@ def find_reduction(res, bound=5):
     raise SearchExhausted(bound)
 
 
-def length_verified_certificate(inst, a, res=None, modp=None):
+def length_verified_certificate(inst, a, res=None):
     """Certificate for a user-chosen a, validated by length recomputation.
 
     Use when the symbolic conditions fail (they are sufficient only) but a is
@@ -415,9 +410,9 @@ def length_verified_certificate(inst, a, res=None, modp=None):
     recomputed colength differs from e.
     """
     if res is None:
-        res = multiplicity(inst, modp=modp)
+        res = multiplicity(inst)
     rows = _coerce_matrix(res, a)
-    if not verify_reduction_by_length(inst, rows, res, modp=modp):
+    if not verify_reduction_by_length(inst, rows, res):
         raise ValueError("coefficients do not generate a reduction (length differs)")
     return ReductionCertificate(
         a=rows,
@@ -427,7 +422,7 @@ def length_verified_certificate(inst, a, res=None, modp=None):
     )
 
 
-def verify_reduction_by_length(inst, a, res=None, modp=None):
+def verify_reduction_by_length(inst, a, res=None):
     """Decisive reduction test: recompute the colength at the specialized point.
 
     Independent of the symbolic certificate.  A degenerate point can make the
@@ -435,10 +430,10 @@ def verify_reduction_by_length(inst, a, res=None, modp=None):
     at a point already failing certify, the answer is False.
     """
     if res is None:
-        res = multiplicity(inst, modp=modp)
+        res = multiplicity(inst)
     rows = _coerce_matrix(res, a)
     try:
-        length = _colength_at(inst, rows, modp, ModpStats())
+        length = _colength_at(inst, rows, ModpStats())
     except (CapExceeded, NotZeroDimensional):
         if not certify(rows, res):
             return False
@@ -446,16 +441,15 @@ def verify_reduction_by_length(inst, a, res=None, modp=None):
     return length == res.e
 
 
-def _colength_at(inst, rows, modp, stats, budget=None):
+def _colength_at(inst, rows, stats, budget=None):
     """Colength of the d combinations with coefficients rows, plus I.
 
     Runs over the base field; with a budget, a result at or above it is only
     a lower bound (see compute_dual_basis).
     """
     gens = list(reduction_generators(inst, rows)) + list(inst.i_gens)
-    solver = make_solver(modp or ModpConfig(), stats)
     dual = compute_dual_basis(
-        gens, inst.order, inst.caps, solver=solver, budget=budget
+        gens, inst.order, inst.caps, solver=make_solver(stats), budget=budget
     )
     return dual.length
 
@@ -529,14 +523,14 @@ def _in_ideal(ideal_dual, h):
     )
 
 
-def membership(inst, h, modp=None):
+def membership(inst, h):
     """Membership of h in the integral closure of J (see the module docstring).
 
     Requires R equidimensional (implied by Cohen-Macaulay).  e(J) and the
     inverse system of J + I come from the multiplicity cache.  Exceptions
     other than the caps and a non m-primary ideal propagate.
     """
-    res = multiplicity(inst, modp=modp)
+    res = multiplicity(inst)
     if isinstance(h, SparsePoly) and h.field == inst.base:
         ideal_dual = _ideal_dual(res, inst.caps)
         if ideal_dual is not None and _in_ideal(ideal_dual, h):
@@ -544,7 +538,7 @@ def membership(inst, h, modp=None):
     ext = inst.with_extra_generator(h)
     point_stats = ModpStats()
     try:
-        length = _colength_at(ext, _member_point(ext), modp, point_stats, res.e)
+        length = _colength_at(ext, _member_point(ext), point_stats, res.e)
     except (CapExceeded, NotZeroDimensional):
         length = res.e  # the point decides nothing
     runs = [res.modp_stats, point_stats.as_dict()]
@@ -552,7 +546,7 @@ def membership(inst, h, modp=None):
         return Membership(
             False, res.e, "point-length", _sum_stats(runs), point_length=length
         )
-    res2 = multiplicity(ext, modp=modp)
+    res2 = multiplicity(ext)
     runs.append(res2.modp_stats)
     return Membership(
         res.e == res2.e, res.e, "multiplicity", _sum_stats(runs), e_extended=res2.e
@@ -563,9 +557,9 @@ def _sum_stats(runs):
     return {k: sum(run[k] for run in runs) for k in runs[0]}
 
 
-def is_in_integral_closure(inst, h, modp=None):
+def is_in_integral_closure(inst, h):
     """Whether h is integral over J; see membership for the verdict's details."""
-    return membership(inst, h, modp=modp).member
+    return membership(inst, h).member
 
 
 def clear_multiplicity_cache():

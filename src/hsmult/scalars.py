@@ -42,10 +42,6 @@ def pp_const(c, r, char):
     return {} if c == 0 else {(0,) * r: c}
 
 
-def pp_is_const(a):
-    return all(all(e == 0 for e in expo) for expo in a)
-
-
 def pp_add(a, b, char):
     out = dict(a)
     for e, c in b.items():
@@ -558,9 +554,6 @@ class RationalFunction:
             (self.field, frozenset(self.num.items()), frozenset(self.den.items()))
         )
 
-    def is_polynomial(self):
-        return pp_is_const(self.den)
-
     def evaluate(self, values):
         """Evaluate at base-field scalars, one per parameter of the field."""
         base = self.field.base
@@ -626,10 +619,8 @@ class FunctionField:
 
     def to_str(self, a):
         num = pp_to_str(a.num, self.params)
-        if pp_is_const(a.den):
-            if a.den == pp_const(1, len(self.params), self.char):
-                return num
-            return f"({num})/({pp_to_str(a.den, self.params)})"
+        if a.den == pp_const(1, len(self.params), self.char):
+            return num
         return f"({num})/({pp_to_str(a.den, self.params)})"
 
     def __eq__(self, other):
@@ -644,7 +635,3 @@ class FunctionField:
 
     def __repr__(self):
         return f"{self.base}({', '.join(self.params)})"
-
-
-def scalar_to_str(field, a):
-    return field.to_str(a)

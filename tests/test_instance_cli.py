@@ -18,7 +18,7 @@ from hsmult import (
     ZeroElement,
 )
 from hsmult.exprparse import parse_generator, parse_polynomial, parse_rational
-from hsmult.instance import check_dimension, instance_to_json, parse_instance
+from hsmult.instance import instance_to_json, parse_instance
 from tests.conftest import FIXTURES
 
 
@@ -230,8 +230,6 @@ def test_cli_flag_overrides():
         "tests/fixtures/example1.json",
         "--order",
         "grevlex",
-        "--modp",
-        "off",
         "--json",
         "--no-timing",
     )
@@ -239,7 +237,6 @@ def test_cli_flag_overrides():
     report = json.loads(out.stdout)
     assert report["result"]["e"] == 5
     assert report["input"]["order"]["kind"] == "grevlex"
-    assert report["input"]["options"]["modp"] == "off"
 
 
 def test_cli_selftest():
@@ -260,19 +257,6 @@ def test_grammar_supports_parameters():
     assert p.coeffs[(1, 1)] == ff.param("t_1_3")
     with pytest.raises(ParseError):
         parse_polynomial("t_9_9 * x", ff, ("x", "y"), lookup)
-
-
-def test_cli_trunc_degree_flag_accepted():
-    out = run_cli(
-        "length",
-        "tests/fixtures/series_geometric.json",
-        "--trunc-degree",
-        "12",
-        "--json",
-        "--no-timing",
-    )
-    assert out.returncode == 0
-    assert json.loads(out.stdout)["result"]["length"] == 2
 
 
 # --- option validation and exit codes ---------------------------------------
@@ -317,14 +301,14 @@ def _write_instance(tmp_path, payload):
         ({"search_bound": "3"}, []),
         ({"max_terms": "50"}, []),
         ({"search_bound": -1}, []),
-        ({"modp_threshold": -1}, []),
-        ({"trunc_degree": 0}, []),
+        ({"max_iterations": 0}, []),
+        ({"max_iterations": "5"}, []),
         ({"max_degree": True}, []),
-        ({"modp_retries": 1.5}, []),
-        ({"trunc_degree": None}, []),
+        ({"max_terms": 2.5}, []),
+        ({"search_bound": None}, []),
         ({}, ["--search-bound", "-1"]),
-        ({}, ["--trunc-degree", "0"]),
-        ({}, ["--modp-threshold", "-1"]),
+        ({"search_bound": False}, []),
+        ({}, ["--max-degree", "0"]),
         ({}, ["--max-terms", "0"]),
     ],
 )
@@ -333,6 +317,88 @@ def test_cli_rejects_mistyped_options(tmp_path, options, flags):
     code, err = _run_main(["reduce", path, *flags])
     assert code == 2
     assert err.startswith("error: option ")
+
+
+@pytest.mark.parametrize(
+    "options, flags, message",
+    [
+        ({"modp": "off"}, [], "error: unknown option 'modp'"),
+        ({"modp_threshold": 4}, [], "error: unknown option 'modp_threshold'"),
+        ({"modp_retries": 3}, [], "error: unknown option 'modp_retries'"),
+        ({"trunc_degree": 8}, [], "error: unknown option 'trunc_degree'"),
+        ({}, ["--modp", "off"], "error: unrecognized arguments: --modp off"),
+        ({}, ["--modp-threshold", "4"], "error: unrecognized arguments: --modp-threshold 4"),
+        ({}, ["--trunc-degree", "8"], "error: unrecognized arguments: --trunc-degree 8"),
+    ],
+    ids=["modp", "modp_threshold", "modp_retries", "trunc_degree", "--modp",
+         "--modp-threshold", "--trunc-degree"],
+)
+def test_removed_kernel_options_exit_2(tmp_path, options, flags, message):
+    # the kernel dispatch and the truncation start are fixed, not settings
+    path = _write_instance(tmp_path, dict(SMALL, options=options))
+    code, err = _run_main(["mult", path, *flags])
+    assert code == 2
+    assert message in err
+
+
+TEXT_SMALL = "variables: x, y\ndim: 2\nideal: x^3 + x*y, y^2 + x*y\n"
+
+
+@pytest.mark.parametrize(
+    "extra, key, first",
+    [
+        ("ideal: x, y", "ideal", 3),
+        ("j: x, y", "j", 3),
+        ("vars: x, y", "vars", 1),
+        ("dimension: 2", "dimension", 2),
+        ("characteristic: 3\nchar: 0", "char", 4),
+        ("quotient: x*y\ni: x*y", "i", 4),
+        ("max_terms: 50\nmax-terms: 60", "max_terms", 4),
+        ("order: glex\norder: lex", "order", 4),
+    ],
+    ids=["ideal", "j", "vars", "dimension", "char", "i", "max-terms", "order"],
+)
+def test_text_front_end_rejects_repeated_keys(tmp_path, extra, key, first):
+    text = TEXT_SMALL + extra + "\n"
+    line = text.count("\n")
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == (
+        f"repeated key {key!r} (already given on line {first}) at line {line}"
+    )
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    assert _run_main(["mult", str(path)])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"variables": ["x", "y"], "ideal": ["x^2", "y^2"], "ideal": ["x", "y"], "dim": 2}', "ideal"),
+        ('{"characteristic": 3, "characteristic": 0, "variables": ["x"], "ideal": ["x"], "dim": 1}', "characteristic"),
+        ('{"variables": ["x"], "ideal": ["x"], "dim": 1, "options": {"max_terms": 5, "max_terms": 6}}', "max_terms"),
+    ],
+    ids=["ideal", "characteristic", "options.max_terms"],
+)
+def test_json_rejects_repeated_keys(tmp_path, text, key):
+    with pytest.raises(ParseError, match=f"^repeated key {key!r}$"):
+        parse_instance(text)
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    assert _run_main(["mult", str(path)])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", True), ("dim", False), ("characteristic", False), ("characteristic", True)],
+)
+def test_bool_dim_and_characteristic_exit_2(tmp_path, field, value):
+    payload = dict(SMALL, **{field: value})
+    with pytest.raises(ParseError):
+        parse_instance(json.dumps(payload))
+    code, err = _run_main(["mult", _write_instance(tmp_path, payload)])
+    assert code == 2
+    assert err.startswith(f"error: {field} must")
 
 
 @pytest.mark.parametrize("command", ["mult", "reduce", "member"])
@@ -362,10 +428,10 @@ def test_check_dimension_follows_krull(quotient, dims_ok):
     for dim in range(4):
         inst, _ = parse_instance(json.dumps(dict(text, dim=dim)))
         if dim in dims_ok:
-            check_dimension(inst)
+            inst.check_dimension()
         else:
-            with pytest.raises(ParseError):
-                check_dimension(inst)
+            with pytest.raises(ValueError):
+                inst.check_dimension()
 
 
 _option_values = st.one_of(
@@ -382,21 +448,14 @@ _option_keys = st.sampled_from(
         "max_terms",
         "max_degree",
         "max_iterations",
-        "modp",
-        "modp_threshold",
-        "modp_retries",
         "search_bound",
-        "trunc_degree",
         "bogus",
     ]
 )
 _flag = st.one_of(
     st.tuples(st.sampled_from(["--order"]), st.sampled_from(["glex", "grevlex", "lex", "weird"])),
-    st.tuples(st.sampled_from(["--modp"]), st.sampled_from(["on", "off", "auto", "never"])),
     st.tuples(
-        st.sampled_from(
-            ["--max-terms", "--max-degree", "--search-bound", "--trunc-degree", "--modp-threshold"]
-        ),
+        st.sampled_from(["--max-terms", "--max-degree", "--search-bound"]),
         st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["x", "1.5", ""])),
     ),
 )

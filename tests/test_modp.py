@@ -8,7 +8,6 @@ from hsmult import (
     QQ,
     ExactMatrix,
     FunctionField,
-    ModpConfig,
     ModpPolicy,
     ModpStats,
     SpecPoint,
@@ -79,7 +78,7 @@ def test_exact_fallback_after_all_retries(ff):
     M = ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)
     bad = (5, (0, 0))
     stats = ModpStats()
-    policy = ModpPolicy(forced_points=(bad, bad, bad), max_retries=3)
+    policy = ModpPolicy(forced_points=(bad, bad, bad))
     assert kernel_via_modp(M, policy, stats) == (a, -one, b)
     assert stats.fallbacks == 1
 
@@ -96,32 +95,34 @@ def test_determinism(ff):
     assert kernel_via_modp(M, policy) == kernel_via_modp(M, policy)
 
 
-def test_dispatch_rules(ff):
-    one = ff.one()
-    stats = ModpStats()
-    tiny = ExactMatrix(ff, ((one,),), 1)
-    assert solve_dispatch(tiny, ModpConfig(mode="auto"), stats) is None
-    assert stats.direct == 1  # below threshold
-    MQ = ExactMatrix(QQ, ((Fraction(1), Fraction(2)),), 2)
-    stats2 = ModpStats()
-    solve_dispatch(MQ, ModpConfig(mode="on"), stats2)
-    assert stats2.direct == 1  # no parameters: always direct
-    a = ff.param("a")
-    zero = ff.zero()
-    wide = ExactMatrix(
+def _upper_unitriangular(ff, n):
+    """An n x n parameter matrix with a trivial kernel."""
+    one, zero, a = ff.one(), ff.zero(), ff.param("a")
+    return ExactMatrix(
         ff,
         tuple(
-            tuple(one if i == j else (a if j > i else zero) for j in range(5))
-            for i in range(5)
+            tuple(one if i == j else (a if j > i else zero) for j in range(n))
+            for i in range(n)
         ),
-        5,
+        n,
     )
-    stats3 = ModpStats()
-    assert solve_dispatch(wide, ModpConfig(mode="auto", threshold=4), stats3) is None
-    assert stats3.direct == 0
-    stats4 = ModpStats()
-    assert solve_dispatch(wide, ModpConfig(mode="off"), stats4) is None
-    assert stats4.direct == 1
+
+
+def test_dispatch_rules(ff):
+    # parameter matrices with at most 4 columns are solved directly
+    stats = ModpStats()
+    assert solve_dispatch(_upper_unitriangular(ff, 4), stats) is None
+    assert (stats.dispatched, stats.direct, stats.trivial_by_modp) == (1, 1, 0)
+    # a 5-column one goes through its mod-p image
+    stats = ModpStats()
+    assert solve_dispatch(_upper_unitriangular(ff, 5), stats) is None
+    assert (stats.dispatched, stats.direct, stats.trivial_by_modp) == (1, 0, 1)
+    # no parameters: always direct, however wide
+    one, zero = Fraction(1), Fraction(0)
+    rows = tuple(tuple(one if j in (i, i + 1) else zero for j in range(6)) for i in range(5))
+    stats = ModpStats()
+    assert solve_dispatch(ExactMatrix(QQ, rows, 6), stats) == (1, -1, 1, -1, 1, -1)
+    assert (stats.dispatched, stats.direct) == (1, 1)
 
 
 def test_modp_over_prime_base_field():
@@ -145,13 +146,6 @@ def test_modp_agrees_with_exact_on_fixture_matlists(
             # forced-bad-point injection still converges
             policy = ModpPolicy(forced_points=((5, (0,) * len(M.field.params)),))
             assert kernel_via_modp(M, policy) == exact
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ModpPolicy(max_retries=0)
-    with pytest.raises(ValueError):
-        ModpConfig(mode="sometimes")
 
 
 def _random_param_matrix(field, rng, nrows, ncols):
