@@ -349,17 +349,18 @@ def span_of_terms(elements, nvars=None):
     return Staircase(nvars, exps)
 
 
-def gamma_candidates(t2, ltn, order, tau0, limit=None):
+def gamma_candidates(t2, ltn, order, tau0, limit=None, key=None):
     """Dual terms in (T2 :_E m) outside LT(N) and strictly below tau0, descending.
 
     The colon of a term module adds exactly the minimal generators of the
-    complementary monomial ideal to the staircase itself.
+    complementary monomial ideal to the staircase itself.  ``key`` stands in
+    for ``order.key``: a run passes its memoized one.
     """
     lt_members = ltn.members(limit)
     if tau0 in lt_members:
         raise InternalInconsistency("tau0 must lie outside the LT staircase")
-    k0 = order.key(tau0)
-    key = order.key
+    key = key or order.key
+    k0 = key(tau0)
     out = [
         p
         for part in (t2.members(limit), t2.min_generators())

@@ -11,7 +11,10 @@ Grammar (whitespace-insensitive):
 Names resolve to declared variables or, when allowed, parameters t_i_j.
 Division builds an exact rational pair of polynomials, so both rational
 literals (3/4) and series generators (1/(1-x)) come out of one grammar; the
-caller decides whether a non-constant denominator is acceptable.
+caller decides whether a non-constant denominator is acceptable.  A factor
+that is the constant 1, every denominator of a polynomial expression, is
+never multiplied by, and a single term raised to a power is built directly:
+the pair is the same as the plain SparsePoly arithmetic would give.
 """
 
 from __future__ import annotations
@@ -54,6 +57,19 @@ def _tokenize(text):
     return tokens
 
 
+def _scalar_pow(c, k):
+    """c^k for k >= 1 by squaring, in the field's own products (GFElement
+    has no __pow__)."""
+    out = None
+    while True:
+        if k & 1:
+            out = c if out is None else out * c
+        k >>= 1
+        if not k:
+            return out
+        c = c * c
+
+
 class _Parser:
     def __init__(self, tokens, field, nvars, var_index, param_lookup):
         self.tokens = tokens
@@ -62,6 +78,28 @@ class _Parser:
         self.nvars = nvars
         self.var_index = var_index
         self.param_lookup = param_lookup
+        self.one = SparsePoly.constant(field, nvars, field.one())
+        self._one_coeffs = self.one.coeffs
+
+    def _mul(self, a, b):
+        """a * b, skipping the product when a factor is the constant 1."""
+        if b.coeffs == self._one_coeffs:
+            return a
+        if a.coeffs == self._one_coeffs:
+            return b
+        return a * b
+
+    def _pow(self, a, k):
+        """a^k; the constant 1 and a^1 are a itself, and a single term is
+        raised directly, exponent and coefficient."""
+        if k == 1 or a.coeffs == self._one_coeffs:
+            return a
+        if k == 0 or len(a.coeffs) != 1:
+            return a**k
+        ((e, c),) = a.coeffs.items()
+        return SparsePoly(
+            self.field, self.nvars, {tuple(x * k for x in e): _scalar_pow(c, k)}
+        )
 
     def peek(self):
         return self.tokens[self.i]
@@ -76,10 +114,9 @@ class _Parser:
         raise ParseError(message, t[2], t[3])
 
     def _const(self, n):
-        one = SparsePoly.constant(self.field, self.nvars, self.field.one())
         return (
             SparsePoly.constant(self.field, self.nvars, self.field.from_int(n)),
-            one,
+            self.one,
         )
 
     def parse(self):
@@ -90,6 +127,7 @@ class _Parser:
         return value
 
     def expr(self):
+        mul = self._mul
         num, den = self.term()
         while True:
             kind, val, _, _ = self.peek()
@@ -97,13 +135,14 @@ class _Parser:
                 self.next()
                 n2, d2 = self.term()
                 if val == "+":
-                    num, den = num * d2 + n2 * den, den * d2
+                    num, den = mul(num, d2) + mul(n2, den), mul(den, d2)
                 else:
-                    num, den = num * d2 - n2 * den, den * d2
+                    num, den = mul(num, d2) - mul(n2, den), mul(den, d2)
             else:
                 return num, den
 
     def term(self):
+        mul = self._mul
         num, den = self.unary()
         while True:
             kind, val, _, _ = self.peek()
@@ -111,11 +150,11 @@ class _Parser:
                 tok = self.next()
                 n2, d2 = self.unary()
                 if val == "*":
-                    num, den = num * n2, den * d2
+                    num, den = mul(num, n2), mul(den, d2)
                 else:
                     if n2.is_zero():
                         self.error("division by zero", tok)
-                    num, den = num * d2, den * n2
+                    num, den = mul(num, d2), mul(den, n2)
             else:
                 return num, den
 
@@ -143,7 +182,7 @@ class _Parser:
             if kind2 != "int":
                 self.error("exponent must be an integer literal")
             self.next()
-            num, den = num**k, den**k
+            num, den = self._pow(num, k), self._pow(den, k)
         return num, den
 
     def atom(self):
@@ -151,7 +190,7 @@ class _Parser:
         if kind == "int":
             return self._const(val)
         if kind == "name":
-            one = SparsePoly.constant(self.field, self.nvars, self.field.one())
+            one = self.one
             idx = self.var_index.get(val)
             if idx is not None:
                 return SparsePoly.variable(self.field, self.nvars, idx), one

@@ -35,6 +35,9 @@ _ALIASES = {
     "i": "quotient_ideal",
 }
 
+# the keys of an instance mapping, as build_instance reads them
+_KEYS = ("characteristic", "order", "dim", *_LIST_KEYS, "options")
+
 _PARAM_NAME = re.compile(r"^t_\d+_\d+$")
 
 
@@ -53,6 +56,8 @@ def _parse_order_value(value, variables):
     elif isinstance(value, dict):
         kind = value.get("kind", "glex")
         names = value.get("precedence") or []
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            _fail("order precedence must be a list of variable names")
     else:
         _fail(f"cannot read order from {value!r}")
     if kind not in ORDER_KINDS:
@@ -136,7 +141,22 @@ def _unique_keys(pairs):
     return out
 
 
+def _check_types(mapping):
+    """ParseError for a key build_instance does not read, an 'options' that
+    is not an object, and a list key that is not a list of strings."""
+    for key in mapping:
+        if key not in _KEYS:
+            _fail(f"unknown key {key!r}")
+    if "options" in mapping and not isinstance(mapping["options"], dict):
+        _fail("options must be an object")
+    for key in _LIST_KEYS:
+        value = mapping.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            _fail(f"{key} must be a list of strings")
+
+
 def build_instance(mapping):
+    _check_types(mapping)
     char = mapping.get("characteristic", 0)
     if not _is_int(char) or char < 0:
         _fail("characteristic must be 0 or a prime")
@@ -146,7 +166,6 @@ def build_instance(mapping):
     variables = mapping.get("variables")
     if not variables:
         _fail("missing 'variables'")
-    variables = [str(v) for v in variables]
     if len(set(variables)) != len(variables):
         _fail("variable names must be distinct")
     for v in variables:
@@ -163,7 +182,7 @@ def build_instance(mapping):
     ideal_exprs = mapping.get("ideal")
     if not ideal_exprs:
         _fail("missing 'ideal' generators")
-    quotient_exprs = mapping.get("quotient_ideal") or []
+    quotient_exprs = mapping.get("quotient_ideal", [])
     j_gens = tuple(
         _parse_gen(expr, base, variables, f"ideal[{k}]") for k, expr in enumerate(ideal_exprs)
     )
@@ -172,7 +191,7 @@ def build_instance(mapping):
         for k, expr in enumerate(quotient_exprs)
     )
     options = dict(DEFAULT_OPTIONS)
-    extra = mapping.get("options") or {}
+    extra = mapping.get("options", {})
     for key, value in extra.items():
         if key not in DEFAULT_OPTIONS:
             _fail(f"unknown option {key!r}")

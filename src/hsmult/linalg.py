@@ -7,9 +7,11 @@ content of every updated row, which keeps entry degrees linear in the pivot
 count), and so is back-substitution.  Base-field matrices, the mod-p images
 of ``modp`` and the grids ``nonsingular_at`` evaluates at a point share one
 ordinary Gaussian elimination and back-substitution on plain numbers
-(``plain_kernel``): ints in [0, p) over GF(p), Fractions over QQ.  Pivoting
-is deterministic: first row with a nonzero entry in the current column,
-columns left to right.
+(``plain_kernel``): ints in [0, p) over GF(p), Fractions over QQ, the int 0
+for zero.  A base-field ``ExactMatrix`` already holds its cells that way, so
+its kernel only copies the rows; over QQ a nonzero cell is a Fraction, never
+an int, so every division stays exact.  Pivoting is deterministic: first
+row with a nonzero entry in the current column, columns left to right.
 
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
 one-dimensional kernel is returned as one canonical vector.  Over a function
@@ -43,9 +45,12 @@ from .scalars import (
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable rectangular matrix of field scalars.
+    """Immutable rectangular matrix over a field of the scalar tower.
 
-    A function-field matrix may be grid-only (``rows`` is None): it is given
+    A base-field matrix holds the plain numbers ``plain_kernel`` takes: ints
+    in [0, p) over GF(p), Fractions over QQ, and the int 0 in zero cells; its
+    kernel vector comes back in field scalars.  A function-field matrix holds
+    its scalars, or it may be grid-only (``rows`` is None): it is given
     by its polynomial grid alone, as every matrix ``build_matrix`` makes over
     a function field is, and is read only through that grid.  Grid
     polynomials are shared, within a row (one empty dict per row for its zero
@@ -220,13 +225,6 @@ def plain_kernel(rows, ncols, p):
     return [a / first for a in v]
 
 
-def _plain_rows(M):
-    """A base-field matrix's rows as new lists of plain numbers."""
-    if M.field.char:
-        return [[a.v for a in row] for row in M.rows]
-    return [list(row) for row in M.rows]
-
-
 def kernel(M):
     """Trivial kernel -> None; one-dimensional kernel -> its canonical vector.
 
@@ -237,7 +235,7 @@ def kernel(M):
         raise InternalInconsistency("kernel of a matrix with no columns")
     field = M.field
     if not isinstance(field, FunctionField):
-        v = plain_kernel(_plain_rows(M), M.ncols, field.char)
+        v = plain_kernel([list(row) for row in M.rows], M.ncols, field.char)
         return v if v is None else tuple(map(field.from_int, v) if field.char else v)
     char = field.char
     r = len(field.params)
@@ -273,10 +271,11 @@ def rank(M):
     field = M.field
     if isinstance(field, FunctionField):
         return len(_eliminate_ff(list(M.grid), M.ncols, field.char, len(field.params)))
-    return len(_eliminate(_plain_rows(M), M.ncols, field.char))
+    return len(_eliminate([list(row) for row in M.rows], M.ncols, field.char))
 
 
 def matvec(M, v):
+    """M v in field scalars, for a function-field matrix given by its rows."""
     out = []
     for row in M.rows:
         s = M.field.zero()

@@ -8,10 +8,17 @@ rejection.  The candidates come from the point sets of the staircases (set
 lookups, and minimal generators kept per staircase); the matrix cells are
 looked up in the generators' coefficients, and over a parameter field the
 rows are cleared into the polynomial grid of a grid-only matrix as they are
-built.  The accepted xi's and staircase terms together form a K-basis of the
-dual module, so the basis size is the colength of <F>.  An accepted xi is
-kept as the kernel vector that found it; ``xis`` and ``basis()`` scale it to
-leading coefficient 1 only when read, so the loop itself never normalizes.
+built.  Over a base field the cells are the plain numbers the eliminator
+takes (see ``linalg.ExactMatrix``).  A run's steps share one ``RunMemo``:
+the generators' term lists, the column of each (generator, gamma term)
+pair, and the order's sort key per exponent, which the tau0 choice,
+``gamma_candidates`` and the row sort read.  The memo belongs to the
+running state only, so it ends with the run.
+
+The accepted xi's and staircase terms together form a K-basis of the dual
+module, so the basis size is the colength of <F>.  An accepted xi is kept as
+the kernel vector that found it; ``xis`` and ``basis()`` scale it to leading
+coefficient 1 only when read, so the loop itself never normalizes.
 
 On a parameter field, the leading-coefficient numerators of accepted xi's and
 the rejected matrices are retained: they are the genericity certificate used
@@ -75,38 +82,114 @@ def _gen_exact_poly(g):
     return None
 
 
-def build_matrix(gens, gamma, order, nvars):
+class _OrderKeys(dict):
+    """order.key of each exponent, computed on first lookup and kept.
+
+    Read through ``__getitem__``, so a key already made costs no Python call.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self._key = key
+
+    def __missing__(self, alpha):
+        k = self[alpha] = self._key(alpha)
+        return k
+
+
+def _plain_terms(field, p):
+    """p's (exponent, coefficient) pairs; over a base field the coefficients
+    are the plain numbers of a base-field ExactMatrix (see ``linalg``)."""
+    if isinstance(field, FunctionField) or not field.char:
+        return list(p.coeffs.items())
+    return [(e, c.v) for e, c in p.coeffs.items()]
+
+
+class RunMemo:
+    """What the steps of one run share, dropped with the run.
+
+    ``key`` is the order's sort key, memoized per exponent.  Each generator
+    keeps its term list, and for each gamma term tau its column: the pairs
+    (s, c) with c the coefficient of x^(tau - s), i.e. the nonzero entries
+    of generator . tau.  A series generator's terms are exact up to the
+    degree it was last truncated at, and a column needs the terms of degree
+    at most |tau| only, so a column stays exact once made.
+    """
+
+    __slots__ = ("field", "key", "_gens", "_nvars", "_terms", "_exact_to", "_columns")
+
+    def __init__(self, gens, order, nvars, exact=None):
+        if exact is None:
+            exact = [_gen_exact_poly(g) for g in gens]
+        self.field = field = _gen_field(gens[0])
+        self.key = _OrderKeys(order.key).__getitem__
+        self._gens = gens
+        self._nvars = nvars
+        self._terms = [None if p is None else _plain_terms(field, p) for p in exact]
+        self._exact_to = [-1 if p is None else math.inf for p in exact]
+        self._columns = [{} for _ in gens]
+
+    def columns(self, gamma):
+        """Per generator, the list of its columns of the gamma terms.
+
+        A series generator is truncated again only when some gamma term lies
+        above the degree its terms are exact to, and then at max|gamma| +
+        nvars.
+        """
+        top = max(map(sum, gamma))
+        out = []
+        for i, g in enumerate(self._gens):
+            if self._exact_to[i] < top:
+                depth = top + self._nvars
+                self._terms[i] = _plain_terms(self.field, g.truncate(depth))
+                self._exact_to[i] = depth
+            terms = self._terms[i]
+            known = self._columns[i]
+            cols = []
+            for tau in gamma:
+                col = known.get(tau)
+                if col is None:
+                    col = known[tau] = [
+                        (s, c)
+                        for e, c in terms
+                        if (s := exp_sub_nonneg(tau, e)) is not None
+                    ]
+                cols.append(col)
+            out.append(cols)
+        return out
+
+
+def build_matrix(gens, gamma, order, nvars, memo=None):
     """Annihilation matrix: block rows per generator, columns indexed by gamma.
 
     Within a block, rows are indexed by the dual terms appearing in the images
     of the gamma terms, sorted descending; entry (s, k) is the coefficient of
     s in generator . gamma_k.  That is the generator's coefficient at
     x^(gamma_k - s), so every cell is looked up in the generator, with no
-    product.  A series generator is truncated once, at max|gamma| + nvars,
-    which holds every term that can reach a gamma term.  All-zero rows never
-    appear.  Over a function field the rows are cleared of denominators here,
-    into the grid of a grid-only matrix.
+    product; the columns and sort keys come from the run's memo (a fresh one
+    without it).  All-zero rows never appear.  Over a base field the cells
+    are plain numbers, the int 0 where zero; over a function field the rows
+    are cleared of denominators here, into the grid of a grid-only matrix.
     """
-    field = _gen_field(gens[0])
-    zero = field.zero()
+    if memo is None:
+        memo = RunMemo(gens, order, nvars)
+    field = memo.field
     ncols = len(gamma)
-    depth = max(sum(tau) for tau in gamma) + nvars
     rows = []
-    for g in gens:
-        p = _gen_exact_poly(g)
-        if p is None:
-            p = g.truncate(depth)
+    for cols in memo.columns(gamma):
         block = {}
-        for k, tau in enumerate(gamma):
-            for e, c in p.coeffs.items():
-                s = exp_sub_nonneg(tau, e)
-                if s is not None:
-                    block.setdefault(s, {})[k] = c
-        for s in sorted(block, key=order.key, reverse=True):
-            cells = block[s]
-            rows.append(tuple(cells.get(k, zero) for k in range(ncols)))
+        for k, col in enumerate(cols):
+            for s, c in col:
+                row = block.get(s)
+                if row is None:
+                    row = block[s] = [0] * ncols
+                row[k] = c
+        for s in sorted(block, key=memo.key, reverse=True):
+            rows.append(block[s])
     if not isinstance(field, FunctionField):
-        return ExactMatrix(field, tuple(rows), ncols)
+        return ExactMatrix(field, tuple(map(tuple, rows)), ncols)
     grid = tuple(tuple(clear_row_denominators(field, row)) for row in rows)
     return ExactMatrix.of_grid(field, grid, ncols)
 
@@ -164,7 +247,7 @@ class _DualBasis:
 
 
 class DualBasisState(_DualBasis):
-    """Single-owner state of one composition-series run."""
+    """Single-owner state of one composition-series run, with its memo."""
 
     def __init__(self, gens, order, caps, solver=None):
         if not gens:
@@ -183,7 +266,9 @@ class DualBasisState(_DualBasis):
         self.track_certificates = isinstance(field, FunctionField) and bool(
             field.params
         )
-        t1, pts = _initial_data(self.gens, nvars, caps)
+        exact = [_gen_exact_poly(g) for g in self.gens]
+        self.memo = RunMemo(self.gens, order, nvars, exact)
+        t1, pts = _initial_data(self.gens, exact, nvars, caps)
         self.t1 = t1
         self.t1_points = pts
         self.ltn = t1
@@ -202,7 +287,7 @@ class DualBasisState(_DualBasis):
         return self.l1 == self.l2
 
 
-def _initial_data(gens, nvars, caps):
+def _initial_data(gens, exact, nvars, caps):
     """T1 staircase; oracle generators are truncated until the result is certified.
 
     A point survives only while no generator monomial of degree <= its own
@@ -211,7 +296,6 @@ def _initial_data(gens, nvars, caps):
     degree 4, or the largest degree of a polynomial generator, and doubles
     while the truncated ideal is not m-primary.
     """
-    exact = [_gen_exact_poly(g) for g in gens]
     if all(p is not None for p in exact):
         return initial_staircase([p.support() for p in exact], nvars, caps.max_terms)
     degree = max([4] + [p.total_degree() for p in exact if p is not None])
@@ -241,12 +325,16 @@ def step(state):
         raise InternalInconsistency("step called on a finished state")
     order = state.order
     caps = state.caps
-    tau0 = min(state.l2 - state.l1, key=order.key)
+    memo = state.memo
+    key = memo.key
+    tau0 = min(state.l2 - state.l1, key=key)
     if sum(tau0) > caps.max_degree:
         raise CapExceeded("candidate degree", caps.max_degree)
-    cands = gamma_candidates(state.t2, state.ltn, order, tau0, limit=caps.max_terms)
+    cands = gamma_candidates(
+        state.t2, state.ltn, order, tau0, limit=caps.max_terms, key=key
+    )
     gamma = [tau0] + cands
-    M = build_matrix(state.gens, gamma, order, state.nvars)
+    M = build_matrix(state.gens, gamma, order, state.nvars, memo)
     vec = state.solver(M)
     if vec is None:
         state.l1.add(tau0)
@@ -259,7 +347,7 @@ def step(state):
             "kernel vector with vanishing leading coefficient"
         )
     eta = DualElement(state.field, state.nvars, dict(zip(gamma, vec)))
-    if state.accepted_lts and order.key(tau0) <= order.key(state.accepted_lts[-1]):
+    if state.accepted_lts and key(tau0) <= key(state.accepted_lts[-1]):
         raise InternalInconsistency("leading terms of accepted elements not increasing")
     state.elements.append(eta)
     state.accepted_lts.append(tau0)

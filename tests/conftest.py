@@ -9,6 +9,7 @@ import pytest
 from hsmult import MonomialOrder, SparsePoly
 from hsmult.instance import parse_instance
 from hsmult.reduction import clear_multiplicity_cache
+from hsmult.scalars import GFElement
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,6 +24,15 @@ def make_poly(field, nvars, coeffs):
         nvars,
         {e: (field.from_int(c) if isinstance(c, int) else c) for e, c in coeffs.items()},
     )
+
+
+def plain(a):
+    """A base-field scalar as the plain number a base-field ExactMatrix holds:
+    its int in [0, p) over GF(p), the Fraction itself over QQ, and the int 0
+    for zero."""
+    if isinstance(a, GFElement):
+        return a.v
+    return a or 0
 
 
 def naive_pp_eval(a, values, base):

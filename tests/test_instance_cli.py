@@ -1,4 +1,6 @@
 import json
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,14 +8,17 @@ from pathlib import Path
 import pytest
 
 from hsmult import (
+    GF,
     QQ,
     CapExceeded,
     DenominatorVanishes,
+    FunctionField,
     InternalInconsistency,
     ParseError,
     RationalSeries,
     RingMismatch,
     SearchExhausted,
+    SparsePoly,
     UnexpectedNullity,
     ZeroElement,
 )
@@ -78,6 +83,118 @@ def test_unary_signs_and_rationals():
     assert p.to_str(("x", "y")) == "-x + y"
     num, den = parse_rational("(1+x)/(1-x)/(1+y)", QQ, ("x", "y"))
     assert num.to_str(("x", "y")) == "x + 1"
+
+
+def _random_tree(rng, names, depth):
+    """A random expression tree: ("int", n), ("name", s), ("neg", a),
+    ("pow", a, k) or (op, a, b) for op in + - * /."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            return ("int", rng.randint(0, 5))
+        return ("name", rng.choice(names))
+    kind = rng.choice(["+", "-", "*", "/", "neg", "pow", "pow"])
+    a = _random_tree(rng, names, depth - 1)
+    if kind == "neg":
+        return ("neg", a)
+    if kind == "pow":
+        return ("pow", a, rng.randint(0, 3))
+    return (kind, a, _random_tree(rng, names, depth - 1))
+
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "int": 5, "name": 5}
+
+
+def _text(tree, least=0):
+    """The tree printed with only the parentheses the grammar needs to parse
+    it back to the same tree (operators associate to the left)."""
+    kind = tree[0]
+    if kind in ("int", "name"):
+        out = str(tree[1])
+    elif kind == "neg":
+        out = "-" + _text(tree[1], 4)
+    elif kind == "pow":
+        out = f"{_text(tree[1], 5)}^{tree[2]}"
+    else:
+        left, right = (1, 2) if kind in "+-" else (2, 3)
+        out = f"{_text(tree[1], left)} {kind} {_text(tree[2], right)}"
+    return out if _PRECEDENCE[kind] >= least else f"({out})"
+
+
+def _reference_pair(tree, field, names, lookup):
+    """The (numerator, denominator) pair by plain SparsePoly arithmetic, every
+    product taken, as the grammar defines it; None on a zero divisor."""
+    n = len(names)
+    one = SparsePoly.constant(field, n, field.one())
+    kind = tree[0]
+    if kind == "int":
+        return SparsePoly.constant(field, n, field.from_int(tree[1])), one
+    if kind == "name":
+        if tree[1] in names:
+            return SparsePoly.variable(field, n, names.index(tree[1])), one
+        return SparsePoly.constant(field, n, lookup(tree[1])), one
+    a = _reference_pair(tree[1], field, names, lookup)
+    if a is None:
+        return None
+    if kind == "neg":
+        return -a[0], a[1]
+    if kind == "pow":
+        return a[0] ** tree[2], a[1] ** tree[2]
+    b = _reference_pair(tree[2], field, names, lookup)
+    if b is None:
+        return None
+    (n1, d1), (n2, d2) = a, b
+    if kind == "+":
+        return n1 * d2 + n2 * d1, d1 * d2
+    if kind == "-":
+        return n1 * d2 - n2 * d1, d1 * d2
+    if kind == "*":
+        return n1 * n2, d1 * d2
+    if n2.is_zero():
+        return None
+    return n1 * d2, d1 * n2
+
+
+X, Y, Z = ("name", "x"), ("name", "y"), ("name", "z")
+# x^0, (2*x)^3, -x^2, 1/2*x and the series generator (x + y)/(1 - x*z)^2
+FIXED_TREES = [
+    ("pow", X, 0),
+    ("pow", ("*", ("int", 2), X), 3),
+    ("neg", ("pow", X, 2)),
+    ("*", ("/", ("int", 1), ("int", 2)), X),
+    ("/", ("+", X, Y), ("pow", ("-", ("int", 1), ("*", X, Z)), 2)),
+]
+
+
+@pytest.mark.parametrize("field_name", ["QQ", "GF(3)", "GF(32003)", "QQ(t)", "GF(32003)(t)"])
+def test_parser_fast_paths_match_plain_arithmetic(field_name):
+    """Skipping products by the constant 1 and raising single terms directly
+    give the same pair as taking every SparsePoly product."""
+    base = {"QQ": QQ, "GF(3)": GF(3), "GF(32003)": GF(32003)}[field_name.split("(t")[0]]
+    names = ["x", "y", "z"]
+    field, lookup, pool = base, None, names
+    if field_name.endswith("(t)"):
+        field = FunctionField(base, ("t_1_1", "t_1_2"))
+        lookup = lambda s: field.param(s) if s in field.params else None  # noqa: E731
+        pool = names + list(field.params)
+    assert [_text(t) for t in FIXED_TREES] == [
+        "x^0", "(2 * x)^3", "-x^2", "1 / 2 * x", "(x + y) / (1 - x * z)^2"
+    ]
+    rng = random.Random(field_name)
+    trees = FIXED_TREES + [_random_tree(rng, pool, 3) for _ in range(300)]
+    checked = 0
+    for tree in trees:
+        text = _text(tree)
+        ref = _reference_pair(tree, field, names, lookup)
+        if ref is None:
+            with pytest.raises(ParseError, match="division by zero"):
+                parse_rational(text, field, names, lookup)
+            continue
+        assert parse_rational(text, field, names, lookup) == ref, text
+        checked += 1
+    assert checked >= 250
+    series = parse_generator(_text(FIXED_TREES[-1]), field, names, lookup)
+    assert isinstance(series, RationalSeries)
+    assert (series.num, series.den) == _reference_pair(FIXED_TREES[-1], field, names, lookup)
 
 
 # --- instance files ---------------------------------------------------------
@@ -399,6 +516,36 @@ def test_bool_dim_and_characteristic_exit_2(tmp_path, field, value):
     code, err = _run_main(["mult", _write_instance(tmp_path, payload)])
     assert code == 2
     assert err.startswith(f"error: {field} must")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"char": 3}, "unknown key 'char'"),
+        ({"vars": ["x", "y"]}, "unknown key 'vars'"),
+        ({"options": [1]}, "options must be an object"),
+        ({"options": None}, "options must be an object"),
+        ({"variables": 5}, "variables must be a list of strings"),
+        ({"variables": ["x", 5]}, "variables must be a list of strings"),
+        ({"ideal": "x"}, "ideal must be a list of strings"),
+        ({"ideal": [{"x": 1}]}, "ideal must be a list of strings"),
+        ({"quotient_ideal": "x*y"}, "quotient_ideal must be a list of strings"),
+        ({"order": {"kind": "lex", "precedence": 3}}, "order precedence must be a list"),
+    ],
+    ids=[
+        "char", "vars", "options-list", "options-null", "variables-int",
+        "variables-mixed", "ideal-string", "ideal-object", "quotient-string",
+        "precedence-int",
+    ],
+)
+def test_json_unknown_keys_and_wrong_types_exit_2(tmp_path, change, message):
+    """Input errors, never engine faults; a string ideal is not read per character."""
+    payload = dict(SMALL, **change)
+    with pytest.raises(ParseError, match="^" + re.escape(message)):
+        parse_instance(json.dumps(payload))
+    code, err = _run_main(["mult", _write_instance(tmp_path, payload)])
+    assert code == 2
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("command", ["mult", "reduce", "member"])

@@ -1,4 +1,7 @@
+import gc
+import json
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -20,12 +23,20 @@ from hsmult import (
 )
 from hsmult.errors import CapExceeded
 from hsmult.linalg import kernel
-from hsmult.matlis import DEFAULT_CAPS, canonical_cleared_matrix
+from hsmult import matlis, reduction
+from hsmult.exprparse import parse_generator, parse_polynomial
+from hsmult.instance import parse_instance
+from hsmult.matlis import DEFAULT_CAPS, DualBasisResult, RunMemo, canonical_cleared_matrix
 from hsmult.oracles import monomial_length, vector_space_length
 from hsmult.poly import clear_row_denominators
-from hsmult.reduction import generic_generators, multiplicity
+from hsmult.reduction import (
+    clear_multiplicity_cache,
+    generic_generators,
+    membership,
+    multiplicity,
+)
 from hsmult.series import PolySeries, RationalSeries
-from tests.conftest import FIXTURES, load_instance
+from tests.conftest import FIXTURES, load_instance, plain
 
 
 @pytest.fixture
@@ -124,12 +135,129 @@ def test_build_matrix_matches_act_build(glex):
         rows, grid = _act_build(gens, gamma, glex, nvars)
         assert M.ncols == len(gamma)
         if grid is None:
-            assert M.rows == rows
+            # plain numbers: ints mod p, Fractions over QQ, the int 0 where zero
+            assert M.rows == tuple(tuple(map(plain, row)) for row in rows)
+            assert all(
+                type(a) is (Fraction if a and not field.char else int)
+                for row in M.rows
+                for a in row
+            )
         else:
             assert M.rows is None and M.grid == grid
         if field is qq_t:
             fractional += any(c.den != {(0, 0): 1} for row in rows for c in row if c)
     assert fractional
+
+
+def _check_memo_build(M, gens, gamma, order, nvars):
+    """M, built through a memo, equals a fresh build and the act reference."""
+    fresh = build_matrix(gens, gamma, order, nvars)
+    assert (M.field, M.rows, M.ncols) == (fresh.field, fresh.rows, fresh.ncols)
+    rows, grid = _act_build(gens, gamma, order, nvars)
+    if grid is None:
+        assert M.rows == tuple(tuple(map(plain, row)) for row in rows)
+    else:
+        assert M.grid == fresh.grid == grid
+
+
+def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
+    """Every matrix a run builds through its memo equals a build from scratch,
+    over QQ, GF(7) and a function field, with series generators whose memoized
+    truncation must deepen as the gamma lists reach higher degrees."""
+    original = matlis.build_matrix
+    memos, tops = [], []  # per run: its memo, the top gamma degrees it met
+
+    def checked(gens, gamma, order, nvars, memo=None):
+        assert isinstance(memo, RunMemo)
+        M = original(gens, gamma, order, nvars, memo)
+        _check_memo_build(M, gens, gamma, order, nvars)
+        if not memos or memos[-1] is not memo:
+            memos.append(memo)
+            tops.append(set())
+        tops[-1].add(max(map(sum, gamma)))
+        return M
+
+    names = ("x", "y")
+    exprs = ["x^3 - y^2/(1 - x)", "y^3 + 2*x^2*y/(1 - x*y)"]
+    runs = []
+    for base in (QQ, GF(7)):
+        gens = [parse_generator(e, base, names) for e in exprs]
+        assert all(isinstance(g, RationalSeries) for g in gens)
+        runs.append((gens, vector_space_length([g.truncate(12) for g in gens])))
+    inst, _ = parse_instance(json.dumps(
+        {"variables": list(names), "ideal": exprs + ["x^2*y"], "dim": 2}
+    ))
+    gens, ff = generic_generators(inst)
+    assert isinstance(ff, FunctionField) and not any(g.is_polynomial() for g in gens)
+    runs.append((gens, multiplicity(inst, use_cache=False).e))
+    monkeypatch.setattr(matlis, "build_matrix", checked)
+    for gens, length in runs:
+        assert compute_dual_basis(gens, glex).length == length
+    assert len(tops) == len(runs)
+    # the first build truncates at its top degree + nvars; a later gamma
+    # term above that makes the memo truncate again
+    assert all(max(degrees) > min(degrees) + len(names) for degrees in tops), tops
+
+
+def test_one_memo_across_growing_gamma_lists(glex):
+    """One memo fed gamma lists of rising top degree: each matrix equals a
+    fresh build and the reference, so columns made from a shallower
+    truncation stay exact and deeper terms are fetched when needed."""
+    rng = random.Random(17)
+    qq_t = FunctionField(QQ, ("t_1_1",))
+    lookup = {"t_1_1": qq_t.param("t_1_1")}.get
+    for field in (QQ, GF(7), qq_t):
+        params = lookup if field is qq_t else None
+        text = "(x + t_1_1*y^2)/(1 - x - t_1_1*y)" if params else "(x + 2*y^2)/(1 - x - 3*y)"
+        series = parse_generator(text, field, ("x", "y"), params)
+        gens = [series, parse_polynomial("x^2 - y", field, ("x", "y"), params)]
+        memo = RunMemo(gens, glex, 2)
+        for top in (1, 2, 2, 4, 3, 7, 5, 9):
+            pool = [(i, d - i) for d in range(top + 1) for i in range(d + 1)]
+            gamma = {(top, 0), (0, top)} | set(rng.sample(pool, min(len(pool), 6)))
+            gamma = sorted(gamma, key=glex.key, reverse=True)
+            _check_memo_build(build_matrix(gens, gamma, glex, 2, memo), gens, gamma, glex, 2)
+
+
+def _reaches(root, cls):
+    """Whether an instance of cls is reachable from root through references,
+    not counting classes, modules and functions (their globals reach
+    everything)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, cls):
+            return True
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, skip):
+                seen.add(id(ref))
+                stack.append(ref)
+    return False
+
+
+def test_results_do_not_keep_the_run_memo(glex):
+    """The memo lives as long as its run: no DualBasisResult, and no cached
+    MultiplicityResult, after member queries too, holds one."""
+    ff = FunctionField(QQ, ("a", "b"))
+    state = DualBasisState(example1_gens(ff), glex, DEFAULT_CAPS)
+    assert _reaches(state, RunMemo)  # the walk does find a memo that is kept
+    clear_multiplicity_cache()
+    inst, _ = parse_instance(
+        json.dumps({"variables": ["x", "y"], "ideal": ["x^2", "y^2"], "dim": 2})
+    )
+    verdicts = {
+        membership(inst, parse_polynomial(expr, inst.base, inst.var_names)).decided_by
+        for expr in ("x*y", "x", "x^2 + y^3")
+    }
+    assert verdicts == {"multiplicity", "point-length", "in-ideal"}
+    results = list(reduction._MULT_CACHE.values())
+    assert len(results) == 2
+    for res in results:
+        assert isinstance(res.dual, DualBasisResult)
+        assert not _reaches(res, RunMemo)
+    assert not _reaches(compute_dual_basis(example1_gens(ff), glex), RunMemo)
 
 
 def test_step_trace_example1(ff, glex):

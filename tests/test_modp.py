@@ -20,7 +20,7 @@ from hsmult import (
     solve_dispatch,
     specialize,
 )
-from tests.conftest import naive_pp_eval
+from tests.conftest import naive_pp_eval, plain
 
 
 @pytest.fixture
@@ -206,7 +206,8 @@ def test_nonsingular_at_grid_only_matlist_matches_entrywise_rank(
                 values = tuple(rng.randint(-2, 2) for _ in ff.params)
                 scalars = tuple(map(Fraction, values))
                 rows = tuple(
-                    tuple(naive_pp_eval(a, scalars, ff.base) for a in row) for row in M.grid
+                    tuple(plain(naive_pp_eval(a, scalars, ff.base)) for a in row)
+                    for row in M.grid
                 )
                 expected = rank(ExactMatrix(ff.base, rows, M.ncols)) == M.ncols
                 got = nonsingular_at(M, values)

@@ -24,10 +24,12 @@ from hsmult import (
     rank,
     verify_reduction_by_length,
 )
+from hsmult.errors import NotStabilized
+from hsmult.modp import ModpStats
 from hsmult.oracles import vector_space_length
-from hsmult.reduction import param_names, reduction_generators
+from hsmult.reduction import _colength_at, param_names, reduction_generators
 from hsmult.scalars import GFElement
-from tests.conftest import FIXTURES, load_instance, make_poly, naive_pp_eval
+from tests.conftest import FIXTURES, load_instance, make_poly, naive_pp_eval, plain
 
 
 def test_param_names_indexing():
@@ -118,7 +120,9 @@ def _reference_certify(a, res):
     if not all(naive_pp_eval(q, values, base) for q in res.polylist):
         return False
     for M in res.matlist:
-        rows = tuple(tuple(naive_pp_eval(e, values, base) for e in row) for row in M.grid)
+        rows = tuple(
+            tuple(plain(naive_pp_eval(e, values, base)) for e in row) for row in M.grid
+        )
         if rank(ExactMatrix(base, rows, M.ncols)) != M.ncols:
             return False
     return True
@@ -727,3 +731,61 @@ def test_multiplicity_cache_keeps_256_entries():
     assert len(reduction._MULT_CACHE) == 256
     assert _cheap_instance(1).canonical_key() not in reduction._MULT_CACHE
     assert multiplicity(_cheap_instance(0)) is first
+
+
+def _point_instance(base, nvars, j_gens, glex):
+    names = ("x", "y", "z")[:nvars]
+    return ProblemInstance(
+        base=base, nvars=nvars, var_names=names, i_gens=(), j_gens=tuple(j_gens),
+        d=nvars, order=glex,
+    )
+
+
+def test_point_length_of_the_seed_7_member_query(glex):
+    """J = (-3x^3, 2y^3, 3z^4) + (5xyz) over QQ at the point (30, 13, 3): all
+    coefficients integral, so only Fraction arithmetic keeps the base-field
+    elimination exact."""
+    gens = [
+        make_poly(QQ, 3, {(3, 0, 0): -3}),
+        make_poly(QQ, 3, {(0, 3, 0): 2}),
+        make_poly(QQ, 3, {(0, 0, 4): 3}),
+        make_poly(QQ, 3, {(1, 1, 1): 5}),
+    ]
+    inst = _point_instance(QQ, 3, gens, glex)
+    rows = tuple((QQ.from_int(v),) for v in (30, 13, 3))
+    assert vector_space_length(list(reduction_generators(inst, rows))) == 33
+    assert _colength_at(inst, rows, ModpStats()) == 33
+
+
+@pytest.mark.parametrize("base", [QQ, GF(3), GF(32003)], ids=["QQ", "GF3", "GF32003"])
+def test_point_lengths_match_the_oracle(base, glex):
+    """The budget-free base-field run at a point gives the colength that
+    linear algebra on truncations gives, for seeded integer-coefficient ideals:
+    pure powers plus mixed terms, and one extra generator combined in."""
+    rng = random.Random(f"point-{base.char}")
+    checked = 0
+    lengths = set()
+    for _ in range(40):
+        nvars = rng.choice([2, 2, 3])
+        gens = []
+        for i in range(nvars):
+            power = tuple(rng.randint(2, 3) if j == i else 0 for j in range(nvars))
+            coeffs = {power: rng.choice([-1, 1, 2, 4, -5])}
+            for _ in range(rng.randint(0, 2)):
+                e = tuple(rng.randint(0, 2) for _ in range(nvars))
+                if sum(e) >= 2:
+                    coeffs[e] = rng.randint(-4, 4)
+            gens.append(make_poly(base, nvars, coeffs))
+        extra = {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.randint(-5, 5)}
+        extra[tuple(rng.randint(1, 2) for _ in range(nvars))] = rng.randint(-5, 5)
+        gens.append(make_poly(base, nvars, extra))
+        inst = _point_instance(base, nvars, gens, glex)
+        rows = tuple((base.from_int(rng.randint(1, 30)),) for _ in range(nvars))
+        try:
+            want = vector_space_length(list(reduction_generators(inst, rows)), 12)
+        except NotStabilized:
+            continue
+        assert _colength_at(inst, rows, ModpStats()) == want
+        checked += 1
+        lengths.add(want)
+    assert checked >= 35 and len(lengths) >= 10
