@@ -41,7 +41,7 @@ from .instance import (
     parse_member_expression,
 )
 from .matlis import compute_dual_basis
-from .modp import ModpStats, make_solver
+from .modp import ModpStats
 from .orders import MonomialOrder
 from .reduction import find_reduction, generator_to_str, membership, multiplicity
 
@@ -60,7 +60,7 @@ def run_command(command, inst, options, member_expr=None):
     if command in ("dual", "length"):
         stats = ModpStats()
         gens = list(inst.j_gens) + list(inst.i_gens)
-        dual = compute_dual_basis(gens, inst.order, inst.caps, solver=make_solver(stats))
+        dual = compute_dual_basis(gens, inst.order, inst.caps, stats=stats)
         result = {"length": dual.length, "t1_size": len(dual.t1_points),
                   "xi_count": len(dual.elements)}
         if command == "dual":

@@ -15,8 +15,6 @@ neighbours lie inside.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     CapExceeded,
     InternalInconsistency,
@@ -295,38 +293,43 @@ def initial_staircase(supports, nvars, max_size=None):
     zero = (0,) * nvars
     if zero in gens:
         return Staircase(nvars, ()), []
-    # minimal generators only
-    gens = {g for g in gens if not any(g != h and exp_leq(h, g) for h in gens)}
     bounds = []
     for i in range(nvars):
-        pure = [g[i] for g in gens if all(g[j] == 0 for j in range(nvars) if j != i)]
+        pure = [g[i] for g in gens if g[i] and g.count(0) == nvars - 1]
         if not pure:
             raise NotZeroDimensional(i)
         bounds.append(min(pure))
     # the staircase contains every axis point below its pure-power bound
     if max_size is not None and any(b > max_size for b in bounds):
         raise CapExceeded("staircase size", max_size)
-    box = 1
-    for b in bounds:
-        box *= b
-    if box > 20_000_000:
-        raise CapExceeded("staircase bounding box", 20_000_000)
+    # walk up from the origin one degree at a time.  A point is reached once
+    # from each lower neighbour inside; reached from all of them, it lies
+    # outside exactly when it is a generator, and then a minimal one
     pts = []
-    for alpha in itertools.product(*(range(b) for b in bounds)):
-        if not any(exp_leq(g, alpha) for g in gens):
-            pts.append(alpha)
-            if max_size is not None and len(pts) > max_size:
-                raise CapExceeded("staircase size", max_size)
-    pts.sort(key=_canon_key)
-    ptset = set(pts)
-    corners = [
-        p
-        for p in pts
-        if all(p[:i] + (p[i] + 1,) + p[i + 1 :] not in ptset for i in range(nvars))
-    ]
-    st = Staircase(nvars, corners)
+    corners = []
+    min_gens = []
+    level = [zero]
+    while level:
+        pts.extend(level)
+        if max_size is not None and len(pts) > max_size:
+            raise CapExceeded("staircase size", max_size)
+        reached = {}
+        for p in level:
+            for i in range(nvars):
+                q = p[:i] + (p[i] + 1,) + p[i + 1 :]
+                reached[q] = reached.get(q, 0) + 1
+        nxt = []
+        for q, k in reached.items():
+            if k == nvars - q.count(0):
+                (min_gens if q in gens else nxt).append(q)
+        inner = {_below(q, j) for q in nxt for j in range(nvars) if q[j]}
+        corners.extend(p for p in level if p not in inner)
+        level = sorted(nxt)
+    st = Staircase(nvars)
+    st.corners = frozenset(corners)
     st._points = pts
-    st._members = frozenset(ptset)
+    st._members = frozenset(pts)
+    st._min_gens = sorted(min_gens, key=_canon_key)
     return st, pts
 
 

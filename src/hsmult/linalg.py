@@ -13,6 +13,14 @@ its kernel only copies the rows; over QQ a nonzero cell is a Fraction, never
 an int, so every division stays exact.  Pivoting is deterministic: first
 row with a nonzero entry in the current column, columns left to right.
 
+A base-field composition-series run solves its steps without a matrix, on
+one ``ColumnSpan``: an echelon basis of the span of its candidate columns,
+each stored as a map from row keys to plain numbers, kept across the steps
+with the coordinates that express every basis vector in the inserted
+columns.  Reducing a column leaves zero exactly when it lies in the span,
+and then its coordinates are the canonical kernel vector below, the one
+``plain_kernel`` returns for [that column | the independent inserted ones].
+
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
 one-dimensional kernel is returned as one canonical vector.  Over a function
 field its entries have denominator 1, their gcd is 1, and the leading
@@ -223,6 +231,72 @@ def plain_kernel(rows, ncols, p):
         inv = pow(first, -1, p)
         return [a * inv % p for a in v]
     return [a / first for a in v]
+
+
+def _add_multiple(target, f, src, p):
+    """target += f * src on sparse maps of plain numbers, dropping zeros."""
+    get = target.get
+    for k, a in src.items():
+        s = get(k, 0) + f * a
+        if p:
+            s %= p
+        if s:
+            target[k] = s
+        else:
+            del target[k]
+
+
+class ColumnSpan:
+    """An echelon basis of the span of named columns, on plain numbers.
+
+    A column is a map from row keys to the nonzero plain numbers of a
+    base-field matrix (ints in [0, p), or Fractions over QQ).  Each basis
+    vector is kept with its pivot key, where it is 1, and with its
+    coordinates: the combination of inserted columns, by name, that it
+    equals.  It is zero at the pivots of the vectors inserted before it, so
+    ``reduce`` clears the pivots in insertion order in one pass, and its
+    residual is zero exactly when the column lies in the span.  The residual's
+    coordinates, with the reduced column's own at 1, are then a dependency
+    whose entry at that column is 1: on columns that are independent, the
+    canonical kernel vector ``plain_kernel`` would return.
+    """
+
+    __slots__ = ("p", "names", "_basis")
+
+    def __init__(self, p):
+        self.p = p
+        self.names = set()
+        self._basis = []  # (pivot key, vector, coordinates)
+
+    def clear(self):
+        self.names.clear()
+        self._basis.clear()
+
+    def reduce(self, name, col):
+        """(residual, coordinates) of the column col named name."""
+        p = self.p
+        w = dict(col)
+        coords = {name: 1 if p else Fraction(1)}
+        for piv, vec, vcoords in self._basis:
+            f = w.get(piv)
+            if f:
+                f = p - f if p else -f
+                _add_multiple(w, f, vec, p)
+                _add_multiple(coords, f, vcoords, p)
+        return w, coords
+
+    def insert(self, name, residual, coords):
+        """Add the nonzero residual ``reduce`` left of the column named name."""
+        p = self.p
+        piv = next(iter(residual))
+        a = residual[piv]
+        if a != 1:
+            inv = pow(a, -1, p) if p else 1 / a
+            for part in (residual, coords):
+                for k, v in part.items():
+                    part[k] = v * inv % p if p else v * inv
+        self._basis.append((piv, residual, coords))
+        self.names.add(name)
 
 
 def kernel(M):

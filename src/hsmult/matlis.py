@@ -8,12 +8,26 @@ rejection.  The candidates come from the point sets of the staircases (set
 lookups, and minimal generators kept per staircase); the matrix cells are
 looked up in the generators' coefficients, and over a parameter field the
 rows are cleared into the polynomial grid of a grid-only matrix as they are
-built.  Over a base field the cells are the plain numbers the eliminator
-takes (see ``linalg.ExactMatrix``).  A run's steps share one ``RunMemo``:
-the generators' term lists, the column of each (generator, gamma term)
-pair, and the order's sort key per exponent, which the tau0 choice,
-``gamma_candidates`` and the row sort read.  The memo belongs to the
-running state only, so it ends with the run.
+built.  A run's steps share one ``RunMemo``: the generators' term lists, the
+column of each (generator, gamma term) pair, and the order's sort key per
+exponent, which the tau0 choice, ``gamma_candidates`` and the row sort read.
+The memo belongs to the running state only, so it ends with the run.
+
+A base-field run builds no matrix.  A step's matrix has the columns of tau0
+and of the candidate set C (the terms of (T2 :_E m) outside LT(N) and below
+tau0), and C never loses a term from one step to the next: T2 only grows,
+tau0 strictly rises, and an accepted tau0 was never in C (it is the only
+term LT(N) gains).  The columns of C are independent, or the step's kernel
+would have a vector with leading entry 0.  So the run keeps one echelon
+basis of span(C) (``linalg.ColumnSpan``, on the plain numbers of a
+base-field matrix): a step inserts the columns of the terms new to C,
+reduces tau0's column, and accepts exactly when it reduces to zero, that is
+when col(tau0) = sum_k lambda_k col(c_k) over C, with the kernel vector
+(1, -lambda) that ``kernel`` would return.  A rejected tau0 is a minimal
+generator of LT(N) with its lower neighbours in T2, so it is a candidate of
+every later step, and its reduced column is inserted at once.  Should the
+basis hold a term outside C, the span restarts from empty; a dependent
+candidate column raises UnexpectedNullity.
 
 The accepted xi's and staircase terms together form a K-basis of the dual
 module, so the basis size is the colength of <F>.  An accepted xi is kept as
@@ -27,13 +41,13 @@ every zero cell of a row one shared empty dict); ``matlist`` makes those
 grids canonical when first read and keeps the result, so a run whose
 certificate nobody reads never canonicalizes.
 
-The engine has no tuning settings.  Kernels are taken by the caller's solver
-(``modp.make_solver``, whose dispatch rule is fixed, in the runs of
-``reduction`` and the CLI; ``linalg.kernel`` by default), and series
-generators are truncated from a fixed start degree (see ``_initial_data``).
-Neither choice changes the basis of a run that finishes: the kernel vector
-is canonical on every path, and the staircase is certified exact whatever
-the truncation.
+The engine has no tuning settings.  Function-field kernels go through
+``modp.solve_dispatch``, whose dispatch rule is fixed and which counts into
+the run's ``stats``; a base-field step counts there as the direct solve it
+stands for.  Series generators are truncated from a fixed start degree (see
+``_initial_data``).  Neither choice changes the basis of a run that
+finishes: the kernel vector is canonical on every path, and the staircase
+is certified exact whatever the truncation.
 """
 
 from __future__ import annotations
@@ -47,8 +61,14 @@ from .dual import (
     initial_staircase,
     socle_candidates,
 )
-from .errors import CapExceeded, InternalInconsistency, NotZeroDimensional
-from .linalg import ExactMatrix, kernel, map_nonzero, normalize_row_unit
+from .errors import (
+    CapExceeded,
+    InternalInconsistency,
+    NotZeroDimensional,
+    UnexpectedNullity,
+)
+from .linalg import ColumnSpan, ExactMatrix, map_nonzero, normalize_row_unit
+from .modp import solve_dispatch
 from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
 from .scalars import FunctionField, pp_primitive
 from .series import SeriesOracle
@@ -160,6 +180,16 @@ class RunMemo:
             out.append(cols)
         return out
 
+    def column_maps(self, terms):
+        """Per term tau, its column of a step's matrix as a map from row keys
+        (generator index, dual term s) to the nonzero cells."""
+        maps = [{} for _ in terms]
+        for i, cols in enumerate(self.columns(terms)):
+            for m, col in zip(maps, cols):
+                for s, c in col:
+                    m[i, s] = c
+        return maps
+
 
 def build_matrix(gens, gamma, order, nvars, memo=None):
     """Annihilation matrix: block rows per generator, columns indexed by gamma.
@@ -247,9 +277,10 @@ class _DualBasis:
 
 
 class DualBasisState(_DualBasis):
-    """Single-owner state of one composition-series run, with its memo."""
+    """Single-owner state of one composition-series run, with its memo and,
+    over a base field, the span of the candidate columns."""
 
-    def __init__(self, gens, order, caps, solver=None):
+    def __init__(self, gens, order, caps, solver=None, stats=None):
         if not gens:
             raise ValueError("empty generator list")
         field = _gen_field(gens[0])
@@ -262,10 +293,12 @@ class DualBasisState(_DualBasis):
         self.caps = caps
         self.field = field
         self.nvars = nvars
-        self.solver = solver or kernel
+        self.stats = stats
+        self.solver = solver or (lambda M: solve_dispatch(M, stats))
         self.track_certificates = isinstance(field, FunctionField) and bool(
             field.params
         )
+        self.span = None if isinstance(field, FunctionField) else ColumnSpan(field.char)
         exact = [_gen_exact_poly(g) for g in self.gens]
         self.memo = RunMemo(self.gens, order, nvars, exact)
         t1, pts = _initial_data(self.gens, exact, nvars, caps)
@@ -319,6 +352,35 @@ def _initial_data(gens, exact, nvars, caps):
     raise CapExceeded("truncation degree", caps.max_degree)
 
 
+def _span_kernel(state, gamma):
+    """The kernel ``kernel`` would give for the step's matrix over a base
+    field, from the run's span of the candidate columns (see the module
+    docstring)."""
+    if state.stats is not None:
+        state.stats.dispatched += 1
+        state.stats.direct += 1
+    tau0, cands = gamma[0], gamma[1:]
+    span = state.span
+    if not span.names.issubset(cands):
+        span.clear()
+    new = [c for c in cands if c not in span.names]
+    cols = state.memo.column_maps([tau0] + new)
+    for c, col in zip(new, cols[1:]):
+        residual, coords = span.reduce(c, col)
+        if not residual:  # the candidates' columns are dependent
+            raise UnexpectedNullity(2)
+        span.insert(c, residual, coords)
+    residual, coords = span.reduce(tau0, cols[0])
+    if residual:
+        span.insert(tau0, residual, coords)
+        return None
+    field = state.field
+    if field.char:
+        return tuple(field.from_int(coords.get(g, 0)) for g in gamma)
+    zero = field.zero()
+    return tuple(coords.get(g, zero) for g in gamma)
+
+
 def step(state):
     """One loop iteration: accept a xi or move tau0 to the rejected set."""
     if state.done():
@@ -334,12 +396,15 @@ def step(state):
         state.t2, state.ltn, order, tau0, limit=caps.max_terms, key=key
     )
     gamma = [tau0] + cands
-    M = build_matrix(state.gens, gamma, order, state.nvars, memo)
-    vec = state.solver(M)
+    if state.span is None:
+        M = build_matrix(state.gens, gamma, order, state.nvars, memo)
+        vec = state.solver(M)
+        if vec is None and state.track_certificates:
+            state.rejected.append(M)
+    else:
+        vec = _span_kernel(state, gamma)
     if vec is None:
         state.l1.add(tau0)
-        if state.track_certificates:
-            state.rejected.append(M)
         return False
     c0 = vec[0]
     if not c0:
@@ -380,16 +445,18 @@ class DualBasisResult(_DualBasis):
         self._matlist = []
 
 
-def compute_dual_basis(gens, order, caps=None, solver=None, budget=None):
+def compute_dual_basis(gens, order, caps=None, solver=None, budget=None, stats=None):
     """Run the full composition-series loop; the basis size is the colength.
 
     With a budget the loop also stops once the basis has that many elements:
     a length below the budget is then the colength, and a length at or above
     it shows only that the colength is at least the budget.  ``complete``
     tells whether the loop ran to its end, so that the basis spans the dual.
+    ``stats`` (a ``modp.ModpStats``) counts the run's solves; ``solver``
+    replaces ``modp.solve_dispatch`` on function-field steps.
     """
     caps = caps or DEFAULT_CAPS
-    state = DualBasisState(gens, order, caps, solver=solver)
+    state = DualBasisState(gens, order, caps, solver=solver, stats=stats)
     while not state.done() and (budget is None or state.length < budget):
         state.iterations += 1
         if state.iterations > caps.max_iterations:

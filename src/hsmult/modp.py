@@ -183,12 +183,3 @@ def solve_dispatch(M, stats=None):
     if stats is not None:
         stats.direct += 1
     return kernel(M)
-
-
-def make_solver(stats=None):
-    """A kernel callable for the composition-series engine, counting into stats."""
-
-    def solver(M):
-        return solve_dispatch(M, stats)
-
-    return solver

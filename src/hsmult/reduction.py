@@ -42,8 +42,23 @@ Q_a is inside J + (h).  So a colength l(R/Q_a) < e(J) proves that h is not
 integral.  The point is hashed from the instance, with entries in 1..30, and
 its colength is computed only until it reaches e(J).
 
+Over QQ the point run is made on residues: the instance, h and the point are
+reduced mod P = ``modp.DEFAULT_PRIMES[0]`` = 2^31 - 1, and l_P is the
+colength over GF(P).  This is sound for every P, with no genericity
+assumption.  Let A = Z_(P)[x]_(P,x) / (Q_a + I).  If A/PA has finite length,
+then dim A <= 1 (so Q_a is m-primary over QQ as well), and
+
+    l_QQ(R/Q_a) = l(A_(x)) <= e(P; A) <= l(A/PA) = l_P
+
+by the associativity formula and then Serre's bound, so l_P < e(J) proves
+non-membership too.  A series p/q generates (p) on both sides and is
+reduced as (p mod P)/(q mod P).  When P divides a coefficient's denominator
+or q(0), there is no point run.  ``verify_reduction_by_length`` tests an
+equality, so it stays over QQ.
+
 Over K(t).  When the point colength reaches e(J), or the caps end the run or
-Q_a is not m-primary, e(J + (h)) is computed over K(t) and compared; members
+Q_a (or its residues) is not m-primary, or P divides a denominator, e(J + (h))
+is computed over K(t) and compared; members
 outside J + I take this path.  The result names the path in decided_by
 ("in-ideal", "point-length" or "multiplicity") and carries point_length or
 e_extended to match; the CLI's member report uses the same keys.
@@ -58,13 +73,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, NotZeroDimensional, SearchExhausted
+from .errors import CapExceeded, NonUnitDenominator, NotZeroDimensional, SearchExhausted
 from .linalg import nonsingular_at
 from .matlis import DEFAULT_CAPS, compute_dual_basis
-from .modp import ModpStats, make_solver, sha256
+from .modp import DEFAULT_PRIMES, ModpStats, sha256
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly
-from .scalars import FunctionField, GFElement, pp_eval_rows, pp_to_str
+from .scalars import GF, FunctionField, GFElement, pp_eval_rows, pp_to_str
 from .series import LinearCombination, PolySeries, RationalSeries, as_oracle
 
 
@@ -253,7 +268,7 @@ def multiplicity(inst, use_cache=True):
     else:
         gens, field = generic_generators(inst)
     stats = ModpStats()
-    dual = compute_dual_basis(gens, inst.order, inst.caps, solver=make_solver(stats))
+    dual = compute_dual_basis(gens, inst.order, inst.caps, stats=stats)
     res = MultiplicityResult(
         e=dual.length,
         d=inst.d,
@@ -449,7 +464,7 @@ def _colength_at(inst, rows, stats, budget=None):
     """
     gens = list(reduction_generators(inst, rows)) + list(inst.i_gens)
     dual = compute_dual_basis(
-        gens, inst.order, inst.caps, solver=make_solver(stats), budget=budget
+        gens, inst.order, inst.caps, budget=budget, stats=stats
     )
     return dual.length
 
@@ -469,12 +484,66 @@ def _member_point(ext):
     )
 
 
+def _mod_prime(inst, rows, p):
+    """inst and the coefficient rows reduced mod the prime p, or None when
+    the reduction is not defined: p divides a coefficient's denominator or
+    the constant term of a series denominator, or a generator is neither a
+    polynomial nor a series p/q."""
+    if not all(
+        isinstance(g, (SparsePoly, PolySeries, RationalSeries))
+        for g in inst.i_gens + inst.j_gens
+    ):
+        return None
+    field = GF(p)
+
+    def residue(c):
+        if not c.denominator % p:
+            raise NonUnitDenominator(f"{p} divides the denominator of {c}")
+        return field.from_int(c.numerator * pow(c.denominator, -1, p))
+
+    def gen(g):
+        if isinstance(g, PolySeries):
+            return PolySeries(gen(g.poly))
+        if isinstance(g, RationalSeries):  # p | q(0) raises here
+            return RationalSeries(gen(g.num), gen(g.den))
+        return g.map_coefficients(residue, field)
+
+    try:
+        reduced = dataclasses.replace(
+            inst,
+            base=field,
+            i_gens=tuple(map(gen, inst.i_gens)),
+            j_gens=tuple(map(gen, inst.j_gens)),
+        )
+        return reduced, tuple(tuple(map(residue, row)) for row in rows)
+    except NonUnitDenominator:
+        return None
+
+
+def _point_length(ext, budget, stats):
+    """The colength at ext's hashed point, found only up to budget; over QQ
+    the colength of the residues mod P (see the module docstring).  None
+    when the point decides nothing: P divides a denominator, or the caps or
+    a non m-primary ideal end the run."""
+    rows = _member_point(ext)
+    if not ext.base.char:
+        reduced = _mod_prime(ext, rows, DEFAULT_PRIMES[0])
+        if reduced is None:
+            return None
+        ext, rows = reduced
+    try:
+        return _colength_at(ext, rows, stats, budget)
+    except (CapExceeded, NotZeroDimensional):
+        return None
+
+
 @dataclass(frozen=True)
 class Membership:
     """Verdict on h in the integral closure of J, and how it was reached.
 
     decided_by is "in-ideal" when h lies in J + I, "point-length" when the
-    colength point_length at the hashed point was below e, and "multiplicity"
+    colength point_length at the hashed point (over QQ, that of the residues
+    mod 2^31 - 1) was below e, and "multiplicity"
     when e_extended = e(J + (h)) was computed.  modp_stats sums the mod-p
     counters of the multiplicity and point runs made.
     """
@@ -537,12 +606,9 @@ def membership(inst, h):
             return Membership(True, res.e, "in-ideal", dict(res.modp_stats))
     ext = inst.with_extra_generator(h)
     point_stats = ModpStats()
-    try:
-        length = _colength_at(ext, _member_point(ext), point_stats, res.e)
-    except (CapExceeded, NotZeroDimensional):
-        length = res.e  # the point decides nothing
+    length = _point_length(ext, res.e, point_stats)
     runs = [res.modp_stats, point_stats.as_dict()]
-    if length < res.e:
+    if length is not None and length < res.e:
         return Membership(
             False, res.e, "point-length", _sum_stats(runs), point_length=length
         )

@@ -23,6 +23,7 @@ from hsmult import (
     socle_candidates,
     span_of_terms,
 )
+from hsmult.errors import CapExceeded
 from hsmult.oracles import monomial_length
 
 
@@ -60,6 +61,53 @@ def test_initial_staircase_spec_examples():
     assert len(pts3) == 4
     with pytest.raises(NotZeroDimensional):
         initial_staircase([{(1, 0)}], 2)
+
+
+def _box_staircase(supports, nvars):
+    """Reference: every point of the pure-power bounding box that no
+    generator divides, in canonical order, and the corners among them."""
+    gens = {tuple(e) for sup in supports for e in sup}
+    bounds = [
+        min(g[i] for g in gens if all(g[j] == 0 for j in range(nvars) if j != i))
+        for i in range(nvars)
+    ]
+    pts = [
+        p
+        for p in itertools.product(*(range(b) for b in bounds))
+        if not any(all(a <= b for a, b in zip(g, p)) for g in gens)
+    ]
+    pts.sort(key=lambda e: (sum(e), e))
+    corners = {
+        p
+        for p in pts
+        if all(p[:i] + (p[i] + 1,) + p[i + 1 :] not in pts for i in range(nvars))
+    }
+    return pts, corners
+
+
+def test_initial_staircase_matches_the_bounding_box_reference():
+    """The walk up from the origin finds the points, their order, the
+    corners and the minimal generators that enumerating the box finds."""
+    rng = random.Random(61)
+    for _ in range(150):
+        nvars = rng.choice([1, 2, 3, 4])
+        supports = [
+            {tuple(rng.randint(2, 6) if j == i else 0 for j in range(nvars))}
+            for i in range(nvars)
+        ]
+        for _ in range(rng.randint(0, 5)):
+            supports.append(
+                {tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 3))}
+            )
+        if not any((0,) * nvars in sup for sup in supports):
+            st_, pts = initial_staircase(supports, nvars)
+            want, corners = _box_staircase(supports, nvars)
+            assert pts == want and st_.points() == want
+            assert st_.corners == corners
+            assert st_.min_generators() == Staircase(nvars, corners).min_generators()
+            assert initial_staircase(supports, nvars, len(want))[1] == want
+            with pytest.raises(CapExceeded):
+                initial_staircase(supports, nvars, len(want) - 1)
 
 
 def test_socle_candidates_spec_examples():

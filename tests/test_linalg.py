@@ -14,7 +14,7 @@ from hsmult import (
     nonsingular_at,
     rank,
 )
-from hsmult.linalg import matvec, plain_kernel
+from hsmult.linalg import ColumnSpan, matvec, plain_kernel
 from hsmult.scalars import GFElement, pp_const, pp_gcd, pp_leading
 
 
@@ -240,6 +240,33 @@ def test_base_kernel_agrees_with_naive_elimination():
                 assert plain_kernel(ints, M.ncols, field.char) == [a.v for a in v]
             seen["line"] += 1
         assert min(seen.values()) >= 20, (field, seen)
+
+
+def test_column_span_dependencies_are_the_plain_kernel():
+    """Insert columns while they stay independent; the first dependent one
+    reduces to zero, and its coordinates are the vector plain_kernel gives
+    for the matrix [that column | the inserted ones]."""
+    rng = random.Random(19)
+    for field in (QQ, GF(2), GF(7), GF(2147483647)):
+        p = field.char
+        dependent = 0
+        for _ in range(120):
+            nrows = rng.randint(1, 5)
+            M = _random_base_matrix(field, rng, nrows, rng.randint(1, 6))
+            cols = [{i: row[j] for i, row in enumerate(M.rows) if row[j]} for j in range(M.ncols)]
+            span = ColumnSpan(p)
+            for j, col in enumerate(cols):
+                residual, coords = span.reduce(j, col)
+                if residual:
+                    span.insert(j, residual, coords)
+                    assert span.names == set(range(j + 1))
+                    continue
+                order = [j] + list(range(j))
+                rows = [[M.rows[i][k] for k in order] for i in range(nrows)]
+                assert [coords.get(k, 0) for k in order] == plain_kernel(rows, j + 1, p)
+                dependent += 1
+                break
+        assert dependent >= 20, field
 
 
 def test_polynomial_operations_never_write_into_their_inputs():

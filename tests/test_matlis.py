@@ -22,13 +22,14 @@ from hsmult import (
     step,
 )
 from hsmult.errors import CapExceeded
-from hsmult.linalg import kernel
+from hsmult.linalg import kernel, plain_kernel
 from hsmult import matlis, reduction
 from hsmult.exprparse import parse_generator, parse_polynomial
 from hsmult.instance import parse_instance
 from hsmult.matlis import DEFAULT_CAPS, DualBasisResult, RunMemo, canonical_cleared_matrix
 from hsmult.oracles import monomial_length, vector_space_length
 from hsmult.poly import clear_row_denominators
+from hsmult.scalars import GFElement
 from hsmult.reduction import (
     clear_multiplicity_cache,
     generic_generators,
@@ -161,9 +162,11 @@ def _check_memo_build(M, gens, gamma, order, nvars):
 
 
 def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
-    """Every matrix a run builds through its memo equals a build from scratch,
-    over QQ, GF(7) and a function field, with series generators whose memoized
-    truncation must deepen as the gamma lists reach higher degrees."""
+    """Every matrix a function-field run builds through its memo equals a
+    build from scratch, with series generators whose memoized truncation must
+    deepen as the gamma lists reach higher degrees.  Base-field runs build no
+    matrices; their steps are checked against fresh builds in
+    test_every_base_field_step_matches_a_fresh_solve."""
     original = matlis.build_matrix
     memos, tops = [], []  # per run: its memo, the top gamma degrees it met
 
@@ -179,17 +182,12 @@ def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
 
     names = ("x", "y")
     exprs = ["x^3 - y^2/(1 - x)", "y^3 + 2*x^2*y/(1 - x*y)"]
-    runs = []
-    for base in (QQ, GF(7)):
-        gens = [parse_generator(e, base, names) for e in exprs]
-        assert all(isinstance(g, RationalSeries) for g in gens)
-        runs.append((gens, vector_space_length([g.truncate(12) for g in gens])))
     inst, _ = parse_instance(json.dumps(
         {"variables": list(names), "ideal": exprs + ["x^2*y"], "dim": 2}
     ))
     gens, ff = generic_generators(inst)
     assert isinstance(ff, FunctionField) and not any(g.is_polynomial() for g in gens)
-    runs.append((gens, multiplicity(inst, use_cache=False).e))
+    runs = [(gens, multiplicity(inst, use_cache=False).e)]
     monkeypatch.setattr(matlis, "build_matrix", checked)
     for gens, length in runs:
         assert compute_dual_basis(gens, glex).length == length
@@ -197,6 +195,114 @@ def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
     # the first build truncates at its top degree + nvars; a later gamma
     # term above that makes the memo truncate again
     assert all(max(degrees) > min(degrees) + len(names) for degrees in tops), tops
+
+
+def _fresh_plain_kernel(gens, gamma, order, nvars):
+    """The step's matrix built from scratch, and plain_kernel of its rows."""
+    M = build_matrix(gens, gamma, order, nvars)
+    rows, _ = _act_build(gens, gamma, order, nvars)
+    assert M.rows == tuple(tuple(map(plain, row)) for row in rows)
+    return plain_kernel([list(row) for row in M.rows], M.ncols, M.field.char)
+
+
+def _checked_span_steps(monkeypatch):
+    """Wrap the base-field step solve: each call must give the vector a fresh
+    build_matrix + plain_kernel gives, and the columns the run's memo holds
+    must make the fresh matrix.  Returns the per-run list of the top gamma
+    degrees seen."""
+    original = matlis._span_kernel
+    memos, tops = [], []
+
+    def checked(state, gamma):
+        assert isinstance(state.memo, RunMemo)
+        vec = original(state, gamma)
+        want = _fresh_plain_kernel(state.gens, gamma, state.order, state.nvars)
+        assert (None if vec is None else [plain(a) for a in vec]) == want
+        # field scalars, as `kernel` returns them
+        assert vec is None or all(
+            type(a) is (GFElement if state.field.char else Fraction) for a in vec
+        )
+        _check_memo_build(
+            build_matrix(state.gens, gamma, state.order, state.nvars, state.memo),
+            state.gens, gamma, state.order, state.nvars,
+        )
+        if not memos or memos[-1] is not state.memo:
+            memos.append(state.memo)
+            tops.append(set())
+        tops[-1].add(max(map(sum, gamma)))
+        return vec
+
+    monkeypatch.setattr(matlis, "_span_kernel", checked)
+    return tops
+
+
+def test_every_base_field_step_matches_a_fresh_solve(monkeypatch, glex):
+    """At every step of a base-field run, the solve from the run's span of
+    candidate columns returns the vector build_matrix + plain_kernel return,
+    over QQ, GF(7) and GF(32003): series generators whose memoized truncation
+    must deepen, and seeded polynomial ideals."""
+    names = ("x", "y")
+    exprs = ["x^3 - y^2/(1 - x)", "y^3 + 2*x^2*y/(1 - x*y)"]
+    series_runs = []
+    for base in (QQ, GF(7), GF(32003)):
+        gens = [parse_generator(e, base, names) for e in exprs]
+        assert all(isinstance(g, RationalSeries) for g in gens)
+        series_runs.append((gens, vector_space_length([g.truncate(12) for g in gens])))
+    tops = _checked_span_steps(monkeypatch)
+    for gens, length in series_runs:
+        assert compute_dual_basis(gens, glex).length == length
+    assert len(tops) == len(series_runs)
+    # the first solve truncates at its top degree + nvars; a later gamma
+    # term above that makes the memo truncate again
+    assert all(max(degrees) > min(degrees) + len(names) for degrees in tops), tops
+    rng = random.Random(53)
+    for trial in range(18):
+        base = (QQ, GF(7), GF(32003))[trial % 3]
+        nvars = rng.choice([2, 3])
+        gens = []
+        for i in range(nvars):
+            power = tuple(rng.randint(2, 3) if j == i else 0 for j in range(nvars))
+            coeffs = {power: base.one()}
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(1, 2) for _ in range(nvars))
+                coeffs[e] = base.from_int(rng.choice([-3, -1, 2, 5]))
+            gens.append(SparsePoly(base, nvars, coeffs))
+        assert compute_dual_basis(gens, glex).length == vector_space_length(gens)
+    assert len(tops) == len(series_runs) + 18
+
+
+def test_span_restarts_when_an_old_candidate_is_gone(glex):
+    """A candidate list that drops a term the span holds empties the span,
+    and the solve still equals a fresh one.  With x - y and y^3 the steps
+    accept, reject (keeping the span), then restart and accept."""
+    gens = [parse_polynomial(e, QQ, ("x", "y")) for e in ("x - y", "y^3")]
+    state = DualBasisState(gens, glex, DEFAULT_CAPS)
+    span = state.span
+    verdicts = []
+    for gamma in ([(1, 1), (2, 0), (0, 2)], [(0, 1), (2, 0), (0, 2)], [(1, 0), (0, 1)]):
+        before = set(span.names)
+        vec = matlis._span_kernel(state, gamma)
+        want = _fresh_plain_kernel(state.gens, gamma, glex, 2)
+        assert (None if vec is None else [plain(a) for a in vec]) == want
+        kept = before <= set(gamma[1:])
+        # a rejected tau0 joins the span; a restart drops the old terms
+        assert span.names == (before if kept else set()) | set(gamma[1:]) | (
+            {gamma[0]} if vec is None else set()
+        )
+        verdicts.append((vec is not None, kept))
+    assert verdicts == [(True, True), (False, True), (True, False)]
+
+
+def test_span_raises_on_a_dependent_candidate_column(glex):
+    """(x + y) sends 1/x^2 and 1/y^2 to the same dual term: two equal
+    candidate columns, so the step's matrix has a kernel vector with leading
+    entry 0, and the solve raises UnexpectedNullity."""
+    from hsmult import UnexpectedNullity
+
+    gens = [parse_polynomial(e, GF(7), ("x", "y")) for e in ("x + y", "x^2")]
+    state = DualBasisState(gens, glex, DEFAULT_CAPS)
+    with pytest.raises(UnexpectedNullity):
+        matlis._span_kernel(state, [(2, 0), (1, 0), (0, 1)])
 
 
 def test_one_memo_across_growing_gamma_lists(glex):

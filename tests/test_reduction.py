@@ -24,11 +24,13 @@ from hsmult import (
     rank,
     verify_reduction_by_length,
 )
-from hsmult.errors import NotStabilized
-from hsmult.modp import ModpStats
+from hsmult.errors import NotStabilized, NotZeroDimensional
+from hsmult.exprparse import parse_generator
+from hsmult.modp import DEFAULT_PRIMES, ModpStats
 from hsmult.oracles import vector_space_length
-from hsmult.reduction import _colength_at, param_names, reduction_generators
+from hsmult.reduction import _colength_at, _mod_prime, param_names, reduction_generators
 from hsmult.scalars import GFElement
+from hsmult.series import RationalSeries
 from tests.conftest import FIXTURES, load_instance, make_poly, naive_pp_eval, plain
 
 
@@ -789,3 +791,125 @@ def test_point_lengths_match_the_oracle(base, glex):
         checked += 1
         lengths.add(want)
     assert checked >= 35 and len(lengths) >= 10
+
+
+P = DEFAULT_PRIMES[0]
+
+
+def _rational(rng):
+    return Fraction(rng.choice([-5, -3, -1, 1, 2, 4, 7]), rng.choice([1, 1, 2, 3, 10]))
+
+
+def test_point_lengths_mod_p_match_qq(glex):
+    """On seeded ideals with integer and rational coefficients, some with a
+    series generator and some in a quotient ring, the colength of the
+    residues mod P at a point is never below the colength over QQ there, and
+    here equals it."""
+    rng = random.Random("residue-points")
+    checked = quotient = series = 0
+    for trial in range(40):
+        nvars = rng.choice([2, 2, 3])
+        gens = []
+        for i in range(nvars):
+            power = tuple(rng.randint(2, 3) if j == i else 0 for j in range(nvars))
+            coeffs = {power: _rational(rng)}
+            for _ in range(rng.randint(0, 2)):
+                e = tuple(rng.randint(0, 2) for _ in range(nvars))
+                if sum(e) >= 2:
+                    coeffs[e] = _rational(rng)
+            gens.append(make_poly(QQ, nvars, coeffs))
+        gens.append(make_poly(QQ, nvars, {
+            tuple(rng.randint(0, 2) for _ in range(nvars)): _rational(rng),
+            tuple(rng.randint(1, 2) for _ in range(nvars)): _rational(rng),
+        }))
+        if trial % 5 == 1:
+            # the same ideal, with the first generator times a unit series
+            one_minus = make_poly(QQ, nvars, {(0,) * nvars: 1, (1,) + (0,) * (nvars - 1): -2})
+            gens[0] = RationalSeries(gens[0], one_minus)
+        d, i_gens = nvars, ()
+        if trial % 4 == 3:
+            # R = S/(x_0 x_1 - x_1^2 + ...), of dimension nvars - 1
+            d = nvars - 1
+            i_gens = (make_poly(QQ, nvars, {
+                (1, 1) + (0,) * (nvars - 2): 1,
+                (0, 2) + (0,) * (nvars - 2): _rational(rng),
+                (3,) + (0,) * (nvars - 1): _rational(rng),
+            }),)
+        inst = ProblemInstance(
+            base=QQ, nvars=nvars, var_names=("x", "y", "z")[:nvars], i_gens=i_gens,
+            j_gens=tuple(gens), d=d, order=glex,
+        )
+        rows = tuple(
+            tuple(_rational(rng) for _ in range(inst.m - d)) for _ in range(d)
+        )
+        try:
+            want = _colength_at(inst, rows, ModpStats())
+        except NotZeroDimensional:
+            continue
+        reduced = _mod_prime(inst, rows, P)
+        assert reduced is not None and reduced[0].base == GF(P)
+        got = _colength_at(*reduced, ModpStats())
+        assert got >= want
+        assert got == want
+        checked += 1
+        quotient += bool(i_gens)
+        series += trial % 5 == 1
+    assert checked >= 35 and quotient >= 5 and series >= 5
+
+
+@pytest.mark.parametrize(
+    "ideal, h, member",
+    [
+        # P divides a denominator of h
+        (["x^2", "y^2"], f"x/{P}", False),
+        (["x^2", "y^2"], f"x*y/{P}", True),
+        # P divides q(0) of a series h = x / (P + x), which generates (x)
+        (["x^2", "y^2"], f"x/({P} + x)", False),
+        # P divides the coefficient of h: its residue is 0, Q_a mod P is J,
+        # and the point run reaches e(J)
+        (["x^2", "y^2"], f"{P}*x", False),
+        # the residues of Q_a are not m-primary: P*y^2 vanishes mod P
+        (["x^2", f"{P}*y^2"], "x", False),
+        (["x^2", f"{P}*y^2"], "x*y", True),
+    ],
+)
+def test_membership_mod_p_falls_back_to_the_run_over_k_t(glex, ideal, h, member):
+    """Where the residues mod P give no point colength below e(J), the run
+    over K(t) decides, with the right verdict."""
+    names = ("x", "y")
+    inst = ProblemInstance(
+        base=QQ, nvars=2, var_names=names, i_gens=(),
+        j_gens=tuple(parse_generator(g, QQ, names) for g in ideal), d=2, order=glex,
+    )
+    got = membership(inst, parse_generator(h, QQ, names))
+    assert (got.member, got.e, got.decided_by, got.point_length) == (
+        member, 4, "multiplicity", None
+    )
+
+
+def test_member_point_seam_runs_on_residues(monkeypatch, glex):
+    """A point given through _member_point is reduced mod P with the
+    instance; a point entry whose denominator P divides skips the point run."""
+    from hsmult import reduction
+    from hsmult.matlis import compute_dual_basis
+
+    gens = (make_poly(QQ, 2, {(2, 0): 1}), make_poly(QQ, 2, {(0, 2): 1}))
+    inst = ProblemInstance(
+        base=QQ, nvars=2, var_names=("x", "y"), i_gens=(), j_gens=gens, d=2, order=glex,
+    )
+    fields = []
+
+    def recording(gens, *args, **kwargs):
+        if kwargs.get("budget") is not None:
+            fields.append(gens[0].field)
+        return compute_dual_basis(gens, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "compute_dual_basis", recording)
+    x = make_poly(QQ, 2, {(1, 0): 1})
+    for entry, decided_by in ((Fraction(1, 2), "point-length"), (Fraction(1, P), "multiplicity")):
+        point = ((entry,), (Fraction(3),))
+        monkeypatch.setattr(reduction, "_member_point", lambda ext: point)
+        got = membership(inst, x)
+        assert (got.member, got.decided_by) == (False, decided_by)
+    # the first query's point run was over GF(P); the second made none
+    assert fields == [GF(P)]

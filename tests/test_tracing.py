@@ -98,12 +98,15 @@ def test_member_example3_x_is_decided_at_a_point(monkeypatch):
     # one generic K(t) run, for J alone (6 steps, 5 kernels over K(t)); J + (x)
     # is not run over K(t).  m > d, so the first query also runs J + I over
     # the base field for its inverse system (4 steps), and x is not in it;
-    # then x costs one base-field point run of 3 steps
+    # then x costs one point run of 3 steps, on the residues mod 2^31 - 1.
+    # Base-field steps solve from their run's span of candidate columns, so
+    # those 4 + 3 steps call no kernel and build no matrix
     assert tracer.calls["reduction.multiplicity"] == 1
     assert tracer.calls["matlis.compute_dual_basis"] == 3
     assert tracer.calls["linalg.kernel_ff"] == 5
     assert tracer.calls["matlis.step"] == 6 + 4 + 3
-    assert tracer.calls["linalg.kernel_base"] == 4 + 3
+    assert tracer.calls["linalg.kernel_base"] == 0
+    assert tracer.calls["matlis.build_matrix"] == 6
 
 
 def test_member_gf32003_images_stay_off_kernel(monkeypatch):
@@ -120,10 +123,13 @@ def test_member_gf32003_images_stay_off_kernel(monkeypatch):
     assert (result["member"], result["decided_by"]) == (False, "point-length")
     # the mod-p image shares the base-field eliminator but not `kernel`, so
     # these are the counts recorded while it had an eliminator of its own;
-    # the base-field kernels are the run of J + I (3) and the point run (2)
+    # the base-field steps, the run of J + I (3) and the point run (2), solve
+    # from their run's span of candidate columns and call no kernel; the
+    # K(t) run of J makes the other 4 steps
     assert tracer.calls["modp.kernel_via_modp"] == 1
     assert tracer.calls["linalg.kernel_ff"] == 3
-    assert tracer.calls["linalg.kernel_base"] == 3 + 2
+    assert tracer.calls["linalg.kernel_base"] == 0
+    assert tracer.calls["matlis.step"] == 4 + 3 + 2
 
 
 def test_member_in_j_makes_no_point_run_and_no_k_t_run(monkeypatch):
