@@ -32,22 +32,28 @@ def _pure_power_bounds(gens, nvars):
 
 
 def _count_standard(gens, bounds):
-    """Standard monomials inside the box, by a divisibility sieve."""
-    nvars = len(bounds)
+    """Standard monomials inside the box, by a divisibility sieve.
+
+    A point is in the ideal when it is a generator or a point one step below
+    it is.  The box is swept one layer of the first coordinate at a time, and
+    only the standard points of the current and the previous layer are kept.
+    """
+    if not bounds:
+        return 0  # no variables: the generator () is the unit
     gens = set(gens)
-    in_ideal = {}
+    inner = [range(b) for b in bounds[1:]]
     count = 0
-    for alpha in itertools.product(*(range(b) for b in bounds)):
-        hit = alpha in gens
-        if not hit:
-            for i in range(nvars):
-                if alpha[i]:
-                    if in_ideal[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]:
-                        hit = True
-                        break
-        in_ideal[alpha] = hit
-        if not hit:
-            count += 1
+    below = set()
+    for a0 in range(bounds[0]):
+        layer = set()
+        for rest in itertools.product(*inner):
+            if (a0,) + rest in gens or (a0 and rest not in below):
+                continue
+            steps = (rest[:i] + (d - 1,) + rest[i + 1 :] for i, d in enumerate(rest) if d)
+            if all(s in layer for s in steps):
+                layer.add(rest)
+        count += len(layer)
+        below = layer
     return count
 
 

@@ -223,23 +223,35 @@ def _uni_prem(A, B, v, char):
 
 
 def pp_gcd(a, b, char):
-    """Multivariate gcd, unit-normalized (positive lead over Z, monic over F_p)."""
+    """Multivariate gcd, unit-normalized (positive lead over Z, monic over F_p).
+
+    When one argument is a single term the gcd is a term too, and it is
+    returned at once: the exponent-wise minima over both arguments' terms,
+    times the integer gcd of all coefficients in characteristic 0 (1 in
+    characteristic p).  Otherwise a primitive PRS in the last active
+    parameter, whose contents recurse through ``pp_gcd``.
+    """
     if not a:
         return _pp_unit_normalize(b, char)
     if not b:
         return _pp_unit_normalize(a, char)
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((m, g),) = a.items()
+        for e in b:
+            m = tuple(map(min, m, e))
+        if char:
+            return {m: 1}
+        for c in b.values():
+            g = math.gcd(g, c)
+        return {m: g}
     active = set()
     for e in a:
         active.update(i for i, d in enumerate(e) if d)
     for e in b:
         active.update(i for i, d in enumerate(e) if d)
-    r = len(next(iter(a)))
-    if not active:
-        if char:
-            return pp_const(1, r, char)
-        ca = next(iter(a.values()))
-        cb = next(iter(b.values()))
-        return pp_const(math.gcd(abs(ca), abs(cb)), r, 0)
+    # both arguments have two terms or more, so some parameter occurs
     v = max(active)
     A = _as_uni(a, v)
     B = _as_uni(b, v)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,10 @@ from hypothesis import strategies as st
 
 from hsmult import GF, QQ, DenominatorVanishes, FunctionField, RingMismatch
 from hsmult.scalars import (
+    _as_uni,
+    _from_uni,
+    _pp_unit_normalize,
+    _uni_prem,
     pp_const,
     pp_divexact,
     pp_eval_rows,
@@ -141,6 +146,140 @@ def test_pp_gcd_includes_content():
     sq = pp_mul({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}, 0)
     assert pp_gcd(sq, {(1, 0): 1, (0, 1): 1}, 0) == {(1, 0): 1, (0, 1): 1}
     assert pp_gcd({}, {(1, 0): -2}, 0) == {(1, 0): 2}
+
+
+def _frozen_uni_content(u, char):
+    c = {}
+    one = None
+    for poly in u.values():
+        c = _frozen_pp_gcd(c, poly, char)
+        if one is None:
+            one = pp_const(1, len(next(iter(c))), char) if c else None
+        if c == one:
+            break
+    return c
+
+
+def _frozen_pp_gcd(a, b, char):
+    """pp_gcd as it was before single-term arguments returned at once: the
+    primitive PRS on every input, recursing into itself."""
+    if not a:
+        return _pp_unit_normalize(b, char)
+    if not b:
+        return _pp_unit_normalize(a, char)
+    active = set()
+    for e in a:
+        active.update(i for i, d in enumerate(e) if d)
+    for e in b:
+        active.update(i for i, d in enumerate(e) if d)
+    r = len(next(iter(a)))
+    if not active:
+        if char:
+            return pp_const(1, r, char)
+        ca = next(iter(a.values()))
+        cb = next(iter(b.values()))
+        return pp_const(math.gcd(abs(ca), abs(cb)), r, 0)
+    v = max(active)
+    A = _as_uni(a, v)
+    B = _as_uni(b, v)
+    if max(A) < max(B):
+        A, B = B, A
+    ca = _frozen_uni_content(A, char)
+    cb = _frozen_uni_content(B, char)
+    cont = _frozen_pp_gcd(ca, cb, char)
+    A = {d: pp_divexact(c, ca, char) for d, c in A.items()}
+    B = {d: pp_divexact(c, cb, char) for d, c in B.items()}
+    while True:
+        R = _uni_prem(A, B, v, char)
+        if not R:
+            g_uni = B
+            break
+        if max(R) == 0:
+            return _pp_unit_normalize(cont, char)
+        cr = _frozen_uni_content(R, char)
+        A, B = B, {d: pp_divexact(c, cr, char) for d, c in R.items()}
+    g = pp_mul(cont, _from_uni(g_uni, v), char)
+    return _pp_unit_normalize(g, char)
+
+
+def _draw_pp(rng, kind, r, char):
+    """A parameter polynomial of the given kind, coefficients reduced mod char."""
+
+    def coeff():
+        c = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 4, 6, 9, 12, 30])
+        return c % char if char else c
+
+    def expo():
+        return tuple(rng.randint(0, 2) for _ in range(r))
+
+    if kind == "zero":
+        return {}
+    if kind == "constant":
+        c = coeff()
+        return {(0,) * r: c} if c else {}
+    if kind == "monomial":
+        c = coeff()
+        return {expo(): c} if c else {}
+    if kind == "negative term":
+        c = -rng.choice([1, 2, 6, 10])
+        if char:
+            c %= char
+        return {expo(): c} if c else {}
+    out = {}
+    for _ in range(rng.randint(2, 4)):
+        c = coeff()
+        if c:
+            out[expo()] = c
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 32003])
+def test_pp_gcd_matches_the_full_recursion(char):
+    kinds = ["zero", "constant", "monomial", "negative term", "general"]
+    rng = random.Random(1500 + char)
+    single = with_content = 0
+    for r in range(1, 7):
+        for _ in range(40):
+            a = _draw_pp(rng, rng.choice(kinds), r, char)
+            b = _draw_pp(rng, rng.choice(kinds), r, char)
+            if rng.random() < 0.5:
+                # a common factor, so that gcds are not all trivial
+                f = _draw_pp(rng, rng.choice(kinds[1:]), r, char)
+                a, b = pp_mul(a, f, char), pp_mul(b, f, char)
+            expected = _frozen_pp_gcd(a, b, char)
+            assert pp_gcd(a, b, char) == expected, (a, b)
+            assert pp_gcd(b, a, char) == expected, (b, a)
+            if a and b and 1 in (len(a), len(b)) and max(len(a), len(b)) > 1:
+                single += 1
+                with_content += max(expected.values()) > 1
+    # the draws reach the single-term return against a longer argument, and
+    # over QQ with a nontrivial integer content
+    assert single >= 5
+    assert char or with_content >= 5
+
+
+@pytest.mark.parametrize("char", [0, 11, 32003])
+def test_pp_gcd_single_term_content_and_normalization(char):
+    def red(a):
+        return {e: c % char for e, c in a.items()} if char else a
+
+    cases = [
+        # (a, b, gcd over QQ)
+        ({(1, 2): 6}, {(2, 0): 4, (0, 1): 10}, {(0, 0): 2}),
+        ({(1, 2): -6}, {(2, 1): -9, (1, 3): 3}, {(1, 1): 3}),
+        ({(1, 1): -4}, {(0, 0): -8}, {(0, 0): 4}),
+        ({(2, 0): -5}, {}, {(2, 0): 5}),
+        ({(3, 1): 7}, {(1, 4): 14}, {(1, 1): 7}),
+    ]
+    for a, b, over_q in cases:
+        a, b = red(a), red(b)
+        got = pp_gcd(a, b, char)
+        assert got == pp_gcd(b, a, char) == _frozen_pp_gcd(a, b, char)
+        if char:
+            # monic: only the term survives
+            assert got == {e: 1 for e in over_q}
+        else:
+            assert got == over_q
 
 
 def test_pp_divexact_raises_when_not_exact():

@@ -180,3 +180,20 @@ def test_reduce_keeps_its_point_evaluations(monkeypatch, name, specialize, nonsi
     assert tracer.calls["linalg.nonsingular_at"] == nonsingular
     assert tracer.calls["reduction.certify"] == certify
     assert tracer.distinct_certify_points() == points
+
+
+@pytest.mark.parametrize("name, gcds", [("params_gf2.json", 220), ("example4.json", 164)])
+def test_reduce_gcd_work(monkeypatch, name, gcds):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance(name)
+        run_command("reduce", inst, options)
+    finally:
+        tracer.uninstall()
+    # every pp_gcd call, nested ones included; a single-term argument returns
+    # at once (the full recursion made 547 and 488 calls)
+    assert tracer.counts["scalars.pp_gcd.calls"] == gcds
