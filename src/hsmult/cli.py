@@ -4,6 +4,7 @@
 
 One command per process; reports go to stdout (--json for the canonical
 machine form, which is byte-identical across runs when --no-timing is set).
+The flags may come before, between or after FILE and EXPR.
 Exit codes: 0 success, 2 parse/validation (including ValueError from input
 checks), 3 resource caps, 4 search exhausted, 5 engine fault: a broken
 invariant (InternalInconsistency, UnexpectedNullity), arithmetic that should
@@ -273,7 +274,7 @@ EXIT_INTERNAL = 5
 
 def main(argv=None):
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     started = time.perf_counter()
     try:
         if args.command == "selftest":

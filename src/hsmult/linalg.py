@@ -348,18 +348,6 @@ def rank(M):
     return len(_eliminate([list(row) for row in M.rows], M.ncols, field.char))
 
 
-def matvec(M, v):
-    """M v in field scalars, for a function-field matrix given by its rows."""
-    out = []
-    for row in M.rows:
-        s = M.field.zero()
-        for a, b in zip(row, v):
-            if a and b:
-                s = s + a * b
-        out.append(s)
-    return out
-
-
 def nonsingular_at(M, values):
     """True iff M keeps full column rank at a parameter point.
 

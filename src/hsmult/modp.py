@@ -1,32 +1,51 @@
 """Modular acceleration of kernel decisions for parameter-polynomial matrices.
 
-Specializing the parameters at a point of a large prime field can only lower
-the rank, so a full-column-rank image certifies a trivial exact kernel
-outright.  When the image does have a kernel vector, its support is used to
-restrict the exact solve to few columns; the result is confirmed exactly, and
-a failed confirmation costs only a retry with the next deterministic point
-(falling back to the full exact kernel after that).  Correctness therefore
-never depends on the specialization point being generic, and the kernel
-vector is the canonical one on either path.
+Specializing the parameters at a point can only lower the rank, because
+evaluation is a ring map, so a full-column-rank image certifies a trivial
+exact kernel outright.  When the image does have a kernel vector, its support
+is used to restrict the exact solve to few columns; the result is confirmed
+exactly, and a failed confirmation costs only a retry with the next
+deterministic point (falling back to the full exact kernel after that).
+Correctness therefore never depends on the specialization point being
+generic, and the kernel vector is the canonical one on either path.
 
 The policy is fixed: a matrix over a parameter field with more than
 ``DIRECT_MAX_COLUMNS`` (4) columns goes through ``kernel_via_modp``, which tries
-up to three points (one per prime of ``DEFAULT_PRIMES``, or three points of
-GF(p) over a prime base field); every other matrix goes to ``kernel``.
+up to three points (one per prime of ``DEFAULT_PRIMES`` over QQ); every other
+matrix goes to ``kernel``.
+
+The point field.  A matrix over GF(p)(t) is specialized at a point of
+GF(q), q = p^k with k the largest exponent such that q <= 2^13
+(``point_field_order``), so k = 1 for p > 90 and for the primes of
+``DEFAULT_PRIMES``: over QQ and
+GF(32003) the image is a matrix of ints mod p.  Over GF(2), GF(3) or GF(5) a
+point of GF(p)^r is too small a sample: t^2 + t vanishes at every point of
+GF(2), so a full-rank matrix can be singular at all of them.  By
+Schwartz-Zippel, a nonzero maximal minor of total degree D vanishes at a
+uniform point of GF(q)^r with probability at most D / q, and D <= ncols
+when every grid entry has degree at most 1.  GF(p) is a subfield of GF(q),
+so forced points keep their meaning.  GF(q) is ``_Extension``: Zech
+logarithms of a root of a fixed primitive polynomial (``_PRIMITIVE``), whose
+tables, of at most 2^13 entries each, are built for a prime when its first
+matrix needs them.
 
 Every step reads the matrix's cleared grid (``ExactMatrix.grid``): the points
-are hashed from its text, the image is its evaluation mod p as rows of
-machine ints, the restricted solve takes its columns, and the confirmation
-multiplies it by the kernel vector, whose entries have denominator 1 by the
-kernel contract of ``linalg``.  The image is made by ``scalars.pp_eval_rows``,
-the one evaluator of parameter polynomials at a point, and eliminated by
-``linalg.plain_kernel``, the one base-field eliminator, on its ints mod p: no
-prime-field element or rational function is built for it.
+are hashed from its text, the image is its evaluation at the point, the
+restricted solve takes its columns, and the confirmation multiplies it by the
+kernel vector, whose entries have denominator 1 by the kernel contract of
+``linalg``.  Over a prime point field the image is made by
+``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at a
+point of a prime field, and eliminated by ``linalg.plain_kernel``, the one
+base-field eliminator, on its ints mod p; over GF(q) both are
+``_Extension``'s.  No field element or rational function is built for the
+image.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cache
 
 # CPython's built-in SHA-256 gives the same digests as hashlib's without
 # loading OpenSSL's libcrypto (3.7 MB resident with CPython 3.11 on Linux)
@@ -35,8 +54,8 @@ try:
 except ImportError:
     from hashlib import sha256
 
-from .errors import UnexpectedNullity
-from .linalg import kernel, plain_kernel
+from .errors import InternalInconsistency, UnexpectedNullity
+from .linalg import _free_column, kernel, plain_kernel
 from .scalars import FunctionField, pp_add, pp_eval_rows, pp_mul, pp_to_str
 
 # largest primes below 2^31, descending: the retry-th point is taken mod the
@@ -46,10 +65,175 @@ DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 # parameter matrices with at most this many columns are solved directly
 DIRECT_MAX_COLUMNS = 4
 
+# the largest point field over a small prime
+POINT_FIELD_MAX = 1 << 13
+
+# x^k modulo a primitive polynomial of degree k over GF(p), k as in
+# point_field_order, as the int whose base-p digits are its coefficients,
+# lowest first: the smallest such int, e.g. 27 for x^13 + x^4 + x^3 + x + 1
+# over GF(2); one per prime whose point field is an extension (p <= 90)
+_PRIMITIVE = {
+    2: 27, 3: 28, 5: 7, 7: 60, 11: 18, 13: 32, 17: 20, 19: 34,
+    23: 27, 29: 44, 31: 38, 37: 52, 41: 48, 43: 52, 47: 55, 53: 58,
+    59: 62, 61: 68, 67: 77, 71: 74, 73: 78, 79: 83, 83: 104, 89: 104,
+}
+
+
+def point_field_order(p):
+    """q = p^k for the largest k with q <= 2^13, or p itself when p > 90."""
+    q = p
+    while q * p <= POINT_FIELD_MAX:
+        q *= p
+    return q
+
+
+class _Extension:
+    """GF(q), q = p^k > p, on Zech logarithms of a root a of ``_PRIMITIVE[p]``.
+
+    Elements come in and go out as ints in [0, q) whose base-p digits are
+    their coefficients on 1, a, ..., a^(k-1), so GF(p) is [0, p) with its own
+    int arithmetic.  Inside, a nonzero element is its logarithm n in
+    [0, q - 1), standing for a^n, and zero is -1; a^m a^n = a^(m + n), and
+    a^m + a^n = a^(m + zech[n - m]) with zech[n] the logarithm of 1 + a^n.
+    The three tables are arrays of q - 1 or q 16-bit ints.
+    """
+
+    __slots__ = ("p", "m", "exp", "log", "zech", "minus_one")
+
+    def __init__(self, p, q):
+        red = _PRIMITIVE[p]
+        # a * (low + hi a^(k-1)) = low shifted up one digit + hi * red
+        red_digits = []
+        place = 1
+        while place <= red:
+            if red // place % p:
+                red_digits.append((place, red // place % p))
+            place *= p
+        top = q // p
+        exp = [1] * (q - 1)
+        v = 1
+        for n in range(1, q - 1):
+            hi, low = divmod(v, top)
+            v = low * p
+            for place, d in red_digits if hi else ():
+                digit = v // place % p
+                v += ((digit + hi * d) % p - digit) * place
+            exp[n] = v
+        log = [-1] * q
+        for n, v in enumerate(exp):
+            log[v] = n
+        if log.count(-1) > 1:
+            raise InternalInconsistency(f"_PRIMITIVE[{p}] is not primitive")
+        # 1 + v changes only the constant digit of v
+        zech = [log[v - v % p + (v + 1) % p] for v in exp]
+        self.p, self.m = p, q - 1
+        self.exp = array("H", exp)
+        self.log, self.zech = array("h", log), array("h", zech)
+        self.minus_one = (q - 1) // 2 if p > 2 else 0
+
+    def add(self, x, y):
+        """x + y on logarithms."""
+        if x < 0:
+            return y
+        if y < 0:
+            return x
+        z = self.zech[(y - x) % self.m]
+        return z if z < 0 else (x + z) % self.m
+
+    def _monomial(self, logs, expo):
+        """The logarithm of the monomial expo at the point with these
+        logarithms (-1 when it is zero)."""
+        n = 0
+        for lv, d in zip(logs, expo):
+            if d:
+                if lv < 0:
+                    return -1
+                n += lv * d
+        return n % self.m
+
+    def eval_rows(self, grid, values):
+        """``scalars.pp_eval_rows`` into GF(q): the grid at values, elements
+        of GF(q) as ints, as new lists of ints."""
+        p, m, log = self.p, self.m, self.log
+        logs = [log[v] for v in values]
+        monomials = {}
+        out = []
+        for row in grid:
+            new = []
+            for a in row:
+                acc = -1
+                for expo, c in a.items():
+                    mono = monomials.get(expo)
+                    if mono is None:
+                        mono = monomials[expo] = self._monomial(logs, expo)
+                    c %= p
+                    if mono >= 0 and c:
+                        acc = self.add(acc, (log[c] + mono) % m)
+                new.append(0 if acc < 0 else self.exp[acc])
+            out.append(new)
+        return out
+
+    def kernel(self, rows, ncols):
+        """``linalg.plain_kernel`` over GF(q) on rows of ints as above: None
+        when trivial, the vector whose first nonzero entry is 1 when it is a
+        line, and UnexpectedNullity beyond that."""
+        m, zech, log = self.m, self.zech, self.log
+        rows = [[log[a] for a in row] for row in rows]
+        pivots = []
+        for c in range(ncols):
+            r = len(pivots)
+            pr = next((i for i in range(r, len(rows)) if rows[i][c] >= 0), None)
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            prow = rows[r]
+            cols = [j for j in range(c + 1, ncols) if prow[j] >= 0]
+            # row += f * prow with f = -row[c] / prow[c]
+            shift = self.minus_one - prow[c]
+            for row in rows[r + 1 :]:
+                if row[c] < 0:
+                    continue
+                f = row[c] + shift
+                for j in cols:
+                    t = (f + prow[j]) % m
+                    b = row[j]
+                    if b < 0:
+                        row[j] = t
+                    else:
+                        z = zech[(t - b) % m]
+                        row[j] = z if z < 0 else (b + z) % m
+            pivots.append((r, c))
+            if len(pivots) == len(rows):
+                break
+        free = _free_column(pivots, ncols)
+        if free is None:
+            return None
+        v = [-1] * ncols
+        v[free] = 0
+        for r, c in reversed(pivots):
+            row = rows[r]
+            s = -1
+            for j in range(c + 1, ncols):
+                if row[j] >= 0 and v[j] >= 0:
+                    s = self.add(s, row[j] + v[j])
+            if s >= 0:
+                v[c] = (s + self.minus_one - row[c]) % m
+        first = next(a for a in v if a >= 0)
+        return [0 if a < 0 else self.exp[(a - first) % m] for a in v]
+
+
+@cache
+def _point_field(p):
+    """GF(point_field_order(p)) as an ``_Extension``, or None when that is
+    GF(p); built on first use, one per prime."""
+    q = point_field_order(p)
+    return None if q == p else _Extension(p, q)
+
 
 @dataclass(frozen=True)
 class SpecPoint:
-    """A specialization target: reduce mod p after evaluating t at the values."""
+    """A specialization target: evaluate t at the values, elements of the
+    point field of ``prime`` (see ``_Extension`` for their ints)."""
 
     prime: int
     values: tuple
@@ -61,7 +245,8 @@ class ModpPolicy:
     """Deterministic point selection: counter-based hashing, never randomness.
 
     forced_points, (prime, values) pairs, replace the first hashed points;
-    tests use them to inject degenerate points.
+    tests use them to inject degenerate points.  The values are taken mod
+    the prime, so they are points of GF(prime) inside its point field.
     """
 
     forced_points: tuple = ()
@@ -72,6 +257,7 @@ class ModpPolicy:
             p, values = self.forced_points[retry]
             return SpecPoint(p, tuple(v % p for v in values), retry)
         p = char if char else DEFAULT_PRIMES[retry]
+        q = point_field_order(p)
         values = []
         counter = 0
         while len(values) < nparams:
@@ -81,7 +267,7 @@ class ModpPolicy:
             for k in range(0, len(h) - 7, 8):
                 if len(values) == nparams:
                     break
-                values.append(int.from_bytes(h[k : k + 8], "big") % p)
+                values.append(int.from_bytes(h[k : k + 8], "big") % q)
             counter += 1
         return SpecPoint(p, tuple(values), retry)
 
@@ -107,9 +293,13 @@ def _serial(M):
 
 
 def specialize(M, pt):
-    """The grid evaluated at pt.values mod pt.prime: a new list of int rows,
-    reduced into [0, pt.prime) by ``scalars.pp_eval_rows``."""
-    return pp_eval_rows(M.grid, pt.values, pt.prime)
+    """The grid evaluated at pt.values: a new list of int rows, reduced into
+    [0, pt.prime) by ``scalars.pp_eval_rows`` when the point field is
+    GF(pt.prime), and elements of GF(q) otherwise."""
+    F = _point_field(pt.prime)
+    if F is None:
+        return pp_eval_rows(M.grid, pt.values, pt.prime)
+    return F.eval_rows(M.grid, pt.values)
 
 
 def _restricted_solve(M, cols):
@@ -155,8 +345,13 @@ def kernel_via_modp(M, policy=None, stats=None):
         if retry and stats is not None:
             stats.retries += 1
         pt = policy.point(serial, retry, nparams, ff.char)
+        rows = specialize(M, pt)
+        F = _point_field(pt.prime)
         try:
-            image = plain_kernel(specialize(M, pt), M.ncols, pt.prime)
+            if F is None:
+                image = plain_kernel(rows, M.ncols, pt.prime)
+            else:
+                image = F.kernel(rows, M.ncols)
         except UnexpectedNullity:
             continue
         if image is None:

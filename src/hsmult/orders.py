@@ -60,6 +60,3 @@ class MonomialOrder:
 
     def min(self, exps):
         return min(exps, key=self.key)
-
-    def sorted_desc(self, exps):
-        return sorted(exps, key=self.key, reverse=True)

@@ -232,13 +232,16 @@ class MultiplicityResult:
     def matlist_grids(self):
         """Entry strings per MatList matrix, as immutable rows like ExactMatrix.rows.
 
-        Reports are kept by long-running callers; the entries repeat across
-        matrices and runs, so they are interned and the rows are tuples.
+        Reports are kept by long-running callers; the entries, rows and whole
+        grids repeat across matrices and runs, so the entries are interned
+        and equal rows, and equal grids, are one tuple (``_shared``).
         """
         return [
-            tuple(
-                tuple(sys.intern(pp_to_str(a, self.params)) for a in row)
-                for row in M.grid
+            _shared(
+                tuple(
+                    _shared(tuple(sys.intern(pp_to_str(a, self.params)) for a in row))
+                    for row in M.grid
+                )
             )
             for M in self.matlist
         ]
@@ -247,6 +250,24 @@ class MultiplicityResult:
 # least recently used first; a hit moves its entry to the end
 _MULT_CACHE: OrderedDict = OrderedDict()
 _MULT_CACHE_SIZE = 256
+
+# MatList rows and grids of recent reports, least recently used first; the
+# bound holds the distinct rows and grids of many instances (about 1,900 for
+# the 48 requests of a generic-reduce benchmark pass)
+_SHARED: OrderedDict = OrderedDict()
+_SHARED_SIZE = 4096
+
+
+def _shared(t):
+    """The kept tuple equal to t, which t becomes when there is none."""
+    kept = _SHARED.get(t)
+    if kept is None:
+        _SHARED[t] = kept = t
+        if len(_SHARED) > _SHARED_SIZE:
+            _SHARED.popitem(last=False)
+    else:
+        _SHARED.move_to_end(t)
+    return kept
 
 
 def multiplicity(inst, use_cache=True):

@@ -13,7 +13,8 @@ entries.  Rational functions are kept canonical: numerator and denominator
 coprime (multivariate gcd, integer content included), denominator with a
 positive leading coefficient in characteristic 0 and monic in characteristic p.
 This makes equality a dict comparison and certificate output reproducible.
-``pp_eval_rows`` is the one evaluator of parameter polynomials at a point.
+``pp_eval_rows`` is the one evaluator of parameter polynomials at a point
+of QQ or GF(p); ``modp`` evaluates them at points of GF(p^k).
 """
 
 from __future__ import annotations

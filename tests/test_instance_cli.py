@@ -735,3 +735,33 @@ def test_cli_exit_codes_on_engine_inputs(tmp_path, drawn, command):
         argv.append(element)
     code, _ = _run_main(argv)
     assert code in {0, 2, 3, 4, 5}
+
+
+FLAGS = (
+    ["--order", "grevlex"],
+    ["--max-terms", "3000"],
+    ["--max-degree", "40"],
+    ["--search-bound", "2"],
+    ["--no-timing"],
+    ["--json"],
+)
+
+
+@pytest.mark.parametrize("command, positionals", [
+    ("reduce", [str(FIXTURES / "example1.json")]),
+    ("member", [str(FIXTURES / "example3.json"), "x*z"]),
+])
+def test_flags_before_the_file_give_the_same_report(capsys, command, positionals):
+    def report(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    for flag in FLAGS:
+        rest = [f for f in ("--json", "--no-timing") if f != flag[0]]
+        last = report([command, *positionals, *flag, *rest])
+        assert last[0] == 0
+        assert report([command, *flag, *positionals, *rest]) == last
+        # between the file and the element
+        assert report([command, positionals[0], *flag, *positionals[1:], *rest]) == last
+    every = [f for flag in FLAGS for f in flag]
+    assert report([command, *every, *positionals]) == report([command, *positionals, *every])

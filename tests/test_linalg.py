@@ -14,8 +14,20 @@ from hsmult import (
     nonsingular_at,
     rank,
 )
-from hsmult.linalg import ColumnSpan, matvec, plain_kernel
+from hsmult.linalg import ColumnSpan, plain_kernel
 from hsmult.scalars import GFElement, pp_const, pp_gcd, pp_leading
+
+
+def matvec(M, v):
+    """M v in field scalars, for a function-field matrix given by its rows."""
+    out = []
+    for row in M.rows:
+        s = M.field.zero()
+        for a, b in zip(row, v):
+            if a and b:
+                s = s + a * b
+        out.append(s)
+    return out
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from hsmult import (
     solve_dispatch,
     specialize,
 )
+from hsmult.modp import _PRIMITIVE, _Extension, _point_field, point_field_order
 from tests.conftest import naive_pp_eval, plain
 
 
@@ -214,3 +215,214 @@ def test_nonsingular_at_grid_only_matlist_matches_entrywise_rank(
                 assert got == expected
                 verdicts.add(got)
     assert verdicts == {True, False}
+
+
+class NaiveGF:
+    """GF(p^k) = GF(p)[x] / (x^k - _PRIMITIVE[p]) by schoolbook arithmetic on
+    coefficient lists, elements encoded as ints with base-p digits lowest
+    first; shares only the polynomial with the engine's Zech tables."""
+
+    def __init__(self, p):
+        self.p, self.q = p, point_field_order(p)
+        self.k = next(k for k in range(1, 14) if p**k == self.q)
+        self.red = self.digits(_PRIMITIVE[p])
+
+    def digits(self, x):
+        return [x // self.p**i % self.p for i in range(self.k)]
+
+    def encode(self, ds):
+        return sum(d * self.p**i for i, d in enumerate(ds))
+
+    def add(self, x, y):
+        return self.encode([(a + b) % self.p for a, b in zip(self.digits(x), self.digits(y))])
+
+    def neg(self, x):
+        return self.encode([-a % self.p for a in self.digits(x)])
+
+    def mul(self, x, y):
+        k, p = self.k, self.p
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(self.digits(x)):
+            for j, b in enumerate(self.digits(y)):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        for top in range(2 * k - 2, k - 1, -1):
+            c, prod[top] = prod[top], 0
+            for i, r in enumerate(self.red):
+                prod[top - k + i] = (prod[top - k + i] + c * r) % p
+        return self.encode(prod[:k])
+
+    def power(self, x, n):
+        out = 1
+        for _ in range(n):
+            out = self.mul(out, x)
+        return out
+
+    def inverse(self, x):
+        out, base, n = 1, x, self.q - 2
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            base, n = self.mul(base, base), n >> 1
+        return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_zech_tables_agree_with_polynomial_arithmetic(p):
+    F, N = _point_field(p), NaiveGF(p)
+    q, m, exp, log = N.q, N.q - 1, F.exp, F.log
+    assert (F.p, F.m, exp[0], exp[1]) == (p, m, 1, p)
+    # powers of the root a = the int p, so log and exp are inverse maps
+    x = 1
+    for n in range(m):
+        assert exp[n] == x and log[x] == n
+        x = N.mul(x, p)
+    assert x == 1 and log[0] == -1
+    # every Zech entry: a^n + 1
+    for n in range(m):
+        assert F.zech[n] == log[N.add(exp[n], 1)]
+    rng = random.Random(p)
+    for _ in range(300):
+        x, y = rng.randrange(q), rng.randrange(1, q)
+        assert F.add(log[x], log[y]) == log[N.add(x, y)]
+        assert exp[(log[y] + F.minus_one) % m] == N.neg(y)
+        assert exp[-log[y] % m] == N.inverse(y)
+        if x:
+            assert exp[(log[x] + log[y]) % m] == N.mul(x, y)
+    # GF(p) sits in GF(q) as the ints [0, p), with its own arithmetic
+    for c in range(1, p):
+        for d in range(1, p):
+            assert exp[(log[c] + log[d]) % m] == c * d % p
+            assert F.add(log[c], log[d]) == log[(c + d) % p]
+
+
+def test_point_fields_build_for_every_small_prime():
+    assert point_field_order(2) == 2**13 and point_field_order(3) == 3**8
+    assert point_field_order(89) == 89**2 and point_field_order(97) == 97
+    assert point_field_order(32003) == 32003
+    assert _point_field(97) is None and _point_field(2147483647) is None
+    # each table is checked to list q - 1 distinct powers when it is built
+    for p in _PRIMITIVE:
+        F = _Extension(p, point_field_order(p))
+        assert sorted(F.exp) == list(range(1, F.m + 1))
+
+
+def _naive_kernel(N, rows, ncols):
+    """The kernel by reduced row echelon form in NaiveGF arithmetic: None,
+    the vector whose first nonzero entry is 1, or "nullity > 1"."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = N.inverse(rows[r][c])
+        rows[r] = [N.mul(inv, a) for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = N.neg(row[c])
+                rows[i] = [N.add(a, N.mul(f, b)) for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    if len(free) > 1:
+        return "nullity > 1"
+    if not free:
+        return None
+    v = [0] * ncols
+    v[free[0]] = 1
+    for r, c in enumerate(pivots):
+        v[c] = N.neg(rows[r][free[0]])
+    inv = N.inverse(next(a for a in v if a))
+    return [N.mul(inv, a) for a in v]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_extension_kernel_matches_naive_elimination(p):
+    F, N, rng = _point_field(p), NaiveGF(p), random.Random(p)
+    seen = {"vector": 0, "trivial": 0, "nullity > 1": 0}
+    for _ in range(60):
+        ncols = rng.randint(2, 6)
+        nrows = ncols + rng.choice((-1, 0, 1))
+        rows = [[rng.randrange(N.q) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        # up to two trailing columns combinations of the first two
+        for j in range(ncols - min(rng.choice((0, 1, 1, 2)), ncols - 2), ncols):
+            a, b = rng.randrange(N.q), rng.randrange(N.q)
+            for row in rows:
+                row[j] = N.add(N.mul(a, row[0]), N.mul(b, row[1]))
+        expected = _naive_kernel(N, rows, ncols)
+        got = _kernel_or_nullity(lambda R: F.kernel(R, ncols), [list(row) for row in rows])
+        assert got == expected
+        seen["vector" if isinstance(expected, list) else "trivial" if expected is None else expected] += 1
+    assert min(seen.values()) >= 5
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_specialize_into_extension_matches_naive_evaluation(p):
+    ff = FunctionField(GF(p), ("a", "b"))
+    N, rng = NaiveGF(p), random.Random(p)
+    M = _random_param_matrix(ff, rng, 4, 5)
+    values = (rng.randrange(N.q), rng.randrange(N.q))
+    got = specialize(M, SpecPoint(p, values))
+    for row, out in zip(M.grid, got):
+        for a, v in zip(row, out):
+            acc = 0
+            for expo, c in a.items():
+                term = c
+                for x, d in zip(values, expo):
+                    term = N.mul(term, N.power(x, d))
+                acc = N.add(acc, term)
+            assert v == acc
+
+
+def test_kernel_via_modp_agrees_with_kernel_over_small_characteristic():
+    rng = random.Random(11)
+    seen = {"vector": 0, "trivial": 0, "nullity > 1": 0}
+    stats = ModpStats()
+    for p in (2, 3, 5):
+        for nparams in (1, 2):
+            field = FunctionField(GF(p), ("a", "b")[:nparams])
+            for _ in range(20):
+                ncols = rng.randint(2, 5)
+                M = _random_param_matrix(field, rng, ncols + rng.choice((-2, -1, 1)), ncols)
+                exact = _kernel_or_nullity(kernel, M)
+                got = _kernel_or_nullity(lambda A: kernel_via_modp(A, stats=stats), M)
+                assert got == exact
+                seen["vector" if isinstance(exact, tuple) else "trivial" if exact is None else exact] += 1
+    assert min(seen.values()) >= 5
+    # only a matrix whose exact kernel has dimension > 1 reaches the fallback
+    assert stats.fallbacks == seen["nullity > 1"]
+
+
+def _singular_at_every_gf2_point():
+    """A 5 x 5 matrix over GF(2)(t) of determinant t^2 + t, and that matrix
+    with a sixth column, the sum of the others."""
+    ff = FunctionField(GF(2), ("t",))
+    t, one, zero = ff.param("t"), ff.one(), ff.zero()
+    rows = [[t * t + t, one, zero, zero, zero]]
+    rows += [[zero] * i + [one, t] + [zero] * (3 - i) for i in range(1, 4)]
+    rows += [[zero] * 4 + [one]]
+    A = ExactMatrix(ff, tuple(map(tuple, rows)), 5)
+    col = [sum(row, zero) for row in rows]
+    B = ExactMatrix(ff, tuple(tuple(row) + (s,) for row, s in zip(rows, col)), 6)
+    return A, B
+
+
+def test_full_rank_matrix_singular_at_every_gf2_point_is_decided_at_a_point():
+    A, B = _singular_at_every_gf2_point()
+    assert rank(A) == 5 and kernel(A) is None
+    for t in (0, 1):
+        assert not nonsingular_at(A, (t,))
+    stats = ModpStats()
+    assert kernel_via_modp(A, stats=stats) is None
+    assert kernel_via_modp(B, stats=stats) == kernel(B)
+    assert (stats.trivial_by_modp, stats.accepted_by_support) == (1, 1)
+    assert (stats.retries, stats.fallbacks) == (0, 0)
+    # the two points of GF(2), forced, fail; the third point, in GF(2^13),
+    # decides
+    stats = ModpStats()
+    policy = ModpPolicy(forced_points=((2, (0,)), (2, (1,))))
+    assert kernel_via_modp(A, policy, stats) is None
+    assert kernel_via_modp(B, policy, stats) == kernel(B)
+    assert (stats.retries, stats.fallbacks) == (4, 0)

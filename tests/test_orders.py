@@ -85,5 +85,5 @@ def test_translation_invariance(order, a, b, gamma):
 def test_sorted_desc_and_min():
     glex = MonomialOrder("glex")
     exps = [(0, 2), (3, 0), (1, 1)]
-    assert glex.sorted_desc(exps) == [(3, 0), (1, 1), (0, 2)]
+    assert sorted(exps, key=glex.key, reverse=True) == [(3, 0), (1, 1), (0, 2)]
     assert glex.min(exps) == (0, 2)

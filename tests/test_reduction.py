@@ -913,3 +913,34 @@ def test_member_point_seam_runs_on_residues(monkeypatch, glex):
         assert (got.member, got.decided_by) == (False, decided_by)
     # the first query's point run was over GF(P); the second made none
     assert fields == [GF(P)]
+
+
+def test_reports_of_one_instance_share_their_matlist_rows():
+    from hsmult.cli import run_command
+
+    inst, options = load_instance("params_gf3.json")
+    first, _ = run_command("reduce", inst, options)
+    inst, options = load_instance("params_gf3.json")
+    second, _ = run_command("reduce", inst, options)
+    assert first == second and first["matlist"]
+    for a, b in zip(first["matlist"], second["matlist"]):
+        assert a is b
+        assert all(ra is rb for ra, rb in zip(a, b))
+
+
+def test_shared_matlist_table_stays_within_its_bound(monkeypatch):
+    from hsmult import reduction
+
+    monkeypatch.setattr(reduction, "_SHARED_SIZE", 3)
+    monkeypatch.setattr(reduction, "_SHARED", reduction.OrderedDict())
+    kept = [reduction._shared((str(i),)) for i in range(5)]
+    assert len(reduction._SHARED) == 3
+    assert list(reduction._SHARED) == [("2",), ("3",), ("4",)]
+    # a hit returns the kept tuple and makes it the most recent
+    assert reduction._shared(("2",)) is kept[2]
+    reduction._shared(("5",))
+    assert list(reduction._SHARED) == [("4",), ("2",), ("5",)]
+    # every MatList row and grid of a report goes through the table
+    res = multiplicity(load_instance("params_gf2.json")[0], use_cache=False)
+    res.matlist_grids()
+    assert len(reduction._SHARED) == 3

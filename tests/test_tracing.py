@@ -156,8 +156,8 @@ def test_member_in_j_makes_no_point_run_and_no_k_t_run(monkeypatch):
     "name, specialize, nonsingular, certify, points",
     [
         ("example1.json", 1, 6, 5, 5),
-        ("params_gf2.json", 8, 4, 13, 7),
-        ("params_gf3.json", 13, 5, 2, 2),
+        ("params_gf2.json", 4, 4, 13, 7),
+        ("params_gf3.json", 7, 5, 2, 2),
         ("example2_rational.json", 3, 3, 2, 2),
         ("example4.json", 8, 6, 4, 4),
     ],
@@ -175,14 +175,16 @@ def test_reduce_keeps_its_point_evaluations(monkeypatch, name, specialize, nonsi
         tracer.uninstall()
     # mod-p images, MatList checks and certify calls as recorded while each
     # had an evaluator of its own; the tracer tells them apart by name, so
-    # modp.specialize must stay a function of its own
+    # modp.specialize must stay a function of its own.  Over GF(2) and GF(3)
+    # the images are taken in GF(2^13) and GF(3^8), one point per matrix
+    # (8 and 13 images at points of GF(p), with retries)
     assert tracer.calls["modp.specialize"] == specialize
     assert tracer.calls["linalg.nonsingular_at"] == nonsingular
     assert tracer.calls["reduction.certify"] == certify
     assert tracer.distinct_certify_points() == points
 
 
-@pytest.mark.parametrize("name, gcds", [("params_gf2.json", 220), ("example4.json", 164)])
+@pytest.mark.parametrize("name, gcds", [("params_gf2.json", 45), ("example4.json", 164)])
 def test_reduce_gcd_work(monkeypatch, name, gcds):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
@@ -195,5 +197,26 @@ def test_reduce_gcd_work(monkeypatch, name, gcds):
     finally:
         tracer.uninstall()
     # every pp_gcd call, nested ones included; a single-term argument returns
-    # at once (the full recursion made 547 and 488 calls)
+    # at once (the full recursion made 547 and 488 calls).  params_gf2 made
+    # 220 while its points were drawn from GF(2), when two matrices fell back
+    # to the exact kernel
     assert tracer.counts["scalars.pp_gcd.calls"] == gcds
+
+
+@pytest.mark.parametrize("name, kernels", [("params_gf2.json", 5), ("params_gf3.json", 9)])
+def test_small_characteristic_points_decide_every_matrix(monkeypatch, name, kernels):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance(name)
+        _, stats = run_command("reduce", inst, options)
+    finally:
+        tracer.uninstall()
+    # a point of GF(2^13) or GF(3^8) decides every matrix at the first try;
+    # points of GF(p) took 4 and 6 retries and 2 exact fallbacks each, and
+    # 9 and 14 exact kernels
+    assert (stats.retries, stats.fallbacks) == (0, 0)
+    assert tracer.calls["linalg.kernel_ff"] == kernels
