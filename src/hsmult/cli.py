@@ -72,7 +72,7 @@ def run_command(command, inst, options, member_expr=None):
         return result, stats
     if command == "mult":
         res = multiplicity(inst, use_cache=False)
-        return _mult_payload(res), ModpStats(**res.modp_stats)
+        return _mult_payload(res), res.modp_stats
     if command == "reduce":
         res = multiplicity(inst, use_cache=False)
         cert = find_reduction(res, bound=options["search_bound"])
@@ -84,7 +84,7 @@ def run_command(command, inst, options, member_expr=None):
                 generator_to_str(g, inst.var_names) for g in cert.generators
             ],
         }
-        return payload, ModpStats(**res.modp_stats)
+        return payload, res.modp_stats
     if command == "member":
         h = parse_member_expression(member_expr, inst)
         res = membership(inst, h)
@@ -100,7 +100,7 @@ def run_command(command, inst, options, member_expr=None):
             payload["point_length"] = res.point_length
         elif res.decided_by == "multiplicity":
             payload["e_extended"] = res.e_extended
-        return payload, ModpStats(**res.modp_stats)
+        return payload, res.modp_stats
     raise ValueError(f"unknown command {command!r}")
 
 

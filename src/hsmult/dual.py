@@ -6,11 +6,12 @@ scalar combinations of dual terms.  The contraction action is
     x^gamma . 1/x^(beta+1) = 1/x^(beta-gamma+1)   if beta - gamma >= 0,
                              0                    otherwise,
 
-extended bilinearly.  Finite order ideals of exponents ("staircases") are given
-by their corners (pairwise incomparable maxima) and keep their point set once
-enumerated: membership is a set lookup, and the colon by the maximal ideal
-adds the upper neighbours of points that lie outside while all their lower
-neighbours lie inside.
+extended bilinearly.  A finite order ideal of exponents (a "staircase") keeps
+its point set and the minimal generators of its complement, and nothing
+else: membership is a set lookup, and the colon by the maximal ideal adds
+the minimal generators, the upper neighbours of points that lie outside
+while all their lower neighbours lie inside.  Its corners (pairwise
+incomparable maxima) are derived when read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     RingMismatch,
     ZeroElement,
 )
-from .poly import _canon_key, exp_leq, exp_sub_nonneg
+from .poly import exp_sub_nonneg
 
 
 class DualElement:
@@ -175,39 +176,47 @@ def _outer_border(points, members, nvars):
 
 
 class Staircase:
-    """A finite order ideal of Z_{>=0}^n given by its corners.
-
-    Its point set is enumerated once, on first use, and membership is a set
-    lookup in it; the minimal generators of the complement are derived from
-    the same set and kept as well.  ``extended`` carries both over to a
-    larger staircase, enumerating only the new points.
+    """A finite order ideal of Z_{>=0}^n: its point set, enumerated on first
+    use from the corners it was given, and the frozenset of minimal
+    generators of the complement.  ``extended`` carries both over to a
+    larger staircase, enumerating only the new points; the corners are
+    derived when read.
     """
 
-    __slots__ = ("nvars", "corners", "_points", "_members", "_min_gens")
+    __slots__ = ("nvars", "_tops", "_members", "_min_gens")
 
     def __init__(self, nvars, corners=()):
-        corners = {tuple(c) for c in corners}
-        # drop dominated corners so the stored set is pairwise incomparable
-        maxima = {
-            c
-            for c in corners
-            if not any(c != d and exp_leq(c, d) for d in corners)
-        }
         self.nvars = nvars
-        self.corners = frozenset(maxima)
-        self._points = None
+        self._tops = {tuple(c) for c in corners}
         self._members = None
         self._min_gens = None
+
+    @classmethod
+    def _made(cls, nvars, members, min_gens):
+        st = cls(nvars)
+        st._members = members
+        st._min_gens = min_gens
+        return st
 
     def members(self, limit=None):
         """The set of points.  Raises CapExceeded past limit."""
         if self._members is None:
             self._members = frozenset(
-                _down_closure(self.corners, frozenset(), self.nvars, limit)
+                _down_closure(self._tops, frozenset(), self.nvars, limit)
             )
         if limit is not None and len(self._members) > limit:
             raise CapExceeded("staircase size", limit)
         return self._members
+
+    @property
+    def corners(self):
+        """The points with no upper neighbour inside."""
+        members = self.members()
+        return frozenset(
+            p
+            for p in members
+            if all(_above(p, i) not in members for i in range(self.nvars))
+        )
 
     def contains(self, beta):
         return tuple(beta) in self.members()
@@ -219,8 +228,7 @@ class Staircase:
         """The staircase spanned by this one and the given terms.
 
         A minimal generator stays one unless it became a point; new ones are
-        upper neighbours of new points.  Corners likewise are old corners or
-        new points that have no upper neighbour inside.
+        upper neighbours of new points.
         """
         n = self.nvars
         old = self.members()
@@ -228,31 +236,15 @@ class Staircase:
         if not new:
             return self
         members = old | new
-        st = Staircase(n)
-        st.corners = frozenset(
-            c
-            for part in (self.corners, new)
-            for c in part
-            if all(_above(c, i) not in members for i in range(n))
-        )
-        st._members = members
-        gens = {g for g in self.min_generators() if g not in new}
-        gens |= _outer_border(new, members, n)
-        st._min_gens = sorted(gens, key=_canon_key)
-        return st
-
-    def points(self, limit=None):
-        """All members, sorted canonically.  Raises CapExceeded past limit."""
-        members = self.members(limit)
-        if self._points is None:
-            self._points = sorted(members, key=_canon_key)
-        return self._points
+        gens = (self.min_generators() - new) | _outer_border(new, members, n)
+        return Staircase._made(n, members, gens)
 
     def size(self, limit=None):
         return len(self.members(limit))
 
     def min_generators(self):
-        """Minimal monomial generators of the complementary monomial ideal.
+        """Minimal monomial generators of the complementary monomial ideal,
+        as a frozenset.
 
         A nonzero minimal generator lies outside while each of its lower
         neighbours lies inside, so it is an upper neighbour of some point.
@@ -263,18 +255,18 @@ class Staircase:
                 gens = _outer_border(members, members, self.nvars)
             else:
                 gens = {(0,) * self.nvars}
-            self._min_gens = sorted(gens, key=_canon_key)
+            self._min_gens = frozenset(gens)
         return self._min_gens
 
     def __eq__(self, other):
         return (
             isinstance(other, Staircase)
             and other.nvars == self.nvars
-            and other.corners == self.corners
+            and other.members() == self.members()
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.corners))
+        return hash((self.nvars, self.members()))
 
     def __repr__(self):
         return f"Staircase({sorted(self.corners)})"
@@ -292,7 +284,7 @@ def initial_staircase(supports, nvars, max_size=None):
         gens.update(tuple(e) for e in sup)
     zero = (0,) * nvars
     if zero in gens:
-        return Staircase(nvars, ()), []
+        return Staircase(nvars), []
     bounds = []
     for i in range(nvars):
         pure = [g[i] for g in gens if g[i] and g.count(0) == nvars - 1]
@@ -306,7 +298,6 @@ def initial_staircase(supports, nvars, max_size=None):
     # from each lower neighbour inside; reached from all of them, it lies
     # outside exactly when it is a generator, and then a minimal one
     pts = []
-    corners = []
     min_gens = []
     level = [zero]
     while level:
@@ -322,15 +313,8 @@ def initial_staircase(supports, nvars, max_size=None):
         for q, k in reached.items():
             if k == nvars - q.count(0):
                 (min_gens if q in gens else nxt).append(q)
-        inner = {_below(q, j) for q in nxt for j in range(nvars) if q[j]}
-        corners.extend(p for p in level if p not in inner)
         level = sorted(nxt)
-    st = Staircase(nvars)
-    st.corners = frozenset(corners)
-    st._points = pts
-    st._members = frozenset(pts)
-    st._min_gens = sorted(min_gens, key=_canon_key)
-    return st, pts
+    return Staircase._made(nvars, frozenset(pts), frozenset(min_gens)), pts
 
 
 def socle_candidates(st):

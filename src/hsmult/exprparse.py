@@ -15,13 +15,20 @@ caller decides whether a non-constant denominator is acceptable.  A factor
 that is the constant 1, every denominator of a polynomial expression, is
 never multiplied by, and a single term raised to a power is built directly:
 the pair is the same as the plain SparsePoly arithmetic would give.
+
+With ``max_terms`` set, expansion is bounded: a power a^k of t > 1 terms
+raises CapExceeded("expression terms", max_terms) before it is expanded
+when its multinomial bound C(k + t - 1, t - 1) exceeds max_terms, and so
+does a product with more than max_terms terms.  Every intermediate power of
+the squaring has at most that many terms, so no expansion runs away.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 from .poly import SparsePoly
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
@@ -71,8 +78,9 @@ def _scalar_pow(c, k):
 
 
 class _Parser:
-    def __init__(self, tokens, field, nvars, var_index, param_lookup):
+    def __init__(self, tokens, field, nvars, var_index, param_lookup, max_terms):
         self.tokens = tokens
+        self.max_terms = max_terms
         self.i = 0
         self.field = field
         self.nvars = nvars
@@ -87,14 +95,22 @@ class _Parser:
             return a
         if a.coeffs == self._one_coeffs:
             return b
-        return a * b
+        out = a * b
+        if self.max_terms is not None and len(out.coeffs) > self.max_terms:
+            raise CapExceeded("expression terms", self.max_terms)
+        return out
 
     def _pow(self, a, k):
         """a^k; the constant 1 and a^1 are a itself, and a single term is
         raised directly, exponent and coefficient."""
         if k == 1 or a.coeffs == self._one_coeffs:
             return a
-        if k == 0 or len(a.coeffs) != 1:
+        t = len(a.coeffs)
+        if k == 0 or t != 1:
+            cap = self.max_terms
+            # C(k + t - 1, t - 1) >= k + 1 when t > 1
+            if t > 1 and cap is not None and (k >= cap or math.comb(k + t - 1, t - 1) > cap):
+                raise CapExceeded("expression terms", cap)
             return a**k
         ((e, c),) = a.coeffs.items()
         return SparsePoly(
@@ -213,17 +229,18 @@ class _Parser:
         )
 
 
-def parse_rational(text, field, var_names, param_lookup=None):
-    """Parse to an exact pair (numerator, denominator) of SparsePoly."""
+def parse_rational(text, field, var_names, param_lookup=None, max_terms=None):
+    """Parse to an exact pair (numerator, denominator) of SparsePoly, with
+    expansion bounded by max_terms when it is set."""
     tokens = _tokenize(text)
     var_index = {name: i for i, name in enumerate(var_names)}
-    parser = _Parser(tokens, field, len(var_names), var_index, param_lookup)
+    parser = _Parser(tokens, field, len(var_names), var_index, param_lookup, max_terms)
     return parser.parse()
 
 
-def parse_polynomial(text, field, var_names, param_lookup=None):
+def parse_polynomial(text, field, var_names, param_lookup=None, max_terms=None):
     """Parse an expression that must denote a polynomial (constant denominator)."""
-    num, den = parse_rational(text, field, var_names, param_lookup)
+    num, den = parse_rational(text, field, var_names, param_lookup, max_terms)
     c = den.constant_term()
     if den.total_degree() > 0 or not c:
         raise ParseError(f"expression {text!r} is not a polynomial")
@@ -231,12 +248,12 @@ def parse_polynomial(text, field, var_names, param_lookup=None):
     return num if c == one else num.scale(one / c)
 
 
-def parse_generator(text, field, var_names, param_lookup=None):
+def parse_generator(text, field, var_names, param_lookup=None, max_terms=None):
     """Parse a generator: a polynomial, or a rational series when the
     denominator is a non-constant power series with unit constant term."""
     from .series import RationalSeries
 
-    num, den = parse_rational(text, field, var_names, param_lookup)
+    num, den = parse_rational(text, field, var_names, param_lookup, max_terms)
     c = den.constant_term()
     if den.total_degree() <= 0:
         if not c:

@@ -183,13 +183,7 @@ def build_instance(mapping):
     if not ideal_exprs:
         _fail("missing 'ideal' generators")
     quotient_exprs = mapping.get("quotient_ideal", [])
-    j_gens = tuple(
-        _parse_gen(expr, base, variables, f"ideal[{k}]") for k, expr in enumerate(ideal_exprs)
-    )
-    i_gens = tuple(
-        _parse_gen(expr, base, variables, f"quotient_ideal[{k}]")
-        for k, expr in enumerate(quotient_exprs)
-    )
+    # the options come first: the file's own max_terms bounds its generators
     options = dict(DEFAULT_OPTIONS)
     extra = mapping.get("options", {})
     for key, value in extra.items():
@@ -197,6 +191,14 @@ def build_instance(mapping):
             _fail(f"unknown option {key!r}")
         options[key] = value
     caps = checked_caps(options)
+    j_gens = tuple(
+        _parse_gen(expr, base, variables, f"ideal[{k}]", caps.max_terms)
+        for k, expr in enumerate(ideal_exprs)
+    )
+    i_gens = tuple(
+        _parse_gen(expr, base, variables, f"quotient_ideal[{k}]", caps.max_terms)
+        for k, expr in enumerate(quotient_exprs)
+    )
     if dim > 0 and len(j_gens) < dim:
         _fail("the ideal needs at least dim generators")
     inst = ProblemInstance(
@@ -225,17 +227,19 @@ def checked_caps(options):
     return ResourceCaps(**caps)
 
 
-def _parse_gen(expr, base, variables, where):
+def _parse_gen(expr, base, variables, where, max_terms):
     if not isinstance(expr, str):
         _fail(f"{where}: generator must be an expression string")
     try:
-        return parse_generator(expr, base, variables)
+        return parse_generator(expr, base, variables, max_terms=max_terms)
     except ParseError as err:
         raise ParseError(f"{where}: {err}") from err
 
 
 def parse_member_expression(expr, inst):
-    return parse_polynomial(expr, inst.base, inst.var_names)
+    """The element expression as a polynomial over inst's field, its
+    expansion bounded by inst.caps.max_terms."""
+    return parse_polynomial(expr, inst.base, inst.var_names, max_terms=inst.caps.max_terms)
 
 
 def instance_to_jsonable(inst, options=None):

@@ -68,7 +68,7 @@ from .errors import (
     UnexpectedNullity,
 )
 from .linalg import ColumnSpan, ExactMatrix, map_nonzero, normalize_row_unit
-from .modp import solve_dispatch
+from .modp import ModpStats, solve_dispatch
 from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
 from .scalars import FunctionField, pp_primitive
 from .series import SeriesOracle
@@ -88,10 +88,6 @@ class ResourceCaps:
 
 
 DEFAULT_CAPS = ResourceCaps()
-
-
-def _gen_field(g):
-    return g.field
 
 
 def _gen_exact_poly(g):
@@ -143,7 +139,7 @@ class RunMemo:
     def __init__(self, gens, order, nvars, exact=None):
         if exact is None:
             exact = [_gen_exact_poly(g) for g in gens]
-        self.field = field = _gen_field(gens[0])
+        self.field = field = gens[0].field
         self.key = _OrderKeys(order.key).__getitem__
         self._gens = gens
         self._nvars = nvars
@@ -283,17 +279,17 @@ class DualBasisState(_DualBasis):
     def __init__(self, gens, order, caps, solver=None, stats=None):
         if not gens:
             raise ValueError("empty generator list")
-        field = _gen_field(gens[0])
+        field = gens[0].field
         nvars = gens[0].nvars
         for g in gens:
-            if _gen_field(g) != field or g.nvars != nvars:
+            if g.field != field or g.nvars != nvars:
                 raise InternalInconsistency("generators live in different rings")
         self.gens = list(gens)
         self.order = order
         self.caps = caps
         self.field = field
         self.nvars = nvars
-        self.stats = stats
+        self.stats = stats = ModpStats() if stats is None else stats
         self.solver = solver or (lambda M: solve_dispatch(M, stats))
         self.track_certificates = isinstance(field, FunctionField) and bool(
             field.params
@@ -302,12 +298,11 @@ class DualBasisState(_DualBasis):
         exact = [_gen_exact_poly(g) for g in self.gens]
         self.memo = RunMemo(self.gens, order, nvars, exact)
         t1, pts = _initial_data(self.gens, exact, nvars, caps)
-        self.t1 = t1
         self.t1_points = pts
         self.ltn = t1
         self.t2 = t1
         self.l1 = set()
-        self.l2 = set(socle_candidates(t1))
+        self.l2 = socle_candidates(t1)
         self.elements = []
         self.accepted_lts = []
         self.polylist = []
@@ -356,9 +351,8 @@ def _span_kernel(state, gamma):
     """The kernel ``kernel`` would give for the step's matrix over a base
     field, from the run's span of the candidate columns (see the module
     docstring)."""
-    if state.stats is not None:
-        state.stats.dispatched += 1
-        state.stats.direct += 1
+    state.stats.dispatched += 1
+    state.stats.direct += 1
     tau0, cands = gamma[0], gamma[1:]
     span = state.span
     if not span.names.issubset(cands):
@@ -424,7 +418,7 @@ def step(state):
             state.polylist.append(entry)
     state.ltn = state.ltn.with_corner(tau0)
     state.t2 = state.t2.extended(eta.terms())
-    state.l2 = set(socle_candidates(state.ltn))
+    state.l2 = socle_candidates(state.ltn)
     return True
 
 

@@ -29,14 +29,17 @@ logarithms of a root of a fixed primitive polynomial (``_PRIMITIVE``), whose
 tables, of at most 2^13 entries each, are built for a prime when its first
 matrix needs them.
 
-Every step reads the matrix's cleared grid (``ExactMatrix.grid``): the points
-are hashed from its text, the image is its evaluation at the point, the
-restricted solve takes its columns, and the confirmation multiplies it by the
-kernel vector, whose entries have denominator 1 by the kernel contract of
-``linalg``.  Over a prime point field the image is made by
-``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at a
-point of a prime field, and eliminated by ``linalg.plain_kernel``, the one
-base-field eliminator, on its ints mod p; over GF(q) both are
+The retry-th point is hashed from (retry, number of parameters,
+characteristic) alone, once (``ModpPolicy.point``), so every matrix over one
+field meets the same points.  Any point is sound: a trivial image kernel is
+conclusive, and a support is confirmed exactly.  Every step reads the
+matrix's cleared grid (``ExactMatrix.grid``): the image is its evaluation at
+the point, the restricted solve takes its columns, and the confirmation
+multiplies it by the kernel vector, whose entries have denominator 1 by the
+kernel contract of ``linalg``.  Over a prime point field the image is made
+by ``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at
+a point of a prime field, and eliminated by ``linalg.plain_kernel``, the
+one base-field eliminator, on its ints mod p; over GF(q) both are
 ``_Extension``'s.  No field element or rational function is built for the
 image.
 """
@@ -44,7 +47,7 @@ image.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cache
 
 # CPython's built-in SHA-256 gives the same digests as hashlib's without
@@ -56,7 +59,7 @@ except ImportError:
 
 from .errors import InternalInconsistency, UnexpectedNullity
 from .linalg import _free_column, kernel, plain_kernel
-from .scalars import FunctionField, pp_add, pp_eval_rows, pp_mul, pp_to_str
+from .scalars import FunctionField, pp_add, pp_eval_rows, pp_mul
 
 # largest primes below 2^31, descending: the retry-th point is taken mod the
 # retry-th prime, so their number is the number of points tried
@@ -240,6 +243,24 @@ class SpecPoint:
     retry: int = 0
 
 
+@cache
+def _hashed_point(retry, nparams, char):
+    """The retry-th hashed point for nparams parameters in characteristic
+    char, made once."""
+    p = char if char else DEFAULT_PRIMES[retry]
+    q = point_field_order(p)
+    values = []
+    counter = 0
+    while len(values) < nparams:
+        h = sha256(b"%d|%d|%d|%d" % (retry, nparams, char, counter)).digest()
+        for k in range(0, len(h) - 7, 8):
+            if len(values) == nparams:
+                break
+            values.append(int.from_bytes(h[k : k + 8], "big") % q)
+        counter += 1
+    return SpecPoint(p, tuple(values), retry)
+
+
 @dataclass(frozen=True)
 class ModpPolicy:
     """Deterministic point selection: counter-based hashing, never randomness.
@@ -251,25 +272,13 @@ class ModpPolicy:
 
     forced_points: tuple = ()
 
-    def point(self, serial, retry, nparams, char):
-        """The retry-th specialization point for a matrix with this serialization."""
+    def point(self, retry, nparams, char):
+        """The retry-th specialization point for a matrix with nparams
+        parameters in characteristic char."""
         if retry < len(self.forced_points):
             p, values = self.forced_points[retry]
             return SpecPoint(p, tuple(v % p for v in values), retry)
-        p = char if char else DEFAULT_PRIMES[retry]
-        q = point_field_order(p)
-        values = []
-        counter = 0
-        while len(values) < nparams:
-            h = sha256(
-                serial + b"|" + str(retry).encode() + b"|" + str(counter).encode()
-            ).digest()
-            for k in range(0, len(h) - 7, 8):
-                if len(values) == nparams:
-                    break
-                values.append(int.from_bytes(h[k : k + 8], "big") % q)
-            counter += 1
-        return SpecPoint(p, tuple(values), retry)
+        return _hashed_point(retry, nparams, char)
 
 
 @dataclass
@@ -284,12 +293,9 @@ class ModpStats:
     def as_dict(self):
         return dict(self.__dict__)
 
-
-def _serial(M):
-    """The cleared grid as text: the seed of the deterministic points."""
-    params = M.field.params
-    rows = (",".join(pp_to_str(e, params) for e in row) for row in M.grid)
-    return ";".join(rows).encode()
+    def __add__(self, other):
+        """The counts of both, in a new ModpStats."""
+        return ModpStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 def specialize(M, pt):
@@ -338,13 +344,13 @@ def kernel_via_modp(M, policy=None, stats=None):
     full matrix, and on failure the next point is tried, then the exact path.
     """
     policy = policy or ModpPolicy()
+    stats = ModpStats() if stats is None else stats
     ff = M.field
-    serial = _serial(M)
     nparams = len(ff.params)
     for retry in range(len(DEFAULT_PRIMES)):
-        if retry and stats is not None:
+        if retry:
             stats.retries += 1
-        pt = policy.point(serial, retry, nparams, ff.char)
+        pt = policy.point(retry, nparams, ff.char)
         rows = specialize(M, pt)
         F = _point_field(pt.prime)
         try:
@@ -355,26 +361,22 @@ def kernel_via_modp(M, policy=None, stats=None):
         except UnexpectedNullity:
             continue
         if image is None:
-            if stats is not None:
-                stats.trivial_by_modp += 1
+            stats.trivial_by_modp += 1
             return None
         v = _restricted_solve(M, [j for j, a in enumerate(image) if a])
         if v is not None and _annihilates(M, v):
-            if stats is not None:
-                stats.accepted_by_support += 1
+            stats.accepted_by_support += 1
             return v
-    if stats is not None:
-        stats.fallbacks += 1
+    stats.fallbacks += 1
     return kernel(M)
 
 
-def solve_dispatch(M, stats=None):
-    """Route parameter matrices past DIRECT_MAX_COLUMNS columns to the modular path."""
-    if stats is not None:
-        stats.dispatched += 1
+def solve_dispatch(M, stats):
+    """Route parameter matrices past DIRECT_MAX_COLUMNS columns to the modular
+    path, counting into stats."""
+    stats.dispatched += 1
     ff = M.field
     if isinstance(ff, FunctionField) and ff.params and M.ncols > DIRECT_MAX_COLUMNS:
         return kernel_via_modp(M, stats=stats)
-    if stats is not None:
-        stats.direct += 1
+    stats.direct += 1
     return kernel(M)

@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over an exact scalar field.
 
 Exponents are plain tuples of non-negative ints.  Coefficient maps never store
-zeros and iterate in a fixed canonical order (graded-lex descending), so equal
-polynomials print and serialize identically.
+zeros and keep the order they were built in: there is no canonical
+iteration.  Equality, hashing and printing ignore that order (``to_str``
+sorts the terms graded-lex descending), so equal polynomials print and
+serialize identically.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ def exp_sub_nonneg(a, b):
     return tuple(out)
 
 
-def exp_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _canon_key(e):
     return (sum(e), e)
 
@@ -41,16 +39,14 @@ class SparsePoly:
 
     def __init__(self, field, nvars, coeffs):
         clean = {e: c for e, c in coeffs.items() if c}
-        ordered = {}
-        for e in sorted(clean, key=_canon_key, reverse=True):
+        for e in clean:
             if len(e) != nvars:
                 raise RingMismatch("exponent length does not match variable count")
             if any(x < 0 for x in e):
                 raise ValueError("negative exponent")
-            ordered[e] = clean[e]
         self.field = field
         self.nvars = nvars
-        self.coeffs = ordered
+        self.coeffs = clean
 
     @classmethod
     def zero(cls, field, nvars):
@@ -139,7 +135,7 @@ class SparsePoly:
         )
 
     def __hash__(self):
-        return hash((self.nvars, tuple(self.coeffs.keys())))
+        return hash((self.nvars, frozenset(self.coeffs)))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -175,7 +171,8 @@ class SparsePoly:
         if not self.coeffs:
             return "0"
         parts = []
-        for e, c in self.coeffs.items():
+        for e in sorted(self.coeffs, key=_canon_key, reverse=True):
+            c = self.coeffs[e]
             factors = [
                 names[i] if d == 1 else f"{names[i]}^{d}" for i, d in enumerate(e) if d
             ]

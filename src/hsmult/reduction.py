@@ -216,7 +216,7 @@ class MultiplicityResult:
     polylist: list
     dual: object
     instance: ProblemInstance
-    modp_stats: dict
+    modp_stats: ModpStats
     # (T1 points, xi coefficient maps) spanning the inverse system of J + I;
     # set by the first membership query whose run of J + I ends
     ideal_dual: tuple | None = None
@@ -302,7 +302,7 @@ def multiplicity(inst, use_cache=True):
         polylist=list(dual.polylist),
         dual=dual,
         instance=inst,
-        modp_stats=stats.as_dict(),
+        modp_stats=stats,
     )
     if use_cache:
         _MULT_CACHE[key] = res
@@ -566,13 +566,14 @@ class Membership:
     colength point_length at the hashed point (over QQ, that of the residues
     mod 2^31 - 1) was below e, and "multiplicity"
     when e_extended = e(J + (h)) was computed.  modp_stats sums the mod-p
-    counters of the multiplicity and point runs made.
+    counters of the multiplicity and point runs made, in a ModpStats of its
+    own.
     """
 
     member: bool
     e: int
     decided_by: str
-    modp_stats: dict
+    modp_stats: ModpStats
     point_length: int | None = None
     e_extended: int | None = None
 
@@ -624,24 +625,18 @@ def membership(inst, h):
     if isinstance(h, SparsePoly) and h.field == inst.base:
         ideal_dual = _ideal_dual(res, inst.caps)
         if ideal_dual is not None and _in_ideal(ideal_dual, h):
-            return Membership(True, res.e, "in-ideal", dict(res.modp_stats))
+            stats = dataclasses.replace(res.modp_stats)
+            return Membership(True, res.e, "in-ideal", stats)
     ext = inst.with_extra_generator(h)
     point_stats = ModpStats()
     length = _point_length(ext, res.e, point_stats)
-    runs = [res.modp_stats, point_stats.as_dict()]
+    stats = res.modp_stats + point_stats
     if length is not None and length < res.e:
-        return Membership(
-            False, res.e, "point-length", _sum_stats(runs), point_length=length
-        )
+        return Membership(False, res.e, "point-length", stats, point_length=length)
     res2 = multiplicity(ext)
-    runs.append(res2.modp_stats)
     return Membership(
-        res.e == res2.e, res.e, "multiplicity", _sum_stats(runs), e_extended=res2.e
+        res.e == res2.e, res.e, "multiplicity", stats + res2.modp_stats, e_extended=res2.e
     )
-
-
-def _sum_stats(runs):
-    return {k: sum(run[k] for run in runs) for k in runs[0]}
 
 
 def is_in_integral_closure(inst, h):

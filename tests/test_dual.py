@@ -102,7 +102,7 @@ def test_initial_staircase_matches_the_bounding_box_reference():
         if not any((0,) * nvars in sup for sup in supports):
             st_, pts = initial_staircase(supports, nvars)
             want, corners = _box_staircase(supports, nvars)
-            assert pts == want and st_.points() == want
+            assert pts == want and set(want) == st_.members()
             assert st_.corners == corners
             assert st_.min_generators() == Staircase(nvars, corners).min_generators()
             assert initial_staircase(supports, nvars, len(want))[1] == want
@@ -189,13 +189,13 @@ def test_socle_candidates_are_outer_border(gens):
 def _corner_grid_min_generators(st_):
     """Reference: scan the grid whose coordinates are 0 or corner_i + 1."""
     if not st_.corners:
-        return [(0,) * st_.nvars]
+        return {(0,) * st_.nvars}
 
     def inside(beta):
         return any(all(b <= c for b, c in zip(beta, corner)) for corner in st_.corners)
 
     axes = [sorted({0} | {c[i] + 1 for c in st_.corners}) for i in range(st_.nvars)]
-    gens = [
+    return {
         beta
         for beta in itertools.product(*axes)
         if not inside(beta)
@@ -204,8 +204,7 @@ def _corner_grid_min_generators(st_):
             for i in range(st_.nvars)
             if beta[i]
         )
-    ]
-    return sorted(gens, key=lambda e: (sum(e), e))
+    }
 
 
 @settings(max_examples=120, deadline=None)
@@ -252,6 +251,13 @@ def test_extended_staircase_matches_fresh_one(case):
         assert grown == fresh
         assert grown.members() == fresh.members()
         assert grown.min_generators() == _corner_grid_min_generators(fresh)
+        # the corners are derived, not kept: they are the maxima of the span
+        maxima = {
+            c
+            for c in spanned
+            if not any(c != d and all(x <= y for x, y in zip(c, d)) for d in spanned)
+        }
+        assert grown.corners == fresh.corners == maxima
 
 
 def _random_poly(rng, field, nvars, maxdeg=3, nterms=3):

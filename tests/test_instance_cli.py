@@ -765,3 +765,38 @@ def test_flags_before_the_file_give_the_same_report(capsys, command, positionals
         assert report([command, positionals[0], *flag, *positionals[1:], *rest]) == last
     every = [f for flag in FLAGS for f in flag]
     assert report([command, *every, *positionals]) == report([command, *positionals, *every])
+
+
+@pytest.mark.parametrize("expr", ["(1+x+y)^200", "(1+x)^99*(1+y)^99"], ids=["power", "product"])
+def test_runaway_member_expressions_exit_3_at_once(expr):
+    """A power whose multinomial bound, and a product whose result, exceed
+    max_terms raise CapExceeded before the engine runs."""
+    import time
+
+    started = time.perf_counter()
+    code, err = _run_main(["member", str(FIXTURES / "example1.json"), expr])
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert "expression terms > 5000" in err
+
+
+def test_expansion_caps_follow_the_file_and_the_flags(capsys, tmp_path):
+    # generators are bounded by the file's own max_terms
+    bounded = dict(SMALL, ideal=["(x+y)^60", "y^2"], options={"max_terms": 60})
+    with pytest.raises(CapExceeded, match="expression terms > 60"):
+        parse_instance(json.dumps(bounded))
+    inst, _ = parse_instance(json.dumps(dict(bounded, options={"max_terms": 61})))
+    assert len(inst.j_gens[0].coeffs) == 61
+    # a member expression by the caps after the flags are applied
+    path = str(FIXTURES / "example1.json")
+    code, err = _run_main(["member", path, "(1+x)^8*(1+y)^8", "--max-terms", "80"])
+    assert code == 3 and "expression terms > 80" in err
+    # zero, a single term and the constant 1 are never expanded, so no cap applies
+    for expr in ("0^5", "(x-x)^3", "(2*x*y)^900", "(x+y)^0"):
+        assert parse_polynomial(expr, QQ, ("x", "y"), max_terms=1) == parse_polynomial(
+            expr, QQ, ("x", "y")
+        )
+    # a power within the cap expands as before
+    assert main(["member", path, "(x+y)^400", "--json", "--no-timing"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["member"] is True and result["decided_by"] == "in-ideal"

@@ -20,7 +20,8 @@ from hsmult import (
     solve_dispatch,
     specialize,
 )
-from hsmult.modp import _PRIMITIVE, _Extension, _point_field, point_field_order
+from hsmult import modp
+from hsmult.modp import DEFAULT_PRIMES, _PRIMITIVE, _Extension, _point_field, point_field_order
 from tests.conftest import naive_pp_eval, plain
 
 
@@ -89,11 +90,33 @@ def test_determinism(ff):
     one, zero = ff.one(), ff.zero()
     M = ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)
     policy = ModpPolicy()
-    p1 = policy.point(b"serial", 0, 2, 0)
-    p2 = policy.point(b"serial", 0, 2, 0)
+    p1 = policy.point(0, 2, 0)
+    p2 = policy.point(0, 2, 0)
     assert p1 == p2
-    assert policy.point(b"serial", 1, 2, 0) != p1
+    assert policy.point(1, 2, 0) != p1
     assert kernel_via_modp(M, policy) == kernel_via_modp(M, policy)
+
+
+def test_points_are_seeded_per_field_not_per_matrix(ff, monkeypatch):
+    """Two different matrices over one field meet the same point; the
+    retries give distinct points; forced points come out unchanged."""
+    a, b = ff.param("a"), ff.param("b")
+    one, zero = ff.one(), ff.zero()
+    seen = []
+    real = modp.specialize
+    monkeypatch.setattr(modp, "specialize", lambda M, pt: seen.append(pt) or real(M, pt))
+    kernel_via_modp(ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3))
+    kernel_via_modp(_upper_unitriangular(ff, 5))
+    assert seen[0] == seen[1] == ModpPolicy().point(0, 2, 0)
+    for char in (0, 2, 3, 32003):
+        points = [ModpPolicy().point(retry, 2, char) for retry in range(len(DEFAULT_PRIMES))]
+        assert len({pt.values for pt in points}) == len(points)
+        assert [pt.retry for pt in points] == list(range(len(points)))
+        assert all(pt.prime == (char or DEFAULT_PRIMES[pt.retry]) for pt in points)
+    forced = ModpPolicy(forced_points=((5, (0, 8)), (7, (-1, 3))))
+    assert forced.point(0, 2, 0) == SpecPoint(5, (0, 3), 0)
+    assert forced.point(1, 2, 0) == SpecPoint(7, (6, 3), 1)
+    assert forced.point(2, 2, 0) == ModpPolicy().point(2, 2, 0)
 
 
 def _upper_unitriangular(ff, n):

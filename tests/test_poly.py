@@ -33,10 +33,20 @@ def test_scalar_mul_over_function_field():
     assert x2.scale(t).coeffs == {(2,): t}
 
 
-def test_zero_pruning_and_canonical_iteration(P):
+def test_zero_pruning_and_insertion_order(P):
+    """There is no canonical iteration: polynomials built in different
+    insertion orders are equal, hash equal and print the same."""
     p = P(QQ, 2, {(1, 0): 1, (0, 1): 0, (2, 0): 2})
     assert (0, 1) not in p.coeffs
-    assert list(p.coeffs) == [(2, 0), (1, 0)]
+    terms = {(0, 0): -1, (1, 0): 1, (2, 0): 2, (1, 2): Fraction(-3, 4), (0, 3): 5}
+    orders = [list(terms), list(reversed(terms)), sorted(terms, key=lambda e: e[::-1])]
+    polys = [P(QQ, 2, {e: terms[e] for e in keys}) for keys in orders]
+    assert [list(q.coeffs) for q in polys] == orders
+    assert all(q == polys[0] and hash(q) == hash(polys[0]) for q in polys)
+    assert {q.to_str(["x", "y"]) for q in polys} == {"-(3/4)*x*y^2 + 5*y^3 + 2*x^2 + x - 1"}
+    x, y = (SparsePoly.variable(QQ, 2, i) for i in range(2))
+    assert (x + y) * (x - y) == x * x - y * y
+    assert ((x + y) * (x - y)).to_str(["x", "y"]) == (x * x - y * y).to_str(["x", "y"])
 
 
 def test_ring_mismatch(P):

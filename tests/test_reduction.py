@@ -944,3 +944,20 @@ def test_shared_matlist_table_stays_within_its_bound(monkeypatch):
     res = multiplicity(load_instance("params_gf2.json")[0], use_cache=False)
     res.matlist_grids()
     assert len(reduction._SHARED) == 3
+
+
+def test_membership_sums_stats_into_its_own_modp_stats(example1):
+    """Every verdict carries a ModpStats of its own; summing the runs never
+    writes into the cached multiplicity result's counts."""
+    res = multiplicity(example1)
+    before = res.modp_stats.as_dict()
+    x, y = (SparsePoly.variable(QQ, 2, i) for i in range(2))
+    for h in (example1.j_gens[0], x, x * y + y * y):
+        got = membership(example1, h)
+        assert isinstance(got.modp_stats, ModpStats)
+        assert got.modp_stats is not res.modp_stats
+        assert membership(example1, h).modp_stats == got.modp_stats
+    assert res.modp_stats.as_dict() == before
+    assert multiplicity(example1) is res
+    total = ModpStats(1, 2, 3, 4, 5, 6) + ModpStats(6, 5, 4, 3, 2, 1)
+    assert total == ModpStats(7, 7, 7, 7, 7, 7)
