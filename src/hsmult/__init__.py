@@ -34,14 +34,7 @@ from .errors import (
 )
 from .linalg import ExactMatrix, kernel, nonsingular_at, rank
 from .matlis import DualBasisState, ResourceCaps, build_matrix, compute_dual_basis, step
-from .modp import (
-    ModpPolicy,
-    ModpStats,
-    SpecPoint,
-    kernel_via_modp,
-    solve_dispatch,
-    specialize,
-)
+from .modp import ModpStats, kernel_via_modp, solve_dispatch, specialize
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly, substitute_params
 from .reduction import (
@@ -73,7 +66,6 @@ __all__ = [
     "HsmultError",
     "InternalInconsistency",
     "LinearCombination",
-    "ModpPolicy",
     "ModpStats",
     "MonomialOrder",
     "MultiplicityResult",
@@ -116,7 +108,6 @@ __all__ = [
     "socle_candidates",
     "solve_dispatch",
     "span_of_terms",
-    "SpecPoint",
     "specialize",
     "step",
     "substitute_params",

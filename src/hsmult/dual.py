@@ -24,6 +24,7 @@ from .errors import (
     ZeroElement,
 )
 from .poly import exp_sub_nonneg
+from .scalars import pp_key
 
 
 class DualElement:
@@ -88,11 +89,7 @@ class DualElement:
 
     def to_pairs(self, order=None):
         """Serialization form: [(exponent list, coefficient string), ...]."""
-        keys = list(self.coeffs)
-        if order is not None:
-            keys.sort(key=order.key, reverse=True)
-        else:
-            keys.sort(key=lambda e: (sum(e), e), reverse=True)
+        keys = sorted(self.coeffs, key=pp_key if order is None else order.key, reverse=True)
         return [(list(e), self.field.to_str(self.coeffs[e])) for e in keys]
 
     def __repr__(self):

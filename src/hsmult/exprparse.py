@@ -8,7 +8,7 @@ Grammar (whitespace-insensitive):
     power  := atom ('^' INTEGER)?
     atom   := INTEGER | NAME | '(' expr ')'
 
-Names resolve to declared variables or, when allowed, parameters t_i_j.
+Names resolve to declared variables.
 Division builds an exact rational pair of polynomials, so both rational
 literals (3/4) and series generators (1/(1-x)) come out of one grammar; the
 caller decides whether a non-constant denominator is acceptable.  A factor
@@ -19,8 +19,11 @@ the pair is the same as the plain SparsePoly arithmetic would give.
 With ``max_terms`` set, expansion is bounded: a power a^k of t > 1 terms
 raises CapExceeded("expression terms", max_terms) before it is expanded
 when its multinomial bound C(k + t - 1, t - 1) exceeds max_terms, and so
-does a product with more than max_terms terms.  Every intermediate power of
-the squaring has at most that many terms, so no expansion runs away.
+does a product whose factors' exponents have more than max_terms distinct
+sums, the bound on its terms before any cancel.  Those sums are counted
+only for products of more than max_terms coefficient pairs, and the count
+stops past max_terms.  Every intermediate power of the squaring has at most
+max_terms terms, so no expansion runs away.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import re
 
 from .errors import CapExceeded, ParseError
-from .poly import SparsePoly
+from .poly import SparsePoly, exp_add
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
 
@@ -78,27 +81,31 @@ def _scalar_pow(c, k):
 
 
 class _Parser:
-    def __init__(self, tokens, field, nvars, var_index, param_lookup, max_terms):
+    def __init__(self, tokens, field, nvars, var_index, max_terms):
         self.tokens = tokens
         self.max_terms = max_terms
         self.i = 0
         self.field = field
         self.nvars = nvars
         self.var_index = var_index
-        self.param_lookup = param_lookup
         self.one = SparsePoly.constant(field, nvars, field.one())
         self._one_coeffs = self.one.coeffs
 
     def _mul(self, a, b):
-        """a * b, skipping the product when a factor is the constant 1."""
+        """a * b, skipping the product when a factor is the constant 1, and
+        bounded by max_terms (see the module docstring)."""
         if b.coeffs == self._one_coeffs:
             return a
         if a.coeffs == self._one_coeffs:
             return b
-        out = a * b
-        if self.max_terms is not None and len(out.coeffs) > self.max_terms:
-            raise CapExceeded("expression terms", self.max_terms)
-        return out
+        cap = self.max_terms
+        if cap is not None and len(a.coeffs) * len(b.coeffs) > cap:
+            sums = set()
+            for ea in a.coeffs:
+                sums.update([exp_add(ea, eb) for eb in b.coeffs])
+                if len(sums) > cap:
+                    raise CapExceeded("expression terms", cap)
+        return a * b
 
     def _pow(self, a, k):
         """a^k; the constant 1 and a^1 are a itself, and a single term is
@@ -206,13 +213,9 @@ class _Parser:
         if kind == "int":
             return self._const(val)
         if kind == "name":
-            one = self.one
             idx = self.var_index.get(val)
             if idx is not None:
-                return SparsePoly.variable(self.field, self.nvars, idx), one
-            scalar = self.param_lookup(val) if self.param_lookup else None
-            if scalar is not None:
-                return SparsePoly.constant(self.field, self.nvars, scalar), one
+                return SparsePoly.variable(self.field, self.nvars, idx), self.one
             raise ParseError(f"unknown variable {val!r}", line, col)
         if kind == "op" and val == "(":
             value = self.expr()
@@ -229,18 +232,18 @@ class _Parser:
         )
 
 
-def parse_rational(text, field, var_names, param_lookup=None, max_terms=None):
+def parse_rational(text, field, var_names, max_terms=None):
     """Parse to an exact pair (numerator, denominator) of SparsePoly, with
     expansion bounded by max_terms when it is set."""
     tokens = _tokenize(text)
     var_index = {name: i for i, name in enumerate(var_names)}
-    parser = _Parser(tokens, field, len(var_names), var_index, param_lookup, max_terms)
+    parser = _Parser(tokens, field, len(var_names), var_index, max_terms)
     return parser.parse()
 
 
-def parse_polynomial(text, field, var_names, param_lookup=None, max_terms=None):
+def parse_polynomial(text, field, var_names, max_terms=None):
     """Parse an expression that must denote a polynomial (constant denominator)."""
-    num, den = parse_rational(text, field, var_names, param_lookup, max_terms)
+    num, den = parse_rational(text, field, var_names, max_terms)
     c = den.constant_term()
     if den.total_degree() > 0 or not c:
         raise ParseError(f"expression {text!r} is not a polynomial")
@@ -248,12 +251,12 @@ def parse_polynomial(text, field, var_names, param_lookup=None, max_terms=None):
     return num if c == one else num.scale(one / c)
 
 
-def parse_generator(text, field, var_names, param_lookup=None, max_terms=None):
+def parse_generator(text, field, var_names, max_terms=None):
     """Parse a generator: a polynomial, or a rational series when the
     denominator is a non-constant power series with unit constant term."""
     from .series import RationalSeries
 
-    num, den = parse_rational(text, field, var_names, param_lookup, max_terms)
+    num, den = parse_rational(text, field, var_names, max_terms)
     c = den.constant_term()
     if den.total_degree() <= 0:
         if not c:

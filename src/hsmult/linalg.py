@@ -23,9 +23,10 @@ and then its coordinates are the canonical kernel vector below, the one
 
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
 one-dimensional kernel is returned as one canonical vector.  Over a function
-field its entries have denominator 1, their gcd is 1, and the leading
-coefficient of the first nonzero entry is positive (characteristic 0) or 1
-(characteristic p).  Over a base field the first nonzero entry is 1.
+field its entries have denominator 1 and gcd 1, and ``scalars.pp_primitive_row``
+makes the leading coefficient of the first nonzero entry positive
+(characteristic 0) or 1 (characteristic p).  Over a base field the first
+nonzero entry is 1.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ from .errors import InternalInconsistency, UnexpectedNullity
 from .poly import clear_row_denominators
 from .scalars import (
     FunctionField,
+    map_nonzero,
     pp_add,
     pp_const,
     pp_divexact,
     pp_eval_rows,
     pp_gcd,
-    pp_leading,
     pp_mul,
     pp_neg,
-    pp_scale,
+    pp_primitive_row,
     pp_sub,
 )
 
@@ -109,28 +110,6 @@ def _strip_row_content(row, char, r):
         for j, e in enumerate(row):
             if e:
                 row[j] = pp_divexact(e, g, char)
-
-
-def map_nonzero(fn, row):
-    """fn applied to the nonzero polynomials of a row; every zero becomes the
-    new row's one empty dict."""
-    zero = {}
-    return [fn(a) if a else zero for a in row]
-
-
-def normalize_row_unit(nums, char):
-    """Scale polynomials by the unit that makes the leading coefficient of the
-    first nonzero one positive (characteristic 0) or 1 (characteristic p)."""
-    first = next((nm for nm in nums if nm), None)
-    if first is None:
-        return nums
-    _, lc = pp_leading(first)
-    if char and lc != 1:
-        inv = pow(lc, char - 2, char)
-        return map_nonzero(lambda nm: pp_scale(nm, inv, char), nums)
-    if not char and lc < 0:
-        return map_nonzero(lambda nm: pp_neg(nm, 0), nums)
-    return nums
 
 
 def _eliminate_ff(grid, ncols, char, r):
@@ -337,7 +316,7 @@ def kernel(M):
             v = map_nonzero(lambda a: pp_mul(a, factor, char), v)
         v[pc] = pp_neg(pp_divexact(s, g, char), char)
     _strip_row_content(v, char, r)
-    return tuple(field.from_ppoly(a) for a in normalize_row_unit(v, char))
+    return tuple(map(field.from_ppoly, pp_primitive_row(v, char)))
 
 
 def rank(M):

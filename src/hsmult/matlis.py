@@ -67,10 +67,10 @@ from .errors import (
     NotZeroDimensional,
     UnexpectedNullity,
 )
-from .linalg import ColumnSpan, ExactMatrix, map_nonzero, normalize_row_unit
+from .linalg import ColumnSpan, ExactMatrix
 from .modp import ModpStats, solve_dispatch
 from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
-from .scalars import FunctionField, pp_primitive
+from .scalars import FunctionField, pp_primitive, pp_primitive_row
 from .series import SeriesOracle
 
 
@@ -223,20 +223,13 @@ def build_matrix(gens, gamma, order, nvars, memo=None):
 def canonical_cleared_matrix(M):
     """M's cleared grid, canonically scaled, as a grid-only matrix over K[t].
 
-    Only constant row scalings are applied beyond the clearing (integer
-    content and sign in characteristic 0, a leading-coefficient unit in
-    characteristic p): scaling a row by a polynomial would move the locus
+    Only constant row scalings (``scalars.pp_primitive_row``) are applied
+    beyond the clearing: scaling a row by a polynomial would move the locus
     where the specialized matrix drops rank, breaking condition (b) checks.
     """
     char = M.field.char
-    grid = []
-    for nums in M.grid:
-        if not char:
-            g = math.gcd(*(c for nm in nums for c in nm.values()))
-            if g > 1:
-                nums = map_nonzero(lambda nm: {e: c // g for e, c in nm.items()}, nums)
-        grid.append(tuple(normalize_row_unit(nums, char)))
-    return ExactMatrix.of_grid(M.field, tuple(grid), M.ncols)
+    grid = tuple(tuple(pp_primitive_row(nums, char)) for nums in M.grid)
+    return ExactMatrix.of_grid(M.field, grid, M.ncols)
 
 
 class _DualBasis:

@@ -29,14 +29,17 @@ logarithms of a root of a fixed primitive polynomial (``_PRIMITIVE``), whose
 tables, of at most 2^13 entries each, are built for a prime when its first
 matrix needs them.
 
-The retry-th point is hashed from (retry, number of parameters,
-characteristic) alone, once (``ModpPolicy.point``), so every matrix over one
-field meets the same points.  Any point is sound: a trivial image kernel is
-conclusive, and a support is confirmed exactly.  Every step reads the
-matrix's cleared grid (``ExactMatrix.grid``): the image is its evaluation at
-the point, the restricted solve takes its columns, and the confirmation
-multiplies it by the kernel vector, whose entries have denominator 1 by the
-kernel contract of ``linalg``.  Over a prime point field the image is made
+A point is a plain pair (prime, values).  The retry-th point is hashed
+from (retry, number of parameters, characteristic) alone, once
+(``_hashed_point``), so every matrix over one field meets the same points.
+Its coordinates are nonzero: a zero coordinate kills every monomial in that
+parameter, so one such point would be degenerate for every matrix over its
+field.  Any point is sound: a trivial image kernel is conclusive, and a
+support is confirmed exactly.  Every step reads the matrix's cleared grid
+(``ExactMatrix.grid``): the image is its evaluation at the point, the
+restricted solve takes its columns, and the confirmation multiplies it by
+the kernel vector, whose entries have denominator 1 by the kernel contract
+of ``linalg``.  Over a prime point field the image is made
 by ``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at
 a point of a prime field, and eliminated by ``linalg.plain_kernel``, the
 one base-field eliminator, on its ints mod p; over GF(q) both are
@@ -47,7 +50,7 @@ image.
 from __future__ import annotations
 
 from array import array
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cache
 
 # CPython's built-in SHA-256 gives the same digests as hashlib's without
@@ -233,20 +236,11 @@ def _point_field(p):
     return None if q == p else _Extension(p, q)
 
 
-@dataclass(frozen=True)
-class SpecPoint:
-    """A specialization target: evaluate t at the values, elements of the
-    point field of ``prime`` (see ``_Extension`` for their ints)."""
-
-    prime: int
-    values: tuple
-    retry: int = 0
-
-
 @cache
 def _hashed_point(retry, nparams, char):
     """The retry-th hashed point for nparams parameters in characteristic
-    char, made once."""
+    char, made once: (prime, values), every value a nonzero element of the
+    point field of the prime (see ``_Extension`` for their ints)."""
     p = char if char else DEFAULT_PRIMES[retry]
     q = point_field_order(p)
     values = []
@@ -256,29 +250,9 @@ def _hashed_point(retry, nparams, char):
         for k in range(0, len(h) - 7, 8):
             if len(values) == nparams:
                 break
-            values.append(int.from_bytes(h[k : k + 8], "big") % q)
+            values.append(1 + int.from_bytes(h[k : k + 8], "big") % (q - 1))
         counter += 1
-    return SpecPoint(p, tuple(values), retry)
-
-
-@dataclass(frozen=True)
-class ModpPolicy:
-    """Deterministic point selection: counter-based hashing, never randomness.
-
-    forced_points, (prime, values) pairs, replace the first hashed points;
-    tests use them to inject degenerate points.  The values are taken mod
-    the prime, so they are points of GF(prime) inside its point field.
-    """
-
-    forced_points: tuple = ()
-
-    def point(self, retry, nparams, char):
-        """The retry-th specialization point for a matrix with nparams
-        parameters in characteristic char."""
-        if retry < len(self.forced_points):
-            p, values = self.forced_points[retry]
-            return SpecPoint(p, tuple(v % p for v in values), retry)
-        return _hashed_point(retry, nparams, char)
+    return p, tuple(values)
 
 
 @dataclass
@@ -295,17 +269,18 @@ class ModpStats:
 
     def __add__(self, other):
         """The counts of both, in a new ModpStats."""
-        return ModpStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        return ModpStats(**{k: v + getattr(other, k) for k, v in self.__dict__.items()})
 
 
-def specialize(M, pt):
-    """The grid evaluated at pt.values: a new list of int rows, reduced into
-    [0, pt.prime) by ``scalars.pp_eval_rows`` when the point field is
-    GF(pt.prime), and elements of GF(q) otherwise."""
-    F = _point_field(pt.prime)
+def specialize(M, point):
+    """The grid evaluated at a point (prime, values): a new list of int rows,
+    reduced into [0, prime) by ``scalars.pp_eval_rows`` when the point field
+    is GF(prime), and elements of GF(q) otherwise."""
+    p, values = point
+    F = _point_field(p)
     if F is None:
-        return pp_eval_rows(M.grid, pt.values, pt.prime)
-    return F.eval_rows(M.grid, pt.values)
+        return pp_eval_rows(M.grid, values, p)
+    return F.eval_rows(M.grid, values)
 
 
 def _restricted_solve(M, cols):
@@ -336,26 +311,32 @@ def _annihilates(M, v):
     return True
 
 
-def kernel_via_modp(M, policy=None, stats=None):
+def kernel_via_modp(M, points=(), stats=None):
     """Exact kernel of a parameter matrix, decided through mod-p images.
 
     A trivial mod-p kernel is conclusive.  A nontrivial one proposes a column
     support for the exact solve; the candidate vector is confirmed against the
     full matrix, and on failure the next point is tried, then the exact path.
+    ``points``, (prime, values) pairs with the values taken mod the prime,
+    replace the first hashed points; tests use them to inject degenerate
+    points.
     """
-    policy = policy or ModpPolicy()
     stats = ModpStats() if stats is None else stats
     ff = M.field
     nparams = len(ff.params)
     for retry in range(len(DEFAULT_PRIMES)):
         if retry:
             stats.retries += 1
-        pt = policy.point(retry, nparams, ff.char)
-        rows = specialize(M, pt)
-        F = _point_field(pt.prime)
+        if retry < len(points):
+            p, values = points[retry]
+            values = tuple(v % p for v in values)
+        else:
+            p, values = _hashed_point(retry, nparams, ff.char)
+        rows = specialize(M, (p, values))
+        F = _point_field(p)
         try:
             if F is None:
-                image = plain_kernel(rows, M.ncols, pt.prime)
+                image = plain_kernel(rows, M.ncols, p)
             else:
                 image = F.kernel(rows, M.ncols)
         except UnexpectedNullity:

@@ -10,7 +10,7 @@ serialize identically.
 from __future__ import annotations
 
 from .errors import DenominatorVanishes, RingMismatch
-from .scalars import FunctionField, RationalFunction
+from .scalars import FunctionField, RationalFunction, pp_key, terms_to_str
 
 
 def exp_add(a, b):
@@ -26,10 +26,6 @@ def exp_sub_nonneg(a, b):
             return None
         out.append(d)
     return tuple(out)
-
-
-def _canon_key(e):
-    return (sum(e), e)
 
 
 class SparsePoly:
@@ -170,29 +166,16 @@ class SparsePoly:
     def to_str(self, names):
         if not self.coeffs:
             return "0"
-        parts = []
-        for e in sorted(self.coeffs, key=_canon_key, reverse=True):
-            c = self.coeffs[e]
-            factors = [
-                names[i] if d == 1 else f"{names[i]}^{d}" for i, d in enumerate(e) if d
-            ]
-            cs = self.field.to_str(c)
+        terms = []
+        for e in sorted(self.coeffs, key=pp_key, reverse=True):
+            cs = self.field.to_str(self.coeffs[e])
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]
-            if not factors:
-                body = cs
-            elif cs == "1":
-                body = "*".join(factors)
-            else:
-                if "/" in cs or " " in cs or "+" in cs or "-" in cs:
-                    cs = f"({cs})"
-                body = "*".join([cs] + factors)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+            if cs != "1" and any(e) and ("/" in cs or " " in cs or "+" in cs or "-" in cs):
+                cs = f"({cs})"
+            terms.append((e, cs, neg))
+        return terms_to_str(terms, names)
 
     def __repr__(self):
         return self.to_str([f"x{i}" for i in range(self.nvars)])

@@ -9,10 +9,14 @@ Coefficient fields come in three layers:
 
 Parameter polynomials are plain dicts ``{exponent tuple: coefficient}`` with
 integer coefficients (reduced to ``[1, p-1]`` in characteristic p) and no zero
-entries.  Rational functions are kept canonical: numerator and denominator
-coprime (multivariate gcd, integer content included), denominator with a
-positive leading coefficient in characteristic 0 and monic in characteristic p.
-This makes equality a dict comparison and certificate output reproducible.
+entries.  Each convention the PolyList/MatList strings rest on has one owner
+here: the term order ``pp_key``, the unit ``pp_unit``, the primitive row
+``pp_primitive_row`` (kernel vectors and MatList rows) and the term printer
+``terms_to_str`` (``pp_to_str`` and ``poly.SparsePoly.to_str``).  Rational
+functions are kept canonical: numerator and denominator coprime
+(multivariate gcd, integer content included), both times the unit of the
+denominator.  This makes equality a dict comparison and certificate output
+reproducible.
 ``pp_eval_rows`` is the one evaluator of parameter polynomials at a point
 of QQ or GF(p); ``modp`` evaluates them at points of GF(p^k).
 """
@@ -132,39 +136,48 @@ def _modinv(c, p):
     return pow(c % p, p - 2, p)
 
 
-def pp_int_content(a):
-    g = 0
-    for c in a.values():
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
+def pp_unit(a, char):
+    """The int u that makes the leading coefficient of u * a 1 (characteristic
+    p) or positive (characteristic 0); 1 for zero."""
+    if not a:
+        return 1
+    _, lc = pp_leading(a)
+    if char:
+        return 1 if lc == 1 else _modinv(lc, char)
+    return -1 if lc < 0 else 1
 
 
 def _pp_unit_normalize(a, char):
-    """Scale by a unit: monic in char p, positive leading coefficient in char 0."""
-    if not a:
-        return {}
+    """a times its unit ``pp_unit``."""
+    u = pp_unit(a, char)
+    return a if u == 1 else pp_scale(a, u, char)
+
+
+def map_nonzero(fn, row):
+    """fn applied to the nonzero polynomials of a row; every zero becomes the
+    new row's one empty dict."""
+    zero = {}
+    return [fn(a) if a else zero for a in row]
+
+
+def pp_primitive_row(nums, char):
+    """A row of polynomials over its canonical constant: in characteristic 0
+    divided by the integer content of all its coefficients, then times the
+    unit (``pp_unit``) of its first nonzero entry.  A scaled row is a new
+    list whose zeros are its one empty dict; otherwise nums comes back."""
+    first = next((a for a in nums if a), None)
+    if first is None:
+        return nums
+    u = pp_unit(first, char)
     if char:
-        _, lc = pp_leading(a)
-        return pp_scale(a, _modinv(lc, char), char) if lc != 1 else a
-    _, lc = pp_leading(a)
-    return pp_neg(a, 0) if lc < 0 else a
+        return nums if u == 1 else map_nonzero(lambda a: pp_scale(a, u, char), nums)
+    d = u * math.gcd(*(c for a in nums for c in a.values()))
+    return nums if d == 1 else map_nonzero(lambda a: {e: c // d for e, c in a.items()}, nums)
 
 
 def pp_primitive(a, char):
     """Primitive part: integer content removed (char 0) or monic (char p)."""
-    if not a:
-        return {}
-    if char:
-        return _pp_unit_normalize(a, char)
-    g = pp_int_content(a)
-    _, lc = pp_leading(a)
-    if lc < 0:
-        g = -g
-    if g != 1:
-        a = {e: c // g for e, c in a.items()}
-    return a
+    return pp_primitive_row([a], char)[0]
 
 
 def _as_uni(a, v):
@@ -315,27 +328,32 @@ def pp_eval_rows(rows, values, p):
     return out
 
 
-def pp_to_str(a, names):
-    """Canonical human-readable form: terms descending in (degree, lex)."""
-    if not a:
-        return "0"
+def terms_to_str(terms, names):
+    """The printed form of (exponent, unsigned coefficient text, negative)
+    terms, in the order given: ``3*a^2*b - b + 1``, a coefficient "1"
+    left out before a monomial."""
     parts = []
-    for e in sorted(a, key=pp_key, reverse=True):
-        c = a[e]
+    for e, cs, neg in terms:
         factors = [
             names[i] if d == 1 else f"{names[i]}^{d}" for i, d in enumerate(e) if d
         ]
         if not factors:
-            body = str(abs(c))
-        elif abs(c) == 1:
+            body = cs
+        elif cs == "1":
             body = "*".join(factors)
         else:
-            body = "*".join([str(abs(c))] + factors)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
+            body = "*".join([cs] + factors)
+        sign = (" - " if neg else " + ") if parts else "-" if neg else ""
+        parts.append(sign + body)
     return "".join(parts)
+
+
+def pp_to_str(a, names):
+    """Canonical human-readable form: terms descending in ``pp_key``."""
+    if not a:
+        return "0"
+    keys = sorted(a, key=pp_key, reverse=True)
+    return terms_to_str([(e, str(abs(a[e])), a[e] < 0) for e in keys], names)
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +514,9 @@ class RationalFunction:
         if g != pp_const(1, r, char):
             num = pp_divexact(num, g, char)
             den = pp_divexact(den, g, char)
-        if char:
-            _, lc = pp_leading(den)
-            if lc != 1:
-                inv = _modinv(lc, char)
-                num = pp_scale(num, inv, char)
-                den = pp_scale(den, inv, char)
-        else:
-            _, lc = pp_leading(den)
-            if lc < 0:
-                num = pp_neg(num, 0)
-                den = pp_neg(den, 0)
+        u = pp_unit(den, char)
+        if u != 1:
+            num, den = pp_scale(num, u, char), pp_scale(den, u, char)
         self.field = field
         self.num = num
         self.den = den

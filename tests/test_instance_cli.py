@@ -120,7 +120,7 @@ def _text(tree, least=0):
     return out if _PRECEDENCE[kind] >= least else f"({out})"
 
 
-def _reference_pair(tree, field, names, lookup):
+def _reference_pair(tree, field, names):
     """The (numerator, denominator) pair by plain SparsePoly arithmetic, every
     product taken, as the grammar defines it; None on a zero divisor."""
     n = len(names)
@@ -129,17 +129,15 @@ def _reference_pair(tree, field, names, lookup):
     if kind == "int":
         return SparsePoly.constant(field, n, field.from_int(tree[1])), one
     if kind == "name":
-        if tree[1] in names:
-            return SparsePoly.variable(field, n, names.index(tree[1])), one
-        return SparsePoly.constant(field, n, lookup(tree[1])), one
-    a = _reference_pair(tree[1], field, names, lookup)
+        return SparsePoly.variable(field, n, names.index(tree[1])), one
+    a = _reference_pair(tree[1], field, names)
     if a is None:
         return None
     if kind == "neg":
         return -a[0], a[1]
     if kind == "pow":
         return a[0] ** tree[2], a[1] ** tree[2]
-    b = _reference_pair(tree[2], field, names, lookup)
+    b = _reference_pair(tree[2], field, names)
     if b is None:
         return None
     (n1, d1), (n2, d2) = a, b
@@ -170,31 +168,30 @@ def test_parser_fast_paths_match_plain_arithmetic(field_name):
     """Skipping products by the constant 1 and raising single terms directly
     give the same pair as taking every SparsePoly product."""
     base = {"QQ": QQ, "GF(3)": GF(3), "GF(32003)": GF(32003)}[field_name.split("(t")[0]]
-    names = ["x", "y", "z"]
-    field, lookup, pool = base, None, names
+    field, names = base, ["x", "y", "z"]
     if field_name.endswith("(t)"):
+        # over K(t) the parameter names are declared as two more variables
         field = FunctionField(base, ("t_1_1", "t_1_2"))
-        lookup = lambda s: field.param(s) if s in field.params else None  # noqa: E731
-        pool = names + list(field.params)
+        names = names + list(field.params)
     assert [_text(t) for t in FIXED_TREES] == [
         "x^0", "(2 * x)^3", "-x^2", "1 / 2 * x", "(x + y) / (1 - x * z)^2"
     ]
     rng = random.Random(field_name)
-    trees = FIXED_TREES + [_random_tree(rng, pool, 3) for _ in range(300)]
+    trees = FIXED_TREES + [_random_tree(rng, names, 3) for _ in range(300)]
     checked = 0
     for tree in trees:
         text = _text(tree)
-        ref = _reference_pair(tree, field, names, lookup)
+        ref = _reference_pair(tree, field, names)
         if ref is None:
             with pytest.raises(ParseError, match="division by zero"):
-                parse_rational(text, field, names, lookup)
+                parse_rational(text, field, names)
             continue
-        assert parse_rational(text, field, names, lookup) == ref, text
+        assert parse_rational(text, field, names) == ref, text
         checked += 1
     assert checked >= 250
-    series = parse_generator(_text(FIXED_TREES[-1]), field, names, lookup)
+    series = parse_generator(_text(FIXED_TREES[-1]), field, names)
     assert isinstance(series, RationalSeries)
-    assert (series.num, series.den) == _reference_pair(FIXED_TREES[-1], field, names, lookup)
+    assert (series.num, series.den) == _reference_pair(FIXED_TREES[-1], field, names)
 
 
 # --- instance files ---------------------------------------------------------
@@ -362,18 +359,16 @@ def test_cli_selftest():
     assert "all suites passed" in out.stdout
 
 
-def test_grammar_supports_parameters():
+def test_grammar_reads_only_declared_names():
+    """The grammar has no parameter names: over K(t) a parameter is read
+    only when it is declared as a variable."""
     from hsmult import FunctionField
 
     ff = FunctionField(QQ, ("t_1_3", "t_2_3"))
-
-    def lookup(name):
-        return ff.param(name) if name in ff.params else None
-
-    p = parse_polynomial("x^3 + t_1_3*x*y", ff, ("x", "y"), lookup)
-    assert p.coeffs[(1, 1)] == ff.param("t_1_3")
-    with pytest.raises(ParseError):
-        parse_polynomial("t_9_9 * x", ff, ("x", "y"), lookup)
+    with pytest.raises(ParseError, match="unknown variable 't_1_3'"):
+        parse_polynomial("x^3 + t_1_3*x*y", ff, ("x", "y"))
+    p = parse_polynomial("x^3 + t_1_3*x*y", ff, ("x", "y", "t_1_3"))
+    assert p.coeffs == {(3, 0, 0): ff.one(), (1, 1, 1): ff.one()}
 
 
 # --- option validation and exit codes ---------------------------------------
@@ -778,6 +773,21 @@ def test_runaway_member_expressions_exit_3_at_once(expr):
     assert time.perf_counter() - started < 1
     assert code == 3
     assert "expression terms > 5000" in err
+
+
+def test_product_past_max_terms_exits_3_before_it_is_expanded():
+    """Each factor, 1,771 terms, is within max_terms (5000), and their
+    product, 12,341 terms, is refused before its 3.1M coefficient products
+    are taken; a product of as many pairs with few distinct exponent sums
+    still answers."""
+    import time
+
+    started = time.perf_counter()
+    code, err = _run_main(["member", str(FIXTURES / "example2.json"), "(1+x+y+z)^20*(1+x+y+z)^20"])
+    assert time.perf_counter() - started < 2
+    assert code == 3 and "expression terms > 5000" in err
+    for expr in ("(x+y)^60*(x+y)^60", "(x+y)^60*(x+y)^100"):
+        assert _run_main(["member", str(FIXTURES / "example1.json"), expr])[0] == 0
 
 
 def test_expansion_caps_follow_the_file_and_the_flags(capsys, tmp_path):

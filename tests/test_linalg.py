@@ -287,9 +287,11 @@ def test_polynomial_operations_never_write_into_their_inputs():
     corrupt other cells."""
     import copy
 
-    from hsmult.linalg import _strip_row_content, normalize_row_unit
+    from hsmult.linalg import _strip_row_content
     from hsmult.matlis import canonical_cleared_matrix
-    from hsmult.scalars import pp_add, pp_divexact, pp_mul, pp_neg, pp_scale, pp_sub
+    from hsmult.scalars import (
+        pp_add, pp_divexact, pp_mul, pp_neg, pp_primitive_row, pp_scale, pp_sub,
+    )
 
     rng = random.Random(53)
 
@@ -333,7 +335,7 @@ def test_polynomial_operations_never_write_into_their_inputs():
         snaps = snapshot(*(cell for rw in rows for cell in rw))
         canonical = canonical_cleared_matrix(M)
         for rw in rows:
-            normalize_row_unit(rw, char)
+            pp_primitive_row(rw, char)
             slots = list(rw)
             _strip_row_content(rw, char, 2)
             # only nonzero slots may be replaced

@@ -311,12 +311,16 @@ def test_one_memo_across_growing_gamma_lists(glex):
     truncation stay exact and deeper terms are fetched when needed."""
     rng = random.Random(17)
     qq_t = FunctionField(QQ, ("t_1_1",))
-    lookup = {"t_1_1": qq_t.param("t_1_1")}.get
     for field in (QQ, GF(7), qq_t):
-        params = lookup if field is qq_t else None
-        text = "(x + t_1_1*y^2)/(1 - x - t_1_1*y)" if params else "(x + 2*y^2)/(1 - x - 3*y)"
-        series = parse_generator(text, field, ("x", "y"), params)
-        gens = [series, parse_polynomial("x^2 - y", field, ("x", "y"), params)]
+        if field is qq_t:
+            # (x + t*y^2)/(1 - x - t*y)
+            x, y = (SparsePoly.variable(field, 2, i) for i in range(2))
+            t = SparsePoly.constant(field, 2, field.param("t_1_1"))
+            one = SparsePoly.constant(field, 2, field.one())
+            series = RationalSeries(x + t * y * y, one - x - t * y)
+        else:
+            series = parse_generator("(x + 2*y^2)/(1 - x - 3*y)", field, ("x", "y"))
+        gens = [series, parse_polynomial("x^2 - y", field, ("x", "y"))]
         memo = RunMemo(gens, glex, 2)
         for top in (1, 2, 2, 4, 3, 7, 5, 9):
             pool = [(i, d - i) for d in range(top + 1) for i in range(d + 1)]

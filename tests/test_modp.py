@@ -8,9 +8,7 @@ from hsmult import (
     QQ,
     ExactMatrix,
     FunctionField,
-    ModpPolicy,
     ModpStats,
-    SpecPoint,
     UnexpectedNullity,
     kernel,
     kernel_via_modp,
@@ -34,13 +32,13 @@ def test_specialize_spec_examples(ff):
     a, b = ff.param("a"), ff.param("b")
     one, zero = ff.one(), ff.zero()
     M2 = ExactMatrix(ff, ((a, zero), (b, one)), 2)
-    S = specialize(M2, SpecPoint(5, (2, 3)))
+    S = specialize(M2, (5, (2, 3)))
     assert [list(row) for row in S] == [[2, 0], [3, 1]]
     M3 = ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)
-    S3 = specialize(M3, SpecPoint(5, (2, 3)))
+    S3 = specialize(M3, (5, (2, 3)))
     assert [list(row) for row in S3] == [[1, 2, 0], [0, 3, 1]]
     Z = ExactMatrix(ff, ((zero, zero),), 2)
-    SZ = specialize(Z, SpecPoint(7, (1, 1)))
+    SZ = specialize(Z, (7, (1, 1)))
     assert all(not e for row in SZ for e in row)
 
 
@@ -60,13 +58,12 @@ def test_forced_bad_points_recover(ff):
     # trivial-kernel matrix, bad point (a=0) makes the image singular
     M2 = ExactMatrix(ff, ((a, zero), (b, one)), 2)
     stats = ModpStats()
-    policy = ModpPolicy(forced_points=((5, (0, 3)),))
-    assert kernel_via_modp(M2, policy, stats) is None
+    assert kernel_via_modp(M2, ((5, (0, 3)),), stats) is None
     assert stats.retries >= 1
     # kernel matrix, bad point truncates the support
     M = ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)
     stats2 = ModpStats()
-    assert kernel_via_modp(M, ModpPolicy(forced_points=((5, (0, 3)),)), stats2) == (
+    assert kernel_via_modp(M, ((5, (0, 3)),), stats2) == (
         a,
         -one,
         b,
@@ -80,8 +77,7 @@ def test_exact_fallback_after_all_retries(ff):
     M = ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)
     bad = (5, (0, 0))
     stats = ModpStats()
-    policy = ModpPolicy(forced_points=(bad, bad, bad))
-    assert kernel_via_modp(M, policy, stats) == (a, -one, b)
+    assert kernel_via_modp(M, (bad, bad, bad), stats) == (a, -one, b)
     assert stats.fallbacks == 1
 
 
@@ -89,17 +85,17 @@ def test_determinism(ff):
     a, b = ff.param("a"), ff.param("b")
     one, zero = ff.one(), ff.zero()
     M = ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)
-    policy = ModpPolicy()
-    p1 = policy.point(0, 2, 0)
-    p2 = policy.point(0, 2, 0)
+    p1 = modp._hashed_point(0, 2, 0)
+    p2 = modp._hashed_point(0, 2, 0)
     assert p1 == p2
-    assert policy.point(1, 2, 0) != p1
-    assert kernel_via_modp(M, policy) == kernel_via_modp(M, policy)
+    assert modp._hashed_point(1, 2, 0) != p1
+    assert kernel_via_modp(M) == kernel_via_modp(M)
 
 
 def test_points_are_seeded_per_field_not_per_matrix(ff, monkeypatch):
     """Two different matrices over one field meet the same point; the
-    retries give distinct points; forced points come out unchanged."""
+    retries give distinct points, in retry order; forced points come first,
+    their values taken mod their prime, and the hashed points follow."""
     a, b = ff.param("a"), ff.param("b")
     one, zero = ff.one(), ff.zero()
     seen = []
@@ -107,16 +103,42 @@ def test_points_are_seeded_per_field_not_per_matrix(ff, monkeypatch):
     monkeypatch.setattr(modp, "specialize", lambda M, pt: seen.append(pt) or real(M, pt))
     kernel_via_modp(ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3))
     kernel_via_modp(_upper_unitriangular(ff, 5))
-    assert seen[0] == seen[1] == ModpPolicy().point(0, 2, 0)
+    assert seen[0] == seen[1] == modp._hashed_point(0, 2, 0)
     for char in (0, 2, 3, 32003):
-        points = [ModpPolicy().point(retry, 2, char) for retry in range(len(DEFAULT_PRIMES))]
-        assert len({pt.values for pt in points}) == len(points)
-        assert [pt.retry for pt in points] == list(range(len(points)))
-        assert all(pt.prime == (char or DEFAULT_PRIMES[pt.retry]) for pt in points)
-    forced = ModpPolicy(forced_points=((5, (0, 8)), (7, (-1, 3))))
-    assert forced.point(0, 2, 0) == SpecPoint(5, (0, 3), 0)
-    assert forced.point(1, 2, 0) == SpecPoint(7, (6, 3), 1)
-    assert forced.point(2, 2, 0) == ModpPolicy().point(2, 2, 0)
+        points = [modp._hashed_point(retry, 2, char) for retry in range(len(DEFAULT_PRIMES))]
+        assert len({values for _, values in points}) == len(points)
+        assert [p for p, _ in points] == [char or q for q in DEFAULT_PRIMES]
+    # singular at a = 0 (mod 5) and at a = -1 (mod 7), so all three points are met
+    seen.clear()
+    degenerate = ExactMatrix(ff, ((a, zero), (zero, a + one)), 2)
+    assert kernel_via_modp(degenerate, ((5, (0, 8)), (7, (-1, 3)))) is None
+    assert seen == [(5, (0, 3)), (7, (6, 3)), modp._hashed_point(2, 2, 0)]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 97, 101, 127, 32003])
+def test_hashed_points_have_no_zero_coordinate(char):
+    """A zero coordinate kills every monomial in its parameter, so such a
+    point would be degenerate for every matrix over its field."""
+    for retry in range(3):
+        for nparams in range(1, 9):
+            p, values = modp._hashed_point(retry, nparams, char)
+            assert len(values) == nparams
+            assert all(0 < v < point_field_order(p) for v in values)
+
+
+def test_three_parameter_run_over_gf97_needs_no_retry():
+    """The first hashed point of three parameters over GF(97) had a zero
+    coordinate, which made it degenerate and cost 7 retries on this run."""
+    from hsmult.instance import build_instance
+
+    inst, _ = build_instance({
+        "characteristic": 97, "variables": ["x", "y", "z"], "order": "glex",
+        "ideal": ["x^2 + y^3", "y^2 + z^3", "x*y*z", "z^4 + x*y"], "dim": 3,
+    })
+    res = multiplicity(inst, use_cache=False)
+    assert len(res.params) == 3 and res.e == 15
+    assert res.modp_stats.accepted_by_support + res.modp_stats.trivial_by_modp > 0
+    assert (res.modp_stats.retries, res.modp_stats.fallbacks) == (0, 0)
 
 
 def _upper_unitriangular(ff, n):
@@ -168,8 +190,7 @@ def test_modp_agrees_with_exact_on_fixture_matlists(
             modular = kernel_via_modp(M)
             assert exact is None and modular is None or exact == modular
             # forced-bad-point injection still converges
-            policy = ModpPolicy(forced_points=((5, (0,) * len(M.field.params)),))
-            assert kernel_via_modp(M, policy) == exact
+            assert kernel_via_modp(M, ((5, (0,) * len(M.field.params)),)) == exact
 
 
 def _random_param_matrix(field, rng, nrows, ncols):
@@ -207,8 +228,7 @@ def test_kernel_via_modp_agrees_with_kernel_on_random_matrices():
             M = _random_param_matrix(field, rng, ncols + rng.choice((-2, -1, 1)), ncols)
             exact = _kernel_or_nullity(kernel, M)
             for forced in ((), degenerate[:1], degenerate):
-                policy = ModpPolicy(forced_points=forced)
-                got = _kernel_or_nullity(lambda A: kernel_via_modp(A, policy, stats), M)
+                got = _kernel_or_nullity(lambda A: kernel_via_modp(A, forced, stats), M)
                 assert got == exact
             seen["vector" if isinstance(exact, tuple) else "trivial" if exact is None else exact] += 1
     assert min(seen.values()) >= 5
@@ -387,7 +407,7 @@ def test_specialize_into_extension_matches_naive_evaluation(p):
     N, rng = NaiveGF(p), random.Random(p)
     M = _random_param_matrix(ff, rng, 4, 5)
     values = (rng.randrange(N.q), rng.randrange(N.q))
-    got = specialize(M, SpecPoint(p, values))
+    got = specialize(M, (p, values))
     for row, out in zip(M.grid, got):
         for a, v in zip(row, out):
             acc = 0
@@ -445,7 +465,7 @@ def test_full_rank_matrix_singular_at_every_gf2_point_is_decided_at_a_point():
     # the two points of GF(2), forced, fail; the third point, in GF(2^13),
     # decides
     stats = ModpStats()
-    policy = ModpPolicy(forced_points=((2, (0,)), (2, (1,))))
-    assert kernel_via_modp(A, policy, stats) is None
-    assert kernel_via_modp(B, policy, stats) == kernel(B)
+    points = ((2, (0,)), (2, (1,)))
+    assert kernel_via_modp(A, points, stats) is None
+    assert kernel_via_modp(B, points, stats) == kernel(B)
     assert (stats.retries, stats.fallbacks) == (4, 0)
