@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import ExactMatrix, kernel, nonsingular_at, rank
 from .matlis import DualBasisState, ResourceCaps, build_matrix, compute_dual_basis, step
-from .modp import ModpStats, kernel_via_modp, solve_dispatch, specialize
+from .modp import ModpStats, kernel_via_modp, specialize
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly, substitute_params
 from .reduction import (
@@ -106,7 +106,6 @@ __all__ = [
     "nonsingular_at",
     "rank",
     "socle_candidates",
-    "solve_dispatch",
     "span_of_terms",
     "specialize",
     "step",

@@ -16,7 +16,7 @@ from .exprparse import parse_generator, parse_polynomial
 from .matlis import DEFAULT_CAPS, ResourceCaps
 from .orders import MonomialOrder, ORDER_KINDS
 from .reduction import ProblemInstance, generator_to_str
-from .scalars import GF, QQ, is_prime
+from .scalars import GF, PRIME_CHECK_LIMIT, QQ, is_prime
 
 # the options: the resource caps, at least 1 each, and the reduction search's
 # last shell, at least 0
@@ -160,6 +160,8 @@ def build_instance(mapping):
     char = mapping.get("characteristic", 0)
     if not _is_int(char) or char < 0:
         _fail("characteristic must be 0 or a prime")
+    if char >= PRIME_CHECK_LIMIT:
+        _fail(f"characteristic must be below {PRIME_CHECK_LIMIT}, the primality check's limit")
     if char and not is_prime(char):
         _fail(f"characteristic {char} is not prime")
     base = GF(char) if char else QQ

@@ -20,6 +20,9 @@ with the coordinates that express every basis vector in the inserted
 columns.  Reducing a column leaves zero exactly when it lies in the span,
 and then its coordinates are the canonical kernel vector below, the one
 ``plain_kernel`` returns for [that column | the independent inserted ones].
+``plain_kernel`` and its ``_eliminate`` stay for matrices met once, whose
+coordinates no later step reads: on the 1,101 ``nonsingular_at`` matrices of
+a generic-reduce pass a span took 40 ms, ``_eliminate`` 29 (CPython 3.11).
 
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
 one-dimensional kernel is returned as one canonical vector.  Over a function

@@ -41,13 +41,13 @@ every zero cell of a row one shared empty dict); ``matlist`` makes those
 grids canonical when first read and keeps the result, so a run whose
 certificate nobody reads never canonicalizes.
 
-The engine has no tuning settings.  Function-field kernels go through
-``modp.solve_dispatch``, whose dispatch rule is fixed and which counts into
-the run's ``stats``; a base-field step counts there as the direct solve it
-stands for.  Series generators are truncated from a fixed start degree (see
-``_initial_data``).  Neither choice changes the basis of a run that
-finishes: the kernel vector is canonical on every path, and the staircase
-is certified exact whatever the truncation.
+The engine has no tuning settings.  Every step counts one ``dispatched``
+solve in the run's ``stats``.  A function-field step's matrix goes through
+``modp.kernel_via_modp``, which counts its path there; a base-field step
+counts as the ``direct`` solve it stands for.  Series generators are
+truncated from a fixed start degree (see ``_initial_data``).  Neither
+changes the basis of a run that finishes: the kernel vector is canonical on
+every path, and the staircase is certified exact whatever the truncation.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .errors import (
     UnexpectedNullity,
 )
 from .linalg import ColumnSpan, ExactMatrix
-from .modp import ModpStats, solve_dispatch
+from .modp import ModpStats, kernel_via_modp
 from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
 from .scalars import FunctionField, pp_primitive, pp_primitive_row
 from .series import SeriesOracle
@@ -283,7 +283,7 @@ class DualBasisState(_DualBasis):
         self.field = field
         self.nvars = nvars
         self.stats = stats = ModpStats() if stats is None else stats
-        self.solver = solver or (lambda M: solve_dispatch(M, stats))
+        self.solver = solver or (lambda M: kernel_via_modp(M, stats=stats))
         self.track_certificates = isinstance(field, FunctionField) and bool(
             field.params
         )
@@ -344,7 +344,6 @@ def _span_kernel(state, gamma):
     """The kernel ``kernel`` would give for the step's matrix over a base
     field, from the run's span of the candidate columns (see the module
     docstring)."""
-    state.stats.dispatched += 1
     state.stats.direct += 1
     tau0, cands = gamma[0], gamma[1:]
     span = state.span
@@ -383,6 +382,7 @@ def step(state):
         state.t2, state.ltn, order, tau0, limit=caps.max_terms, key=key
     )
     gamma = [tau0] + cands
+    state.stats.dispatched += 1
     if state.span is None:
         M = build_matrix(state.gens, gamma, order, state.nvars, memo)
         vec = state.solver(M)
@@ -440,7 +440,7 @@ def compute_dual_basis(gens, order, caps=None, solver=None, budget=None, stats=N
     it shows only that the colength is at least the budget.  ``complete``
     tells whether the loop ran to its end, so that the basis spans the dual.
     ``stats`` (a ``modp.ModpStats``) counts the run's solves; ``solver``
-    replaces ``modp.solve_dispatch`` on function-field steps.
+    replaces ``modp.kernel_via_modp`` on function-field steps.
     """
     caps = caps or DEFAULT_CAPS
     state = DualBasisState(gens, order, caps, solver=solver, stats=stats)

@@ -1,48 +1,42 @@
 """Modular acceleration of kernel decisions for parameter-polynomial matrices.
 
-Specializing the parameters at a point can only lower the rank, because
-evaluation is a ring map, so a full-column-rank image certifies a trivial
-exact kernel outright.  When the image does have a kernel vector, its support
-is used to restrict the exact solve to few columns; the result is confirmed
-exactly, and a failed confirmation costs only a retry with the next
-deterministic point (falling back to the full exact kernel after that).
-Correctness therefore never depends on the specialization point being
-generic, and the kernel vector is the canonical one on either path.
+Every matrix over a parameter field goes through ``kernel_via_modp``, which
+tries up to three points (one per prime of ``DEFAULT_PRIMES`` over QQ)
+before the exact ``kernel``.  Evaluation at a point is a ring map, so it can
+only lower the rank: a full-column-rank image certifies a trivial exact
+kernel outright.  An image with a one-dimensional kernel proposes its
+support S for an exact solve that keeps every row of M, so a vector v it
+returns has M v = M_S v_S = 0.  Since rank(image) = ncols - 1 <= rank(M), M
+has nullity at most 1, so v spans ker M and is ``kernel(M)``'s canonical
+vector; no second check is needed.  A support on which the solve finds no
+vector costs a retry with the next point.  So correctness never depends on
+the point being generic.
 
-The policy is fixed: a matrix over a parameter field with more than
-``DIRECT_MAX_COLUMNS`` (4) columns goes through ``kernel_via_modp``, which tries
-up to three points (one per prime of ``DEFAULT_PRIMES`` over QQ); every other
-matrix goes to ``kernel``.
-
-The point field.  A matrix over GF(p)(t) is specialized at a point of
-GF(q), q = p^k with k the largest exponent such that q <= 2^13
+The point field.  A matrix over GF(p)(t) is specialized at a point of GF(q),
+q = p^k with k the largest exponent such that q <= 2^13
 (``point_field_order``), so k = 1 for p > 90 and for the primes of
-``DEFAULT_PRIMES``: over QQ and
-GF(32003) the image is a matrix of ints mod p.  Over GF(2), GF(3) or GF(5) a
-point of GF(p)^r is too small a sample: t^2 + t vanishes at every point of
-GF(2), so a full-rank matrix can be singular at all of them.  By
-Schwartz-Zippel, a nonzero maximal minor of total degree D vanishes at a
-uniform point of GF(q)^r with probability at most D / q, and D <= ncols
-when every grid entry has degree at most 1.  GF(p) is a subfield of GF(q),
-so forced points keep their meaning.  GF(q) is ``_Extension``: Zech
-logarithms of a root of a fixed primitive polynomial (``_PRIMITIVE``), whose
-tables, of at most 2^13 entries each, are built for a prime when its first
-matrix needs them.
+``DEFAULT_PRIMES``: over QQ and GF(32003) the image is a matrix of ints mod
+p.  Over GF(2), GF(3) or GF(5) a point of GF(p)^r is too small a sample:
+t^2 + t vanishes at every point of GF(2), so a full-rank matrix can be
+singular at all of them.  By Schwartz-Zippel, a nonzero maximal minor of
+total degree D vanishes at a uniform point of GF(q)^r with probability at
+most D / q, and D <= ncols when every grid entry has degree at most 1.
+GF(p) is a subfield of GF(q), so forced points keep their meaning.  GF(q) is
+``_Extension``: Zech logarithms of a root of a fixed primitive polynomial
+(``_PRIMITIVE``), whose tables, of at most 2^13 entries each, are built for
+a prime when its first matrix needs them.
 
-A point is a plain pair (prime, values).  The retry-th point is hashed
-from (retry, number of parameters, characteristic) alone, once
+A point is a plain pair (prime, values).  The retry-th point is hashed from
+(retry, number of parameters, characteristic) alone, once
 (``_hashed_point``), so every matrix over one field meets the same points.
 Its coordinates are nonzero: a zero coordinate kills every monomial in that
 parameter, so one such point would be degenerate for every matrix over its
-field.  Any point is sound: a trivial image kernel is conclusive, and a
-support is confirmed exactly.  Every step reads the matrix's cleared grid
-(``ExactMatrix.grid``): the image is its evaluation at the point, the
-restricted solve takes its columns, and the confirmation multiplies it by
-the kernel vector, whose entries have denominator 1 by the kernel contract
-of ``linalg``.  Over a prime point field the image is made
-by ``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at
-a point of a prime field, and eliminated by ``linalg.plain_kernel``, the
-one base-field eliminator, on its ints mod p; over GF(q) both are
+field.  Every step reads the matrix's cleared grid (``ExactMatrix.grid``):
+the image is its evaluation at the point, and the restricted solve takes its
+columns.  Over a prime point field the image is made by
+``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at a
+point of a prime field, and eliminated by ``linalg.plain_kernel``, the one
+base-field eliminator, on its ints mod p; over GF(q) both are
 ``_Extension``'s.  No field element or rational function is built for the
 image.
 """
@@ -62,14 +56,11 @@ except ImportError:
 
 from .errors import InternalInconsistency, UnexpectedNullity
 from .linalg import _free_column, kernel, plain_kernel
-from .scalars import FunctionField, pp_add, pp_eval_rows, pp_mul
+from .scalars import pp_eval_rows
 
 # largest primes below 2^31, descending: the retry-th point is taken mod the
 # retry-th prime, so their number is the number of points tried
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
-
-# parameter matrices with at most this many columns are solved directly
-DIRECT_MAX_COLUMNS = 4
 
 # the largest point field over a small prime
 POINT_FIELD_MAX = 1 << 13
@@ -284,11 +275,9 @@ def specialize(M, point):
 
 
 def _restricted_solve(M, cols):
-    """Exact kernel on the column-restricted system, embedded back with zeros."""
-    try:
-        v = kernel(M.columns(cols))
-    except UnexpectedNullity:
-        return None
+    """The exact kernel on those columns, embedded back with zeros; its
+    nullity is at most the image's on them, 1."""
+    v = kernel(M.columns(cols))
     if v is None:
         return None
     full = [M.field.zero()] * M.ncols
@@ -297,26 +286,13 @@ def _restricted_solve(M, cols):
     return tuple(full)
 
 
-def _annihilates(M, v):
-    """M v == 0, read on the grid; kernel vectors have denominator 1."""
-    char = M.field.char
-    nums = [a.num for a in v]
-    for row in M.grid:
-        acc = {}
-        for a, b in zip(row, nums):
-            if a and b:
-                acc = pp_add(acc, pp_mul(a, b, char), char)
-        if acc:
-            return False
-    return True
-
-
 def kernel_via_modp(M, points=(), stats=None):
     """Exact kernel of a parameter matrix, decided through mod-p images.
 
-    A trivial mod-p kernel is conclusive.  A nontrivial one proposes a column
-    support for the exact solve; the candidate vector is confirmed against the
-    full matrix, and on failure the next point is tried, then the exact path.
+    A trivial mod-p kernel is conclusive.  A one-dimensional one proposes a
+    column support for the exact solve, whose vector is the kernel of M (see
+    the module docstring); when it finds none, or the image has a larger
+    kernel, the next point is tried, then the exact path.
     ``points``, (prime, values) pairs with the values taken mod the prime,
     replace the first hashed points; tests use them to inject degenerate
     points.
@@ -345,19 +321,9 @@ def kernel_via_modp(M, points=(), stats=None):
             stats.trivial_by_modp += 1
             return None
         v = _restricted_solve(M, [j for j, a in enumerate(image) if a])
-        if v is not None and _annihilates(M, v):
+        if v is not None:
             stats.accepted_by_support += 1
             return v
     stats.fallbacks += 1
     return kernel(M)
 
-
-def solve_dispatch(M, stats):
-    """Route parameter matrices past DIRECT_MAX_COLUMNS columns to the modular
-    path, counting into stats."""
-    stats.dispatched += 1
-    ff = M.field
-    if isinstance(ff, FunctionField) and ff.params and M.ncols > DIRECT_MAX_COLUMNS:
-        return kernel_via_modp(M, stats=stats)
-    stats.direct += 1
-    return kernel(M)

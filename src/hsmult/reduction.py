@@ -8,9 +8,9 @@ and MatList (matrices that must keep full column rank).  A coefficient matrix
 passing both checks yields a reduction with those coefficients; an exhaustive
 small-coefficient search and an independent length-recomputation check are
 built on top.  A coefficient matrix holds ints or base-field scalars, read
-row by row as the parameters t_i_j.  The kernel dispatch
-(``modp.solve_dispatch``) is fixed, so a result and its mod-p counters depend
-on the instance alone, which is the multiplicity cache's key.
+row by row as the parameters t_i_j.  Every kernel over K(t) goes through
+``modp.kernel_via_modp`` at fixed points, so a result and its mod-p counters
+depend on the instance alone, which is the multiplicity cache's key.
 
 Integral-closure membership: h lies in the integral closure of J exactly when
 e(J + (h)) = e(J) (Rees; R formally equidimensional, e.g. Cohen-Macaulay).
@@ -72,6 +72,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import CapExceeded, NonUnitDenominator, NotZeroDimensional, SearchExhausted
 from .linalg import nonsingular_at
@@ -163,8 +164,9 @@ class ProblemInstance:
         return "|".join(parts)
 
 
+@cache
 def param_names(d, m):
-    """t_i_j for row i <= d and source generator j in d+1..m."""
+    """t_i_j for row i <= d and source generator j in d+1..m; one per shape."""
     return tuple(f"t_{i}_{j}" for i in range(1, d + 1) for j in range(d + 1, m + 1))
 
 
@@ -185,8 +187,6 @@ def generic_generators(inst):
     With m == d no parameters are introduced and the base field is kept.
     """
     d, m = inst.d, inst.m
-    if m < d:
-        raise ValueError("fewer generators than dim")
     if m == d:
         return list(inst.j_gens) + list(inst.i_gens), inst.base
     ff = FunctionField(inst.base, param_names(d, m))
@@ -413,18 +413,12 @@ def find_reduction(res, bound=5):
     Integer entries are enumerated by max-norm shells starting at the all-zero
     matrix, ordering values 0, 1, -1, 2, -2, ... and tuples lexicographically
     within a shell.  Over a small finite field the search can exhaust the
-    schedule, which raises SearchExhausted.
+    schedule, which raises SearchExhausted.  With no parameters (m == d, or
+    d == 0) the one matrix of shell 0 has empty rows and certifies at once,
+    so the bound must be at least 0.
     """
     inst = res.instance
     cols = res.m - res.d
-    if cols == 0 or res.d == 0:
-        rows = tuple(() for _ in range(res.d))
-        return ReductionCertificate(
-            a=rows,
-            mode="symbolic",
-            generators=reduction_generators(inst, rows),
-            e=res.e,
-        )
     for s in range(bound + 1):
         for a in _shell_matrices(res.d, cols, s):
             if certify(a, res):

@@ -438,16 +438,29 @@ class GFElement:
         return f"{self.v}"
 
 
+# the least strong pseudoprime to all the prime bases 2..41 (OEIS A014233)
+PRIME_CHECK_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin to the bases 2..41, exact below PRIME_CHECK_LIMIT; at or
+    above it, ValueError."""
+    if n >= PRIME_CHECK_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIME_CHECK_LIMIT}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for b in bases:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,12 +1,18 @@
-"""README's lists of CLI flags and instance options match the program."""
+"""README's lists of CLI flags and instance options match the program, and
+the README and the source name no code that is gone."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import hsmult
 from hsmult.cli import build_arg_parser
 from hsmult.instance import DEFAULT_OPTIONS
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
+SOURCES = sorted(Path(hsmult.__file__).parent.glob("*.py"))
+MODULES = {m.name for m in pkgutil.iter_modules(hsmult.__path__)}
 
 
 def _paragraph(start):
@@ -30,3 +36,30 @@ def test_readme_flags_match_the_parser():
 def test_readme_options_match_default_options():
     listed = _paragraph("Options:").split(".")[0]
     assert sorted(re.findall(r"`([a-z_]+)`", listed)) == sorted(DEFAULT_OPTIONS)
+
+
+def _module_references(text, ticks):
+    """(module, name) for each code span, opened by ticks backticks, that
+    begins with an hsmult module name, a dot and a name."""
+    spans = re.findall(rf"(?<!`){ticks}([a-z_]+)\.([A-Za-z_]\w*)", text)
+    return [(m, n) for m, n in spans if m in MODULES]
+
+
+def _unresolved(refs):
+    return [
+        f"{m}.{n}" for m, n in refs if not hasattr(importlib.import_module(f"hsmult.{m}"), n)
+    ]
+
+
+def test_readme_module_references_resolve():
+    refs = _module_references(README, "`")
+    assert len(refs) >= 6
+    assert _unresolved(refs) == []
+
+
+def test_source_module_references_resolve():
+    refs = {
+        path.name: _module_references(path.read_text(), "``") for path in SOURCES
+    }
+    assert sum(map(len, refs.values())) >= 10
+    assert {name: _unresolved(r) for name, r in refs.items() if _unresolved(r)} == {}

@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from hsmult import (
 )
 from hsmult.exprparse import parse_generator, parse_polynomial, parse_rational
 from hsmult.instance import instance_to_json, parse_instance
+from hsmult.scalars import PRIME_CHECK_LIMIT
 from tests.conftest import FIXTURES
 
 
@@ -446,7 +448,7 @@ def test_cli_rejects_mistyped_options(tmp_path, options, flags):
          "--modp-threshold", "--trunc-degree"],
 )
 def test_removed_kernel_options_exit_2(tmp_path, options, flags, message):
-    # the kernel dispatch and the truncation start are fixed, not settings
+    # the kernel route and the truncation start are fixed, not settings
     path = _write_instance(tmp_path, dict(SMALL, options=options))
     code, err = _run_main(["mult", path, *flags])
     assert code == 2
@@ -511,6 +513,30 @@ def test_bool_dim_and_characteristic_exit_2(tmp_path, field, value):
     code, err = _run_main(["mult", _write_instance(tmp_path, payload)])
     assert code == 2
     assert err.startswith(f"error: {field} must")
+
+
+def test_large_prime_characteristic_parses_at_once(tmp_path):
+    """Trial division did not finish 2^61 - 1 in 20 s."""
+    payload = dict(SMALL, characteristic=2**61 - 1)
+    start = time.perf_counter()
+    inst, _ = parse_instance(json.dumps(payload))
+    assert time.perf_counter() - start < 1
+    assert inst.base.char == 2**61 - 1
+    assert _run_main(["length", _write_instance(tmp_path, payload)])[0] == 0
+
+
+@pytest.mark.parametrize("char", [561, 2047, 3215031751, 2**61 + 1])
+def test_composite_characteristics_exit_2(tmp_path, char):
+    code, err = _run_main(["length", _write_instance(tmp_path, dict(SMALL, characteristic=char))])
+    assert code == 2
+    assert err.startswith(f"error: characteristic {char} is not prime")
+
+
+def test_characteristic_at_the_primality_limit_exits_2(tmp_path):
+    payload = dict(SMALL, characteristic=PRIME_CHECK_LIMIT)
+    code, err = _run_main(["length", _write_instance(tmp_path, payload)])
+    assert code == 2
+    assert err.startswith(f"error: characteristic must be below {PRIME_CHECK_LIMIT}")
 
 
 @pytest.mark.parametrize(

@@ -9,17 +9,21 @@ from hsmult import (
     ExactMatrix,
     FunctionField,
     ModpStats,
+    MonomialOrder,
+    SparsePoly,
     UnexpectedNullity,
+    compute_dual_basis,
     kernel,
     kernel_via_modp,
     multiplicity,
     nonsingular_at,
     rank,
-    solve_dispatch,
     specialize,
 )
 from hsmult import modp
+from hsmult.matlis import DEFAULT_CAPS, DualBasisState
 from hsmult.modp import DEFAULT_PRIMES, _PRIMITIVE, _Extension, _point_field, point_field_order
+from hsmult.scalars import pp_add, pp_mul
 from tests.conftest import naive_pp_eval, plain
 
 
@@ -154,21 +158,32 @@ def _upper_unitriangular(ff, n):
     )
 
 
-def test_dispatch_rules(ff):
-    # parameter matrices with at most 4 columns are solved directly
+def test_parameter_matrices_of_few_columns_are_decided_by_their_image(ff):
+    """The engine's solver sends every matrix over K(t), however narrow,
+    through its mod-p image; only base-field steps count as direct."""
+    a, b = ff.param("a"), ff.param("b")
+    one, zero = ff.one(), ff.zero()
+    gens = [SparsePoly.monomial(ff, e) for e in ((2, 0), (0, 2))]
+    state = DualBasisState(gens, MonomialOrder("glex"), DEFAULT_CAPS)
+    for n in range(1, 5):
+        assert state.solver(_upper_unitriangular(ff, n)) is None
+    assert state.solver(ExactMatrix(ff, ((zero,),), 1)) == (one,)
+    assert state.solver(ExactMatrix(ff, ((a, -one),), 2)) == (one, a)
+    assert state.solver(ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)) == (a, -one, b)
+    assert state.solver(_upper_unitriangular(ff, 4).columns((0, 1, 2, 3, 3))) == (
+        zero, zero, zero, one, -one,
+    )
+    stats = state.stats
+    assert (stats.direct, stats.trivial_by_modp, stats.accepted_by_support) == (0, 4, 4)
+    assert (stats.retries, stats.fallbacks) == (0, 0)
+    # a base-field run solves every step from its span, as a direct solve
     stats = ModpStats()
-    assert solve_dispatch(_upper_unitriangular(ff, 4), stats) is None
-    assert (stats.dispatched, stats.direct, stats.trivial_by_modp) == (1, 1, 0)
-    # a 5-column one goes through its mod-p image
-    stats = ModpStats()
-    assert solve_dispatch(_upper_unitriangular(ff, 5), stats) is None
-    assert (stats.dispatched, stats.direct, stats.trivial_by_modp) == (1, 0, 1)
-    # no parameters: always direct, however wide
-    one, zero = Fraction(1), Fraction(0)
-    rows = tuple(tuple(one if j in (i, i + 1) else zero for j in range(6)) for i in range(5))
-    stats = ModpStats()
-    assert solve_dispatch(ExactMatrix(QQ, rows, 6), stats) == (1, -1, 1, -1, 1, -1)
-    assert (stats.dispatched, stats.direct) == (1, 1)
+    res = compute_dual_basis(
+        [SparsePoly.monomial(QQ, e) for e in ((3, 0), (0, 2), (1, 1))],
+        MonomialOrder("glex"), stats=stats,
+    )
+    assert res.iterations > 0
+    assert stats.dispatched == stats.direct == res.iterations
 
 
 def test_modp_over_prime_base_field():
@@ -193,11 +208,11 @@ def test_modp_agrees_with_exact_on_fixture_matlists(
             assert kernel_via_modp(M, ((5, (0,) * len(M.field.params)),)) == exact
 
 
-def _random_param_matrix(field, rng, nrows, ncols):
+def _random_param_matrix(field, rng, nrows, ncols, squares=True):
     one = field.one()
     params = [field.param(name) for name in field.params]
     pool = [field.zero(), field.zero(), one, -one, field.from_int(2)] + params
-    pool += [t + one for t in params] + [t * t - one for t in params]
+    pool += [t + one for t in params] + [t * t - one for t in params if squares]
     pool += [params[0] * params[-1], one / (params[0] + one)]
     return ExactMatrix(
         field,
@@ -213,27 +228,45 @@ def _kernel_or_nullity(solve, M):
         return "nullity > 1"
 
 
+def _annihilated_by_grid(M, v):
+    """Every row of M's cleared grid times v is zero; v has denominator 1."""
+    char = M.field.char
+    assert all(a.den == M.field.one().den for a in v)
+    for row in M.grid:
+        acc = {}
+        for a, b in zip(row, v):
+            if a and b:
+                acc = pp_add(acc, pp_mul(a, b.num, char), char)
+        if acc:
+            return False
+    return True
+
+
 def test_kernel_via_modp_agrees_with_kernel_on_random_matrices():
+    """1 to 6 columns, with and without a forced degenerate first point (every
+    parameter 0); the grid times every returned vector is zero."""
     rng = random.Random(5)
-    fields = (
-        (FunctionField(QQ, ("a", "b")), ((5, (0, 0)), (3, (1, 2)))),
-        (FunctionField(GF(7), ("a",)), ((7, (0,)), (7, (6,)))),
-    )
-    seen = {"vector": 0, "trivial": 0, "nullity > 1": 0}
-    stats = ModpStats()
-    for field, degenerate in fields:
+    for base, names in ((QQ, "ab"), (GF(32003), "ab"), (GF(3), "a"), (GF(2), "ab")):
+        field = FunctionField(base, tuple(names))
+        degenerate = ((base.char or 5, (0,) * len(names)),)
+        seen = {"vector": 0, "trivial": 0, "nullity > 1": 0}
+        stats = ModpStats()
         for _ in range(60):
-            # near-square shapes keep most kernels trivial or one-dimensional
-            ncols = rng.randint(2, 4)
-            M = _random_param_matrix(field, rng, ncols + rng.choice((-2, -1, 1)), ncols)
+            # near-square shapes keep most kernels trivial or one-dimensional;
+            # quadratic entries past 4 columns make the exact reference slow
+            ncols = rng.randint(1, 6)
+            nrows = max(1, ncols + rng.choice((-2, -1, 1)))
+            M = _random_param_matrix(field, rng, nrows, ncols, squares=ncols <= 4)
             exact = _kernel_or_nullity(kernel, M)
-            for forced in ((), degenerate[:1], degenerate):
+            for forced in ((), degenerate):
                 got = _kernel_or_nullity(lambda A: kernel_via_modp(A, forced, stats), M)
                 assert got == exact
+                if isinstance(got, tuple):
+                    assert _annihilated_by_grid(M, got)
             seen["vector" if isinstance(exact, tuple) else "trivial" if exact is None else exact] += 1
-    assert min(seen.values()) >= 5
-    assert stats.retries and stats.fallbacks
-    assert stats.accepted_by_support and stats.trivial_by_modp
+        assert min(seen.values()) >= 5, (base, seen)
+        assert stats.retries and stats.fallbacks
+        assert stats.accepted_by_support and stats.trivial_by_modp
 
 
 def test_nonsingular_at_grid_only_matlist_matches_entrywise_rank(

@@ -39,6 +39,8 @@ def test_param_names_indexing():
     assert param_names(3, 4) == ("t_1_4", "t_2_4", "t_3_4")
     assert param_names(2, 4) == ("t_1_3", "t_1_4", "t_2_3", "t_2_4")
     assert param_names(2, 2) == ()
+    # made once per shape, so every instance of it shares the names
+    assert param_names(2, 4) is param_names(2, 4)
 
 
 def test_generic_generators_example1(example1):

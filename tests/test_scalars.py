@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from hsmult import GF, QQ, DenominatorVanishes, FunctionField, RingMismatch
 from hsmult.scalars import (
+    PRIME_CHECK_LIMIT,
     _as_uni,
     _from_uni,
     _pp_unit_normalize,
     _uni_prem,
+    is_prime,
     pp_const,
     pp_divexact,
     pp_eval_rows,
@@ -46,6 +48,32 @@ def test_gf_requires_prime():
     with pytest.raises(ValueError):
         GF(6)
     GF(32003)  # fine
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+        n for n in range(-3, 10**5) if _trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # Carmichael 561, the least strong pseudoprimes to base 2, to 2..7 and
+    # to 2..37 (which base 41 exposes), and 2^61 + 1, a multiple of 3
+    for n in (561, 2047, 3215031751, 2**61 + 1, 318665857834031151167461):
+        assert not is_prime(n)
+    for n in (2**61 - 1, 10**14 + 31, 2**31 - 1, 32003):
+        assert is_prime(n)
+    assert (PRIME_CHECK_LIMIT - 2) % 17 == 0 and not is_prime(PRIME_CHECK_LIMIT - 2)
+
+
+def test_prime_field_rejects_characteristics_past_the_check():
+    with pytest.raises(ValueError, match=str(PRIME_CHECK_LIMIT)):
+        GF(PRIME_CHECK_LIMIT)
+    assert GF(2**61 - 1).char == 2**61 - 1
 
 
 def test_mixed_prime_fields_rejected():
