@@ -44,7 +44,13 @@ from .instance import (
 from .matlis import compute_dual_basis
 from .modp import ModpStats
 from .orders import MonomialOrder
-from .reduction import find_reduction, generator_to_str, membership, multiplicity
+from .reduction import (
+    _shared,
+    find_reduction,
+    generator_to_str,
+    membership,
+    multiplicity,
+)
 
 REPORT_SCHEMA = "hsmult-report/1"
 
@@ -78,11 +84,19 @@ def run_command(command, inst, options, member_expr=None):
         cert = find_reduction(res, bound=options["search_bound"])
         payload = _mult_payload(res)
         payload["reduction"] = {
-            "a": [[inst.base.to_str(v) for v in row] for row in cert.a],
+            "a": _shared(
+                tuple(
+                    _shared(tuple(sys.intern(inst.base.to_str(v)) for v in row))
+                    for row in cert.a
+                )
+            ),
             "mode": cert.mode,
-            "generators": [
-                generator_to_str(g, inst.var_names) for g in cert.generators
-            ],
+            "generators": _shared(
+                tuple(
+                    sys.intern(generator_to_str(g, inst.var_names))
+                    for g in cert.generators
+                )
+            ),
         }
         return payload, res.modp_stats
     if command == "member":
@@ -105,12 +119,15 @@ def run_command(command, inst, options, member_expr=None):
 
 
 def _mult_payload(res):
+    """The mult report.  Reports are kept by long-running callers and repeat
+    across requests, so their strings are interned and their sequences are
+    shared tuples (``reduction._shared``), as the MatList grids are."""
     return {
         "e": res.e,
         "t1_size": res.t1_size,
         "xi_count": res.xi_count,
-        "params": list(res.params),
-        "polylist": res.polylist_strings(),
+        "params": res.params,
+        "polylist": _shared(tuple(map(sys.intern, res.polylist_strings()))),
         "matlist": res.matlist_grids(),
     }
 
@@ -223,11 +240,11 @@ def _human_lines(command, result):
         lines.append(
             f"split: {result['t1_size']} staircase terms + {result['xi_count']} elements"
         )
-        lines.append(f"PolyList = {result['polylist']}")
+        lines.append(f"PolyList = {list(result['polylist'])}")
         lines.append(f"MatList: {len(result['matlist'])} matrices")
         if "reduction" in result:
-            lines.append(f"reduction a = {result['reduction']['a']}")
-            lines.append(f"reduction generators = {result['reduction']['generators']}")
+            lines.append(f"reduction a = {list(map(list, result['reduction']['a']))}")
+            lines.append(f"reduction generators = {list(result['reduction']['generators'])}")
             lines.append(f"mode = {result['reduction']['mode']}")
     elif command == "member":
         if result["decided_by"] == "in-ideal":

@@ -4,14 +4,19 @@ A function-field matrix is read through its ``grid``: every row cleared of
 denominators once into parameter polynomials.  Elimination on the grid is
 fraction-free (Bareiss-style two-term cross products, stripping the full
 content of every updated row, which keeps entry degrees linear in the pivot
-count), and so is back-substitution.  Base-field matrices, the mod-p images
-of ``modp`` and the grids ``nonsingular_at`` evaluates at a point share one
-ordinary Gaussian elimination and back-substitution on plain numbers
+count), and so is back-substitution.  Columns are taken left to right; the
+pivot for a column is the row whose entry there has the smallest total
+degree, then the fewest terms, then the lowest index, so the cross products
+and row-content gcds work on small polynomials.  The pivot order cannot
+change a result: a rank is a rank, and the kernel contract below makes a
+kernel vector unique.  Base-field matrices, the mod-p images of ``modp`` and
+the grids ``nonsingular_at`` evaluates at a point share one ordinary
+Gaussian elimination and back-substitution on plain numbers
 (``plain_kernel``): ints in [0, p) over GF(p), Fractions over QQ, the int 0
 for zero.  A base-field ``ExactMatrix`` already holds its cells that way, so
 its kernel only copies the rows; over QQ a nonzero cell is a Fraction, never
-an int, so every division stays exact.  Pivoting is deterministic: first
-row with a nonzero entry in the current column, columns left to right.
+an int, so every division stays exact.  It pivots on the first row with a
+nonzero entry in the current column, columns left to right.
 
 A base-field composition-series run solves its steps without a matrix, on
 one ``ColumnSpan``: an echelon basis of the span of its candidate columns,
@@ -29,7 +34,7 @@ one-dimensional kernel is returned as one canonical vector.  Over a function
 field its entries have denominator 1 and gcd 1, and ``scalars.pp_primitive_row``
 makes the leading coefficient of the first nonzero entry positive
 (characteristic 0) or 1 (characteristic p).  Over a base field the first
-nonzero entry is 1.
+nonzero entry is 1.  Either way a line has exactly one such vector.
 """
 
 from __future__ import annotations
@@ -119,9 +124,11 @@ def _eliminate_ff(grid, ncols, char, r):
     pivots = []
     rank_row = 0
     for c in range(ncols):
-        pr = next((i for i in range(rank_row, len(grid)) if grid[i][c]), None)
-        if pr is None:
+        rows = [i for i in range(rank_row, len(grid)) if grid[i][c]]
+        if not rows:
             continue
+        # the smallest entry: total degree, then number of terms, then row
+        pr = min(rows, key=lambda i: (max(map(sum, grid[i][c])), len(grid[i][c]), i))
         grid[rank_row], grid[pr] = grid[pr], grid[rank_row]
         prow = grid[rank_row]
         piv = prow[c]

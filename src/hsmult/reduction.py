@@ -416,11 +416,24 @@ def find_reduction(res, bound=5):
     schedule, which raises SearchExhausted.  With no parameters (m == d, or
     d == 0) the one matrix of shell 0 has empty rows and certifies at once,
     so the bound must be at least 0.
+
+    Over GF(p) with parameters, integer matrices with equal residues get the
+    same verdict, so a matrix whose residue point was certified already is
+    skipped, and the search is exhausted as soon as all p^(d(m-d)) residue
+    points have failed.  The first certified matrix is the one the search
+    without the skip finds.
     """
     inst = res.instance
     cols = res.m - res.d
+    p = res.base.char
+    seen = set() if p and res.params else None
     for s in range(bound + 1):
         for a in _shell_matrices(res.d, cols, s):
+            if seen is not None:
+                point = tuple(_plain_point(res, a))
+                if point in seen:
+                    continue
+                seen.add(point)
             if certify(a, res):
                 rows = _coerce_matrix(res, a)
                 return ReductionCertificate(
@@ -429,6 +442,8 @@ def find_reduction(res, bound=5):
                     generators=reduction_generators(inst, rows),
                     e=res.e,
                 )
+            if seen is not None and len(seen) == p ** len(res.params):
+                raise SearchExhausted(bound)
     raise SearchExhausted(bound)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import DenominatorVanishes, RingMismatch
 
@@ -71,18 +72,16 @@ def pp_sub(a, b, char):
 
 
 def pp_mul(a, b, char):
+    """a * b; the products are summed first, and zero sums (mod p) dropped once."""
     out = {}
+    get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if char:
-                v %= char
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    if char:
+        return {e: w for e, v in out.items() if (w := v % char)}
+    return {e: v for e, v in out.items() if v}
 
 
 def pp_scale(a, c, char):
@@ -107,28 +106,47 @@ def pp_leading(a):
 
 
 def pp_divexact(a, b, char):
-    """Exact multivariate division a / b; raises ArithmeticError when not exact."""
+    """Exact multivariate division a / b; raises ArithmeticError when not exact.
+
+    A one-term divisor divides term by term.  Otherwise the leading term of
+    the remainder, kept in place, gives the next quotient term, and only the
+    divisor's other terms are subtracted from it.
+    """
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     if not a:
         return {}
     eb, cb = pp_leading(b)
     cb_inv = _modinv(cb, char) if char else None
+
+    def quotient_term(e, c):
+        de = tuple(map(sub, e, eb))
+        if min(de, default=0) < 0:
+            raise ArithmeticError("division not exact")
+        if char:
+            return de, c * cb_inv % char
+        if c % cb:
+            raise ArithmeticError("division not exact")
+        return de, c // cb
+
+    if len(b) == 1:
+        return dict(quotient_term(e, c) for e, c in a.items())
+    rest = [(e, c) for e, c in b.items() if e != eb]
     q = {}
     r = dict(a)
     while r:
-        er, cr = pp_leading(r)
-        de = tuple(x - y for x, y in zip(er, eb))
-        if any(d < 0 for d in de):
-            raise ArithmeticError("division not exact")
-        if char:
-            qc = (cr * cb_inv) % char
-        else:
-            if cr % cb:
-                raise ArithmeticError("division not exact")
-            qc = cr // cb
+        er = max(r, key=pp_key)
+        de, qc = quotient_term(er, r.pop(er))
         q[de] = qc
-        r = pp_sub(r, pp_mul({de: qc}, b, char), char)
+        for e, c in rest:
+            k = tuple(map(add, de, e))
+            v = r.get(k, 0) - qc * c
+            if char:
+                v %= char
+            if v:
+                r[k] = v
+            else:
+                r.pop(k, None)
     return q
 
 

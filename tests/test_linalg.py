@@ -343,3 +343,105 @@ def test_polynomial_operations_never_write_into_their_inputs():
         assert unchanged(snaps)
         for crow in canonical.grid:
             assert len({id(x) for x in crow if not x}) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the pivot rule of the exact elimination over K(t)
+# ---------------------------------------------------------------------------
+
+
+def _frozen_first_nonzero_eliminate_ff(grid, ncols, char, r):
+    """``linalg._eliminate_ff`` as it was when it pivoted on the first row
+    with a nonzero entry, kept verbatim apart from its name."""
+    from hsmult.linalg import _strip_row_content
+    from hsmult.scalars import pp_mul, pp_sub
+
+    pivots = []
+    rank_row = 0
+    for c in range(ncols):
+        pr = next((i for i in range(rank_row, len(grid)) if grid[i][c]), None)
+        if pr is None:
+            continue
+        grid[rank_row], grid[pr] = grid[pr], grid[rank_row]
+        prow = grid[rank_row]
+        piv = prow[c]
+        for i in range(rank_row + 1, len(grid)):
+            a = grid[i][c]
+            if not a:
+                continue
+            row = grid[i]
+            new = [
+                pp_sub(pp_mul(piv, row[j], char), pp_mul(a, prow[j], char), char)
+                if (row[j] or prow[j])
+                else {}
+                for j in range(ncols)
+            ]
+            new[c] = {}
+            _strip_row_content(new, char, r)
+            grid[i] = new
+        pivots.append((rank_row, c))
+        rank_row += 1
+        if rank_row == len(grid):
+            break
+    return pivots
+
+
+def _random_grid(rng, r, char, nrows, ncols):
+    """Sparse rows shaped like support-solve matrices: about two nonzero
+    cells a row, each a constant, a constant times one parameter, or the sum
+    of two such terms.  Denser rows of this kind can take minutes in the
+    row-content gcds, whichever the pivot rule."""
+    zero = {}
+    density = min(0.4, 2 / ncols)
+
+    def term():
+        e = [0] * r
+        if rng.random() < 0.6:
+            e[rng.randrange(r)] = 1
+        c = rng.choice([-3, -2, -1, 1, 1, 2, 5])
+        return tuple(e), c % char if char else c
+
+    def cell():
+        if rng.random() >= density:
+            return zero
+        out = dict(term() for _ in range(1 if rng.random() < 0.7 else 2))
+        return {e: c for e, c in out.items() if c} or zero
+
+    return tuple(tuple(cell() for _ in range(ncols)) for _ in range(nrows))
+
+
+@pytest.mark.parametrize("char", [0, 3, 32003])
+def test_smallest_entry_pivots_give_the_first_nonzero_pivot_results(monkeypatch, char):
+    """The kernel contract makes the vector unique (a line, primitive, unit
+    first entry), so the pivot rule cannot change a vector or a rank: check
+    both against the frozen first-nonzero-pivot elimination, on full-rank
+    matrices and matrices of nullity 1, and under row permutations."""
+    from hsmult import linalg
+
+    rng = random.Random(2000 + char)
+    base = GF(char) if char else QQ
+    seen = {"full rank": 0, "nullity 1": 0, "other pivots": 0}
+    for _ in range(120):
+        r = rng.randint(1, 4)
+        field = FunctionField(base, tuple(f"t{i}" for i in range(r)))
+        ncols = rng.randint(2, 8)
+        nrows = ncols - 1 if rng.random() < 0.4 else ncols + rng.randint(0, 1)
+        grid = _random_grid(rng, r, char, nrows, ncols)
+        M = ExactMatrix.of_grid(field, grid, ncols)
+        frozen = list(grid)
+        pivots = _frozen_first_nonzero_eliminate_ff(frozen, ncols, char, r)
+        if ncols - len(pivots) > 1:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_eliminate_ff", _frozen_first_nonzero_eliminate_ff)
+            expected = kernel(M)
+        assert rank(M) == len(pivots)
+        assert kernel(M) == expected
+        rows = list(grid)
+        rng.shuffle(rows)
+        assert kernel(ExactMatrix.of_grid(field, tuple(rows), ncols)) == expected
+        seen["full rank" if expected is None else "nullity 1"] += 1
+        reduced = list(grid)
+        linalg._eliminate_ff(reduced, ncols, char, r)
+        seen["other pivots"] += reduced != frozen
+    assert min(seen.values()) >= 20, seen

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from hsmult import (
 )
 from hsmult.errors import NotStabilized, NotZeroDimensional
 from hsmult.exprparse import parse_generator
+from hsmult.instance import parse_instance
 from hsmult.modp import DEFAULT_PRIMES, ModpStats
 from hsmult.oracles import vector_space_length
 from hsmult.reduction import _colength_at, _mod_prime, param_names, reduction_generators
@@ -237,6 +240,71 @@ def test_find_reduction_exhausts_over_gf2(glex):
             assert certify(((a,), (b,)), res) is False
     with pytest.raises(SearchExhausted):
         find_reduction(res, bound=4)
+
+
+def _counting_certify(monkeypatch):
+    """Make find_reduction count its certify calls; returns the list of points."""
+    from hsmult import reduction
+
+    points = []
+
+    def counted(a, res):
+        points.append(a)
+        return certify(a, res)
+
+    monkeypatch.setattr(reduction, "certify", counted)
+    return points
+
+
+def test_find_reduction_certifies_each_residue_point_once(monkeypatch):
+    # (x^2, yz, y^2 + xy + z^2, z^2 + xy + xz) over GF(2): no point of GF(2)^3
+    # passes, and the 125 matrices of max-norm <= 2 hit only those 8 points
+    inst, _ = parse_instance(
+        json.dumps(
+            {
+                "characteristic": 2,
+                "variables": ["x", "y", "z"],
+                "dim": 3,
+                "ideal": ["x^2", "y*z", "y^2+x*y+z^2", "z^2+x*y+x*z"],
+            }
+        )
+    )
+    res = multiplicity(inst)
+    points = _counting_certify(monkeypatch)
+    with pytest.raises(SearchExhausted) as err:
+        find_reduction(res, bound=2)
+    assert err.value.bound == 2
+    assert len(points) == 8
+    assert {tuple(v % 2 for row in a for v in row) for a in points} == set(
+        itertools.product(range(2), repeat=3)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in FIXTURES.glob("*.json") if p.name != "series_geometric.json")
+)
+def test_find_reduction_matches_the_search_without_the_skip(name):
+    from hsmult.reduction import _shell_matrices
+
+    inst, options = load_instance(name)
+    res = multiplicity(inst)
+    assert res.params
+    bound = options["search_bound"]
+    expected = next(
+        (
+            a
+            for s in range(bound + 1)
+            for a in _shell_matrices(res.d, res.m - res.d, s)
+            if certify(a, res)
+        ),
+        None,
+    )
+    if expected is None:
+        with pytest.raises(SearchExhausted):
+            find_reduction(res, bound)
+    else:
+        cert = find_reduction(res, bound)
+        assert cert.a == tuple(tuple(map(inst.base.from_int, row)) for row in expected)
 
 
 def test_verify_reduction_by_length_examples(example1):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hsmult.scalars import (
     _pp_unit_normalize,
     _uni_prem,
     is_prime,
+    pp_add,
     pp_const,
     pp_divexact,
     pp_eval_rows,
@@ -315,6 +317,64 @@ def test_pp_divexact_raises_when_not_exact():
         pp_divexact({(1,): 1}, {(0,): 2}, 0)
     with pytest.raises(ArithmeticError):
         pp_divexact({(2,): 1, (0,): 1}, {(1,): 1}, 0)
+    t0, t1 = {(1, 0): 1}, {(0, 1): 1}
+    cases = [
+        ({(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2}),  # (t0 + 1) / (t0 + 2)
+        (t0, t1),
+        ({(1, 0): 3}, {(0, 0): 2}),  # 3*t0 / 2 over QQ
+    ]
+    for a, b in cases:
+        with pytest.raises(ArithmeticError):
+            pp_divexact(a, b, 0)
+
+
+def _random_pp(rng, r, char, nterms):
+    out = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, 3) for _ in range(r))
+        c = rng.choice([-7, -3, -2, -1, 1, 2, 4, 9])
+        out[e] = c % char if char else c
+    return {e: c for e, c in out.items() if c}
+
+
+def _schoolbook_mul(a, b, char):
+    """Every term product, grouped by exponent after sorting."""
+    products = sorted(
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        for ea, ca in a.items()
+        for eb, cb in b.items()
+    )
+    out = {}
+    for e, group in itertools.groupby(products, key=lambda t: t[0]):
+        c = sum(c for _, c in group)
+        c = c % char if char else c
+        if c:
+            out[e] = c
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 32003])
+def test_pp_mul_and_divexact_on_random_exact_products(char):
+    rng = random.Random(900 + char)
+    one_term = 0
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        q = _random_pp(rng, r, char, rng.randint(1, 6))
+        b = _random_pp(rng, r, char, rng.choice([1, 1, 2, 3, 5]))
+        if not q or not b:
+            continue
+        a = pp_mul(q, b, char)
+        assert a == _schoolbook_mul(q, b, char)
+        assert all(c for c in a.values())
+        if char:
+            assert all(0 < c < char for c in a.values())
+        assert pp_divexact(a, b, char) == q
+        one_term += len(b) == 1
+        # an inexact quotient raises: a + 1 over a divisor with a parameter
+        if any(map(any, b)):
+            with pytest.raises(ArithmeticError):
+                pp_divexact(pp_add(a, pp_const(1, r, char), char), b, char)
+    assert one_term >= 30
 
 
 def test_pp_to_str_canonical():
