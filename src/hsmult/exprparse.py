@@ -22,8 +22,9 @@ when its multinomial bound C(k + t - 1, t - 1) exceeds max_terms, and so
 does a product whose factors' exponents have more than max_terms distinct
 sums, the bound on its terms before any cancel.  Those sums are counted
 only for products of more than max_terms coefficient pairs, and the count
-stops past max_terms.  Every intermediate power of the squaring has at most
-max_terms terms, so no expansion runs away.
+stops past max_terms.  A power within the bound is expanded by the
+multinomial theorem, one term per composition of k, so its work is linear
+in the bound and no expansion runs away.
 """
 
 from __future__ import annotations
@@ -108,21 +109,61 @@ class _Parser:
         return a * b
 
     def _pow(self, a, k):
-        """a^k; the constant 1 and a^1 are a itself, and a single term is
-        raised directly, exponent and coefficient."""
+        """a^k; the constant 1 and a^1 are a itself, a single term is raised
+        directly, exponent and coefficient, and a sum by the multinomial
+        theorem (``_multinomial_pow``)."""
         if k == 1 or a.coeffs == self._one_coeffs:
             return a
         t = len(a.coeffs)
-        if k == 0 or t != 1:
-            cap = self.max_terms
-            # C(k + t - 1, t - 1) >= k + 1 when t > 1
-            if t > 1 and cap is not None and (k >= cap or math.comb(k + t - 1, t - 1) > cap):
-                raise CapExceeded("expression terms", cap)
+        if k == 0 or t == 0:
             return a**k
-        ((e, c),) = a.coeffs.items()
-        return SparsePoly(
-            self.field, self.nvars, {tuple(x * k for x in e): _scalar_pow(c, k)}
-        )
+        if t == 1:
+            ((e, c),) = a.coeffs.items()
+            return SparsePoly(
+                self.field, self.nvars, {tuple(x * k for x in e): _scalar_pow(c, k)}
+            )
+        cap = self.max_terms
+        # C(k + t - 1, t - 1) >= k + 1 when t > 1
+        if cap is not None and (k >= cap or math.comb(k + t - 1, t - 1) > cap):
+            raise CapExceeded("expression terms", cap)
+        return self._multinomial_pow(a, k)
+
+    def _multinomial_pow(self, a, k):
+        """a^k for a sum a = c_1 m_1 + ... + c_t m_t: the sum over k_1 + ... +
+        k_t = k of k! / (k_1! ... k_t!) (c_1 m_1)^k_1 ... (c_t m_t)^k_t, one
+        term per composition of k, so C(k + t - 1, t - 1) of them.  The
+        compositions are extended one term at a time, and the multinomial
+        coefficient is the product of the binomials C(rest, k_j), made in
+        ints and reduced mod p over GF(p), where a partial product that is 0
+        drops the partial composition."""
+        field = self.field
+        p = field.char
+        powers = []  # per term, (m_j^i, c_j^i) for i = 0..k
+        for e, c in a.coeffs.items():
+            row = [((0,) * self.nvars, field.one())]
+            for _ in range(k):
+                m, b = row[-1]
+                row.append((exp_add(m, e), b * c))
+            powers.append(row)
+        # partial compositions: (what is left of k, coefficient, monomial, scalar)
+        partial = [(k, 1, (0,) * self.nvars, field.one())]
+        for row in powers[:-1]:
+            longer = []
+            for rest, mult, m, c in partial:
+                binom = 1  # C(rest, i)
+                for i in range(rest + 1):
+                    coef = mult * binom % p if p else mult * binom
+                    if coef:
+                        longer.append((rest - i, coef, exp_add(m, row[i][0]), c * row[i][1]))
+                    binom = binom * (rest - i) // (i + 1)
+            partial = longer
+        out = {}
+        last = powers[-1]
+        for rest, mult, m, c in partial:
+            key = exp_add(m, last[rest][0])
+            value = field.from_int(mult) * c * last[rest][1]
+            out[key] = out[key] + value if key in out else value
+        return SparsePoly(field, self.nvars, out)
 
     def peek(self):
         return self.tokens[self.i]

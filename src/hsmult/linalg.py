@@ -18,16 +18,19 @@ its kernel only copies the rows; over QQ a nonzero cell is a Fraction, never
 an int, so every division stays exact.  It pivots on the first row with a
 nonzero entry in the current column, columns left to right.
 
-A base-field composition-series run solves its steps without a matrix, on
-one ``ColumnSpan``: an echelon basis of the span of its candidate columns,
-each stored as a map from row keys to plain numbers, kept across the steps
-with the coordinates that express every basis vector in the inserted
-columns.  Reducing a column leaves zero exactly when it lies in the span,
-and then its coordinates are the canonical kernel vector below, the one
-``plain_kernel`` returns for [that column | the independent inserted ones].
+A composition-series run solves its steps on one ``ColumnSpan``: an
+echelon basis of the span of its candidate columns, each stored as a map
+from row keys to plain numbers, kept across the steps with the coordinates
+that express every basis vector in the inserted columns.  Over a base field
+the columns are the matrix's own; over K(t) they are their images at a
+point of GF(p), or of GF(q) as logarithms on the arithmetic of
+``modp._Extension``.  Reducing a column leaves zero exactly when it lies in
+the span, and then its coordinates are the canonical kernel vector below,
+the one ``plain_kernel`` returns for [that column | the independent inserted
+ones]; over K(t) their nonzero entries are the support of the exact solve.
 ``plain_kernel`` and its ``_eliminate`` stay for matrices met once, whose
-coordinates no later step reads: on the 1,101 ``nonsingular_at`` matrices of
-a generic-reduce pass a span took 40 ms, ``_eliminate`` 29 (CPython 3.11).
+coordinates no later step reads: the ``nonsingular_at`` checks of a MatList
+and the images ``modp.kernel_via_modp`` takes.
 
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
 one-dimensional kernel is returned as one canonical vector.  Over a function
@@ -90,8 +93,10 @@ class ExactMatrix:
         Each grid row is the entry row times a nonzero polynomial, so ranks and
         kernels read the grid in place of the rows.
         """
+        field, ncols = self.field, self.ncols
         return tuple(
-            tuple(clear_row_denominators(self.field, row)) for row in self.rows
+            clear_row_denominators(field, [(j, a) for j, a in enumerate(row) if a], ncols)
+            for row in self.rows
         )
 
     @classmethod
@@ -222,25 +227,14 @@ def plain_kernel(rows, ncols, p):
     return [a / first for a in v]
 
 
-def _add_multiple(target, f, src, p):
-    """target += f * src on sparse maps of plain numbers, dropping zeros."""
-    get = target.get
-    for k, a in src.items():
-        s = get(k, 0) + f * a
-        if p:
-            s %= p
-        if s:
-            target[k] = s
-        else:
-            del target[k]
-
-
 class ColumnSpan:
     """An echelon basis of the span of named columns, on plain numbers.
 
     A column is a map from row keys to the nonzero plain numbers of a
-    base-field matrix (ints in [0, p), or Fractions over QQ).  Each basis
-    vector is kept with its pivot key, where it is 1, and with its
+    base-field matrix (ints in [0, p), or Fractions over QQ).  Over GF(q),
+    q = p^k > p, (``ext``, a ``modp._Extension``) the numbers are the
+    logarithms of the nonzero elements, and the arithmetic is ``ext``'s.
+    Each basis vector is kept with its pivot key, where it is 1, and with its
     coordinates: the combination of inserted columns, by name, that it
     equals.  It is zero at the pivots of the vectors inserted before it, so
     ``reduce`` clears the pivots in insertion order in one pass, and its
@@ -250,10 +244,12 @@ class ColumnSpan:
     canonical kernel vector ``plain_kernel`` would return.
     """
 
-    __slots__ = ("p", "names", "_basis")
+    __slots__ = ("p", "ext", "one", "names", "_basis")
 
-    def __init__(self, p):
+    def __init__(self, p, ext=None):
         self.p = p
+        self.ext = ext
+        self.one = 0 if ext else 1 if p else Fraction(1)
         self.names = set()
         self._basis = []  # (pivot key, vector, coordinates)
 
@@ -261,29 +257,43 @@ class ColumnSpan:
         self.names.clear()
         self._basis.clear()
 
+    def _sub_multiple(self, target, f, src):
+        """target -= f * src, dropping zeros."""
+        if self.ext:
+            self.ext.sub_multiple(target, f, src)
+            return
+        p = self.p
+        get = target.get
+        for k, a in src.items():
+            s = get(k, 0) - f * a
+            if p:
+                s %= p
+            if s:
+                target[k] = s
+            else:
+                del target[k]
+
     def reduce(self, name, col):
         """(residual, coordinates) of the column col named name."""
-        p = self.p
         w = dict(col)
-        coords = {name: 1 if p else Fraction(1)}
+        coords = {name: self.one}
         for piv, vec, vcoords in self._basis:
             f = w.get(piv)
-            if f:
-                f = p - f if p else -f
-                _add_multiple(w, f, vec, p)
-                _add_multiple(coords, f, vcoords, p)
+            if f is not None:
+                self._sub_multiple(w, f, vec)
+                self._sub_multiple(coords, f, vcoords)
         return w, coords
 
     def insert(self, name, residual, coords):
         """Add the nonzero residual ``reduce`` left of the column named name."""
-        p = self.p
         piv = next(iter(residual))
         a = residual[piv]
-        if a != 1:
-            inv = pow(a, -1, p) if p else 1 / a
+        if a != self.one:  # divide by a; over GF(q), subtract its logarithm
+            p, ext = self.p, self.ext
+            inv = None if ext else pow(a, -1, p) if p else 1 / a
             for part in (residual, coords):
                 for k, v in part.items():
-                    part[k] = v * inv % p if p else v * inv
+                    part[k] = (v - a) % ext.m if ext else v * inv % p if p else v * inv
         self._basis.append((piv, residual, coords))
         self.names.add(name)
 

@@ -2,32 +2,50 @@
 
 Starting from the staircase dual of the support monomial ideal, the engine
 repeatedly picks the smallest candidate leading term tau0 not yet settled,
-assembles the annihilation matrix over the colon candidates below tau0, and
-either accepts a new basis element xi (one-dimensional kernel) or records the
-rejection.  The candidates come from the point sets of the staircases (set
-lookups, and minimal generators kept per staircase); the matrix cells are
-looked up in the generators' coefficients, and over a parameter field the
-rows are cleared into the polynomial grid of a grid-only matrix as they are
-built.  A run's steps share one ``RunMemo``: the generators' term lists, the
-column of each (generator, gamma term) pair, and the order's sort key per
-exponent, which the tau0 choice, ``gamma_candidates`` and the row sort read.
-The memo belongs to the running state only, so it ends with the run.
+decides the kernel of the annihilation matrix over the colon candidates
+below tau0, and either accepts a new basis element xi (one-dimensional
+kernel) or records the rejection.  The candidates come from the point sets
+of the staircases (set lookups, and minimal generators kept per staircase);
+the matrix cells are looked up in the generators' coefficients, and over a
+parameter field the rows are cleared into the polynomial grid of a
+grid-only matrix as they are built.  A run's steps share one ``RunMemo``:
+the generators' term lists, the column of each (generator, gamma term)
+pair, with each cell's image at the run's point over a parameter field, and
+the order's sort key per exponent, which the tau0 choice,
+``gamma_candidates`` and the row sort read.  The memo belongs to the running
+state only, so it ends with the run.
 
-A base-field run builds no matrix.  A step's matrix has the columns of tau0
-and of the candidate set C (the terms of (T2 :_E m) outside LT(N) and below
-tau0), and C never loses a term from one step to the next: T2 only grows,
-tau0 strictly rises, and an accepted tau0 was never in C (it is the only
-term LT(N) gains).  The columns of C are independent, or the step's kernel
-would have a vector with leading entry 0.  So the run keeps one echelon
-basis of span(C) (``linalg.ColumnSpan``, on the plain numbers of a
-base-field matrix): a step inserts the columns of the terms new to C,
-reduces tau0's column, and accepts exactly when it reduces to zero, that is
-when col(tau0) = sum_k lambda_k col(c_k) over C, with the kernel vector
-(1, -lambda) that ``kernel`` would return.  A rejected tau0 is a minimal
-generator of LT(N) with its lower neighbours in T2, so it is a candidate of
-every later step, and its reduced column is inserted at once.  Should the
-basis hold a term outside C, the span restarts from empty; a dependent
-candidate column raises UnexpectedNullity.
+A step's matrix has the columns of tau0 and of the candidate set C (the
+terms of (T2 :_E m) outside LT(N) and below tau0), and C never loses a term
+from one step to the next: T2 only grows, tau0 strictly rises, and an
+accepted tau0 was never in C (it is the only term LT(N) gains).  The columns
+of C are independent, or the step's kernel would have a vector with leading
+entry 0.  So every run keeps one echelon basis of span(C)
+(``linalg.ColumnSpan``): a step inserts the columns of the terms new to C,
+reduces tau0's column, and the step's kernel is nontrivial exactly when it
+reduces to zero, that is when col(tau0) = sum_k lambda_k col(c_k) over C.  A
+rejected tau0 is a minimal generator of LT(N) with its lower neighbours in
+T2, so it is a candidate of every later step, and its reduced column is
+inserted at once.  Should the basis hold a term outside C, the span
+restarts from empty.
+
+Over a base field the span holds the columns themselves, on the plain
+numbers of a base-field matrix, and no matrix is built: an accepted step's
+kernel vector is (1, -lambda), the one ``kernel`` would return, and a
+dependent candidate column raises UnexpectedNullity.  Over a parameter field
+K(t) the span holds the columns' images at the run's point
+(``modp.point_span``, in GF(p) or GF(q)).  An image of tau0 independent of
+the span rejects the step: evaluation is a ring map, so a nonzero minor of
+the image is a nonzero minor over K(t).  An image that reduces to zero
+gives the support S of the image's kernel vector; the exact ``kernel`` of
+the matrix on the columns of S is the step's vector, since the image has
+rank |S| - 1 there, which bounds the exact nullity by 1.  A candidate image
+that is dependent, a coefficient whose denominator vanishes at the point,
+or a support solve with no vector leaves the span: that step and every
+later one of the run go to ``modp.kernel_via_modp`` on the whole matrix.
+So ``build_matrix`` runs over K(t) for the support solves, for the
+rejected steps whose matrices the certificate keeps, and after a run has
+left its span.
 
 The accepted xi's and staircase terms together form a K-basis of the dual
 module, so the basis size is the colength of <F>.  An accepted xi is kept as
@@ -42,10 +60,12 @@ grids canonical when first read and keeps the result, so a run whose
 certificate nobody reads never canonicalizes.
 
 The engine has no tuning settings.  Every step counts one ``dispatched``
-solve in the run's ``stats``.  A function-field step's matrix goes through
-``modp.kernel_via_modp``, which counts its path there; a base-field step
-counts as the ``direct`` solve it stands for.  Series generators are
-truncated from a fixed start degree (see ``_initial_data``).  Neither
+solve in the run's ``stats`` and one on the path that decided it: a
+base-field step counts as the ``direct`` solve it stands for, a K(t) step
+decided on the span as ``trivial_by_modp`` or ``accepted_by_support``, the
+counts ``kernel_via_modp`` would give at the same point, and
+``kernel_via_modp`` counts the steps it decides itself.  Series generators
+are truncated from a fixed start degree (see ``_initial_data``).  Neither
 changes the basis of a run that finishes: the kernel vector is canonical on
 every path, and the staircase is certified exact whatever the truncation.
 """
@@ -63,12 +83,13 @@ from .dual import (
 )
 from .errors import (
     CapExceeded,
+    DenominatorVanishes,
     InternalInconsistency,
     NotZeroDimensional,
     UnexpectedNullity,
 )
-from .linalg import ColumnSpan, ExactMatrix
-from .modp import ModpStats, kernel_via_modp
+from .linalg import ColumnSpan, ExactMatrix, kernel
+from .modp import ModpStats, coefficient_images, kernel_via_modp, point_span
 from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
 from .scalars import FunctionField, pp_primitive, pp_primitive_row
 from .series import SeriesOracle
@@ -127,25 +148,50 @@ class RunMemo:
     """What the steps of one run share, dropped with the run.
 
     ``key`` is the order's sort key, memoized per exponent.  Each generator
-    keeps its term list, and for each gamma term tau its column: the pairs
-    (s, c) with c the coefficient of x^(tau - s), i.e. the nonzero entries
-    of generator . tau.  A series generator's terms are exact up to the
-    degree it was last truncated at, and a column needs the terms of degree
-    at most |tau| only, so a column stays exact once made.
+    keeps its term list, and for each gamma term tau its column: the triples
+    (s, c, v) with c the coefficient of x^(tau - s), i.e. the nonzero entries
+    of generator . tau, and v the image of c at the run's ``point`` (see
+    ``modp.coefficient_images``; None for zero and without a point).  A series
+    generator's terms are exact up to the degree it was last truncated at, and
+    a column needs the terms of degree at most |tau| only, so a column stays
+    exact once made.  Each coefficient is evaluated at the point once; should
+    a denominator vanish there, the memo keeps the error in ``vanished`` and
+    evaluates no more.
     """
 
-    __slots__ = ("field", "key", "_gens", "_nvars", "_terms", "_exact_to", "_columns")
+    __slots__ = (
+        "field", "key", "point", "vanished", "_gens", "_nvars", "_terms", "_exact_to",
+        "_columns", "_images",
+    )
 
-    def __init__(self, gens, order, nvars, exact=None):
+    def __init__(self, gens, order, nvars, exact=None, point=None):
         if exact is None:
             exact = [_gen_exact_poly(g) for g in gens]
         self.field = field = gens[0].field
         self.key = _OrderKeys(order.key).__getitem__
+        self.point = point
+        self.vanished = None
         self._gens = gens
         self._nvars = nvars
-        self._terms = [None if p is None else _plain_terms(field, p) for p in exact]
+        self._images = [{} for _ in gens]
+        self._terms = [
+            None if p is None else self._with_images(i, _plain_terms(field, p))
+            for i, p in enumerate(exact)
+        ]
         self._exact_to = [-1 if p is None else math.inf for p in exact]
         self._columns = [{} for _ in gens]
+
+    def _with_images(self, i, pairs):
+        """Generator i's (exponent, coefficient) pairs with their images."""
+        images = self._images[i]
+        if self.point is not None and self.vanished is None:
+            new = [(e, c) for e, c in pairs if e not in images]
+            try:
+                values = coefficient_images([c for _, c in new], self.point)
+                images.update(zip([e for e, _ in new], values))
+            except DenominatorVanishes as err:
+                self.vanished = err
+        return [(e, c, images.get(e)) for e, c in pairs]
 
     def columns(self, gamma):
         """Per generator, the list of its columns of the gamma terms.
@@ -159,7 +205,8 @@ class RunMemo:
         for i, g in enumerate(self._gens):
             if self._exact_to[i] < top:
                 depth = top + self._nvars
-                self._terms[i] = _plain_terms(self.field, g.truncate(depth))
+                pairs = _plain_terms(self.field, g.truncate(depth))
+                self._terms[i] = self._with_images(i, pairs)
                 self._exact_to[i] = depth
             terms = self._terms[i]
             known = self._columns[i]
@@ -168,8 +215,8 @@ class RunMemo:
                 col = known.get(tau)
                 if col is None:
                     col = known[tau] = [
-                        (s, c)
-                        for e, c in terms
+                        (s, c, v)
+                        for e, c, v in terms
                         if (s := exp_sub_nonneg(tau, e)) is not None
                     ]
                 cols.append(col)
@@ -182,8 +229,21 @@ class RunMemo:
         maps = [{} for _ in terms]
         for i, cols in enumerate(self.columns(terms)):
             for m, col in zip(maps, cols):
-                for s, c in col:
+                for s, c, _ in col:
                     m[i, s] = c
+        return maps
+
+    def image_maps(self, terms):
+        """``column_maps`` at the point: the cells' nonzero images there.
+        Raises the memo's DenominatorVanishes, if it has one."""
+        maps = [{} for _ in terms]
+        for i, cols in enumerate(self.columns(terms)):
+            for m, col in zip(maps, cols):
+                for s, _, v in col:
+                    if v is not None:
+                        m[i, s] = v
+        if self.vanished is not None:
+            raise self.vanished
         return maps
 
 
@@ -196,8 +256,9 @@ def build_matrix(gens, gamma, order, nvars, memo=None):
     x^(gamma_k - s), so every cell is looked up in the generator, with no
     product; the columns and sort keys come from the run's memo (a fresh one
     without it).  All-zero rows never appear.  Over a base field the cells
-    are plain numbers, the int 0 where zero; over a function field the rows
-    are cleared of denominators here, into the grid of a grid-only matrix.
+    are plain numbers, the int 0 where zero; over a function field each row
+    is cleared of denominators here, from its nonzero cells, into the grid
+    of a grid-only matrix.
     """
     if memo is None:
         memo = RunMemo(gens, order, nvars)
@@ -207,17 +268,22 @@ def build_matrix(gens, gamma, order, nvars, memo=None):
     for cols in memo.columns(gamma):
         block = {}
         for k, col in enumerate(cols):
-            for s, c in col:
-                row = block.get(s)
-                if row is None:
-                    row = block[s] = [0] * ncols
-                row[k] = c
-        for s in sorted(block, key=memo.key, reverse=True):
-            rows.append(block[s])
-    if not isinstance(field, FunctionField):
-        return ExactMatrix(field, tuple(map(tuple, rows)), ncols)
-    grid = tuple(tuple(clear_row_denominators(field, row)) for row in rows)
-    return ExactMatrix.of_grid(field, grid, ncols)
+            for s, c, _ in col:
+                cells = block.get(s)
+                if cells is None:
+                    cells = block[s] = {}
+                cells[k] = c
+        rows.extend(block[s] for s in sorted(block, key=memo.key, reverse=True))
+    if isinstance(field, FunctionField):
+        grid = tuple(clear_row_denominators(field, cells.items(), ncols) for cells in rows)
+        return ExactMatrix.of_grid(field, grid, ncols)
+    dense = []
+    for cells in rows:
+        row = [0] * ncols
+        for k, c in cells.items():
+            row[k] = c
+        dense.append(tuple(row))
+    return ExactMatrix(field, tuple(dense), ncols)
 
 
 def canonical_cleared_matrix(M):
@@ -266,10 +332,11 @@ class _DualBasis:
 
 
 class DualBasisState(_DualBasis):
-    """Single-owner state of one composition-series run, with its memo and,
-    over a base field, the span of the candidate columns."""
+    """Single-owner state of one composition-series run, with its memo and
+    the span of the candidate columns (at the run's point over a parameter
+    field; None once the run has left it)."""
 
-    def __init__(self, gens, order, caps, solver=None, stats=None):
+    def __init__(self, gens, order, caps, stats=None):
         if not gens:
             raise ValueError("empty generator list")
         field = gens[0].field
@@ -282,14 +349,16 @@ class DualBasisState(_DualBasis):
         self.caps = caps
         self.field = field
         self.nvars = nvars
-        self.stats = stats = ModpStats() if stats is None else stats
-        self.solver = solver or (lambda M: kernel_via_modp(M, stats=stats))
+        self.stats = ModpStats() if stats is None else stats
         self.track_certificates = isinstance(field, FunctionField) and bool(
             field.params
         )
-        self.span = None if isinstance(field, FunctionField) else ColumnSpan(field.char)
+        if isinstance(field, FunctionField):
+            point, self.span = point_span(field)
+        else:
+            point, self.span = None, ColumnSpan(field.char)
         exact = [_gen_exact_poly(g) for g in self.gens]
-        self.memo = RunMemo(self.gens, order, nvars, exact)
+        self.memo = RunMemo(self.gens, order, nvars, exact, point)
         t1, pts = _initial_data(self.gens, exact, nvars, caps)
         self.t1_points = pts
         self.ltn = t1
@@ -340,17 +409,17 @@ def _initial_data(gens, exact, nvars, caps):
     raise CapExceeded("truncation degree", caps.max_degree)
 
 
-def _span_kernel(state, gamma):
-    """The kernel ``kernel`` would give for the step's matrix over a base
-    field, from the run's span of the candidate columns (see the module
-    docstring)."""
-    state.stats.direct += 1
+def _span_coordinates(state, gamma, column_maps):
+    """Insert the columns of the candidates new to the run's span, then
+    reduce tau0's: its coordinates when it lies in the span, else None, its
+    residual inserted (see the module docstring).  UnexpectedNullity when a
+    candidate column is dependent."""
     tau0, cands = gamma[0], gamma[1:]
     span = state.span
     if not span.names.issubset(cands):
         span.clear()
     new = [c for c in cands if c not in span.names]
-    cols = state.memo.column_maps([tau0] + new)
+    cols = column_maps([tau0] + new)
     for c, col in zip(new, cols[1:]):
         residual, coords = span.reduce(c, col)
         if not residual:  # the candidates' columns are dependent
@@ -360,11 +429,57 @@ def _span_kernel(state, gamma):
     if residual:
         span.insert(tau0, residual, coords)
         return None
+    return coords
+
+
+def _span_kernel(state, gamma):
+    """The kernel ``kernel`` would give for the step's matrix over a base
+    field, from the run's span of the candidate columns."""
+    state.stats.direct += 1
+    coords = _span_coordinates(state, gamma, state.memo.column_maps)
+    if coords is None:
+        return None
     field = state.field
     if field.char:
         return tuple(field.from_int(coords.get(g, 0)) for g in gamma)
     zero = field.zero()
     return tuple(coords.get(g, zero) for g in gamma)
+
+
+def _parameter_kernel(state, gamma):
+    """The kernel of the step's matrix over K(t), decided on the run's span
+    at its point; a rejected step's matrix is kept as the certificate needs.
+    When the span cannot decide (see the module docstring), this step and
+    the rest of the run go to ``modp.kernel_via_modp`` on the whole matrix."""
+    stats = state.stats
+
+    def build(terms):
+        return build_matrix(state.gens, terms, state.order, state.nvars, state.memo)
+
+    if state.span is not None:
+        try:
+            coords = _span_coordinates(state, gamma, state.memo.image_maps)
+        except (UnexpectedNullity, DenominatorVanishes):
+            coords = {}  # no support: the span cannot decide
+        if coords is None:
+            stats.trivial_by_modp += 1
+            if state.track_certificates:
+                state.rejected.append(build(gamma))
+            return None
+        support = [g for g in gamma if g in coords]
+        if support:
+            v = kernel(build(support))
+            if v is not None:
+                stats.accepted_by_support += 1
+                found = dict(zip(support, v))
+                zero = state.field.zero()
+                return tuple(found.get(g, zero) for g in gamma)
+        state.span = None
+    M = build(gamma)
+    vec = kernel_via_modp(M, stats=stats)
+    if vec is None and state.track_certificates:
+        state.rejected.append(M)
+    return vec
 
 
 def step(state):
@@ -383,11 +498,8 @@ def step(state):
     )
     gamma = [tau0] + cands
     state.stats.dispatched += 1
-    if state.span is None:
-        M = build_matrix(state.gens, gamma, order, state.nvars, memo)
-        vec = state.solver(M)
-        if vec is None and state.track_certificates:
-            state.rejected.append(M)
+    if isinstance(state.field, FunctionField):
+        vec = _parameter_kernel(state, gamma)
     else:
         vec = _span_kernel(state, gamma)
     if vec is None:
@@ -432,18 +544,17 @@ class DualBasisResult(_DualBasis):
         self._matlist = []
 
 
-def compute_dual_basis(gens, order, caps=None, solver=None, budget=None, stats=None):
+def compute_dual_basis(gens, order, caps=None, budget=None, stats=None):
     """Run the full composition-series loop; the basis size is the colength.
 
     With a budget the loop also stops once the basis has that many elements:
     a length below the budget is then the colength, and a length at or above
     it shows only that the colength is at least the budget.  ``complete``
     tells whether the loop ran to its end, so that the basis spans the dual.
-    ``stats`` (a ``modp.ModpStats``) counts the run's solves; ``solver``
-    replaces ``modp.kernel_via_modp`` on function-field steps.
+    ``stats`` (a ``modp.ModpStats``) counts the run's solves.
     """
     caps = caps or DEFAULT_CAPS
-    state = DualBasisState(gens, order, caps, solver=solver, stats=stats)
+    state = DualBasisState(gens, order, caps, stats=stats)
     while not state.done() and (budget is None or state.length < budget):
         state.iterations += 1
         if state.iterations > caps.max_iterations:

@@ -1,44 +1,51 @@
-"""Modular acceleration of kernel decisions for parameter-polynomial matrices.
+"""Kernel decisions for parameter-polynomial matrices at points.
 
-Every matrix over a parameter field goes through ``kernel_via_modp``, which
-tries up to three points (one per prime of ``DEFAULT_PRIMES`` over QQ)
-before the exact ``kernel``.  Evaluation at a point is a ring map, so it can
-only lower the rank: a full-column-rank image certifies a trivial exact
-kernel outright.  An image with a one-dimensional kernel proposes its
-support S for an exact solve that keeps every row of M, so a vector v it
-returns has M v = M_S v_S = 0.  Since rank(image) = ncols - 1 <= rank(M), M
-has nullity at most 1, so v spans ker M and is ``kernel(M)``'s canonical
-vector; no second check is needed.  A support on which the solve finds no
-vector costs a retry with the next point.  So correctness never depends on
-the point being generic.
+A composition-series run over a parameter field decides its steps at one
+point (``point_span``): ``matlis`` keeps the images of its candidate columns
+there in a ``linalg.ColumnSpan`` over the point field, from each generator
+coefficient's image (``coefficient_images``).  Evaluation at a point is a
+ring map, so it can only lower the rank: a column independent of the others
+at the point is independent over K(t).
 
-The point field.  A matrix over GF(p)(t) is specialized at a point of GF(q),
-q = p^k with k the largest exponent such that q <= 2^13
-(``point_field_order``), so k = 1 for p > 90 and for the primes of
-``DEFAULT_PRIMES``: over QQ and GF(32003) the image is a matrix of ints mod
-p.  Over GF(2), GF(3) or GF(5) a point of GF(p)^r is too small a sample:
-t^2 + t vanishes at every point of GF(2), so a full-rank matrix can be
-singular at all of them.  By Schwartz-Zippel, a nonzero maximal minor of
-total degree D vanishes at a uniform point of GF(q)^r with probability at
-most D / q, and D <= ncols when every grid entry has degree at most 1.
-GF(p) is a subfield of GF(q), so forced points keep their meaning.  GF(q) is
-``_Extension``: Zech logarithms of a root of a fixed primitive polynomial
-(``_PRIMITIVE``), whose tables, of at most 2^13 entries each, are built for
-a prime when its first matrix needs them.
+``kernel_via_modp`` decides a whole matrix, for the runs that leave their
+span and for the public API.  It tries up to three points (one per prime of
+``DEFAULT_PRIMES`` over QQ) before the exact ``kernel``.  A full-column-rank
+image certifies a trivial exact kernel outright.  An image with a
+one-dimensional kernel proposes its support S for an exact solve that keeps
+every row of M, so a vector v it returns has M v = M_S v_S = 0.  Since
+rank(image) = ncols - 1 <= rank(M), M has nullity at most 1, so v spans
+ker M and is ``kernel(M)``'s canonical vector; no second check is needed.  A
+support on which the solve finds no vector costs a retry with the next
+point.  So correctness never depends on the point being generic.
+
+The point field.  Over GF(p)(t) a point lies in GF(q), q = p^k with k the
+largest exponent such that q <= 2^13 (``point_field_order``), so k = 1 for
+p > 90 and for the primes of ``DEFAULT_PRIMES``: over QQ and GF(32003) the
+images are ints mod p.  Over GF(2), GF(3) or GF(5) a point of GF(p)^r is too
+small a sample: t^2 + t vanishes at every point of GF(2), so a full-rank
+matrix can be singular at all of them.  By Schwartz-Zippel, a nonzero
+maximal minor of total degree D vanishes at a uniform point of GF(q)^r with
+probability at most D / q, and D <= ncols when every grid entry has degree
+at most 1.  GF(p) is a subfield of GF(q), so forced points keep their
+meaning.  GF(q) is ``_Extension``: Zech logarithms of a root of a fixed
+primitive polynomial (``_PRIMITIVE``), whose tables, of at most 2^13 entries
+each, are built for a prime when its first run needs them; a span over
+GF(q) holds the logarithms of its nonzero elements.
 
 A point is a plain pair (prime, values).  The retry-th point is hashed from
 (retry, number of parameters, characteristic) alone, once
-(``_hashed_point``), so every matrix over one field meets the same points.
+(``_hashed_point``), so every run over one field meets the same points.
 Its coordinates are nonzero: a zero coordinate kills every monomial in that
 parameter, so one such point would be degenerate for every matrix over its
-field.  Every step reads the matrix's cleared grid (``ExactMatrix.grid``):
-the image is its evaluation at the point, and the restricted solve takes its
-columns.  Over a prime point field the image is made by
+field.  ``kernel_via_modp`` reads the matrix's cleared grid
+(``ExactMatrix.grid``): the image is its evaluation at the point
+(``specialize``), and the restricted solve takes its columns.  Over a prime
+point field, grids and coefficients are evaluated by
 ``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at a
-point of a prime field, and eliminated by ``linalg.plain_kernel``, the one
-base-field eliminator, on its ints mod p; over GF(q) both are
-``_Extension``'s.  No field element or rational function is built for the
-image.
+point of a prime field, and an image is eliminated by
+``linalg.plain_kernel``, the one base-field eliminator, on its ints mod p;
+over GF(q) both are ``_Extension``'s.  No field element or rational
+function is built for an image.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ try:
 except ImportError:
     from hashlib import sha256
 
-from .errors import InternalInconsistency, UnexpectedNullity
-from .linalg import _free_column, kernel, plain_kernel
+from .errors import DenominatorVanishes, InternalInconsistency, UnexpectedNullity
+from .linalg import ColumnSpan, _free_column, kernel, plain_kernel
 from .scalars import pp_eval_rows
 
 # largest primes below 2^31, descending: the retry-th point is taken mod the
@@ -136,6 +143,24 @@ class _Extension:
             return x
         z = self.zech[(y - x) % self.m]
         return z if z < 0 else (x + z) % self.m
+
+    def sub_multiple(self, target, f, src):
+        """target -= f * src on maps of logarithms, dropping zeros: the
+        update of ``linalg.ColumnSpan`` over GF(q)."""
+        m, zech = self.m, self.zech
+        f += self.minus_one
+        get = target.get
+        for k, a in src.items():
+            t = (f + a) % m
+            b = get(k)
+            if b is None:
+                target[k] = t
+            else:
+                z = zech[(t - b) % m]
+                if z < 0:
+                    del target[k]
+                else:
+                    target[k] = (b + z) % m
 
     def _monomial(self, logs, expo):
         """The logarithm of the monomial expo at the point with these
@@ -244,6 +269,35 @@ def _hashed_point(retry, nparams, char):
             values.append(1 + int.from_bytes(h[k : k + 8], "big") % (q - 1))
         counter += 1
     return p, tuple(values)
+
+
+def point_span(ff):
+    """The point of a run over the parameter field ff, its first hashed point,
+    and an empty ``linalg.ColumnSpan`` over the point field."""
+    point = _hashed_point(0, len(ff.params), ff.char)
+    return point, ColumnSpan(point[0], _point_field(point[0]))
+
+
+def coefficient_images(coeffs, point):
+    """Function-field scalars at a point (prime, values), each as the
+    ``linalg.ColumnSpan`` over the point field holds it: an int in [0, p),
+    or over GF(q) its logarithm (see ``_Extension``); None for zero.
+    DenominatorVanishes when a denominator vanishes at the point."""
+    p, values = point
+    F = _point_field(p)
+    rows = [(a.num, a.den) for a in coeffs]
+    out = []
+    images = pp_eval_rows(rows, values, p) if F is None else F.eval_rows(rows, values)
+    for (num, den), a in zip(images, coeffs):
+        if not den:
+            raise DenominatorVanishes(str(a), point)
+        if not num:
+            out.append(None)
+        elif F is None:
+            out.append(num * pow(den, -1, p) % p)
+        else:
+            out.append((F.log[num] - F.log[den]) % F.m)
+    return out
 
 
 @dataclass

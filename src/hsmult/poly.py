@@ -10,7 +10,7 @@ serialize identically.
 from __future__ import annotations
 
 from .errors import DenominatorVanishes, RingMismatch
-from .scalars import FunctionField, RationalFunction, pp_key, terms_to_str
+from .scalars import FunctionField, pp_key, terms_to_str
 
 
 def exp_add(a, b):
@@ -213,28 +213,23 @@ def substitute_params(p, assignment):
     return SparsePoly(base, p.nvars, out)
 
 
-def clear_row_denominators(field, row):
+def clear_row_denominators(field, cells, ncols):
     """Scale a row of function-field scalars to polynomial (denominator 1) form.
 
-    Returns the list of numerator ppoly dicts after multiplying the row by the
-    lcm of the denominators; every zero entry is the row's one empty dict.
-    Kernels and ranks are invariant under this.
+    The row has ncols cells and is given by its nonzero ones, as a
+    collection of (column, scalar) pairs.  Returns the tuple of numerator
+    ppoly dicts after multiplying the row by the lcm of the denominators;
+    every zero entry is the row's one empty dict.  Kernels and ranks are
+    invariant under this.
     """
     from .scalars import pp_const, pp_divexact, pp_lcm, pp_mul
 
     char = field.char
-    r = len(field.params)
-    lcm = pp_const(1, r, char)
-    for a in row:
-        if isinstance(a, RationalFunction) and a and a.den != lcm:
+    lcm = pp_const(1, len(field.params), char)
+    for _, a in cells:
+        if a.den != lcm:
             lcm = pp_lcm(lcm, a.den, char)
-    out = []
-    zero = {}
-    for a in row:
-        if not a:
-            out.append(zero)
-        elif a.den == lcm:
-            out.append(a.num)
-        else:
-            out.append(pp_mul(a.num, pp_divexact(lcm, a.den, char), char))
-    return out
+    out = [{}] * ncols
+    for k, a in cells:
+        out[k] = a.num if a.den == lcm else pp_mul(a.num, pp_divexact(lcm, a.den, char), char)
+    return tuple(out)

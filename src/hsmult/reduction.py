@@ -8,9 +8,10 @@ and MatList (matrices that must keep full column rank).  A coefficient matrix
 passing both checks yields a reduction with those coefficients; an exhaustive
 small-coefficient search and an independent length-recomputation check are
 built on top.  A coefficient matrix holds ints or base-field scalars, read
-row by row as the parameters t_i_j.  Every kernel over K(t) goes through
-``modp.kernel_via_modp`` at fixed points, so a result and its mod-p counters
-depend on the instance alone, which is the multiplicity cache's key.
+row by row as the parameters t_i_j.  Every kernel over K(t) is decided at
+fixed points (``modp.point_span`` and ``modp.kernel_via_modp``), so a result
+and its mod-p counters depend on the instance alone, which is the
+multiplicity cache's key.
 
 Integral-closure membership: h lies in the integral closure of J exactly when
 e(J + (h)) = e(J) (Rees; R formally equidimensional, e.g. Cohen-Macaulay).

@@ -816,6 +816,43 @@ def test_product_past_max_terms_exits_3_before_it_is_expanded():
         assert _run_main(["member", str(FIXTURES / "example1.json"), expr])[0] == 0
 
 
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_powers_of_sums_equal_repeated_products(p):
+    """A power of a sum, expanded by the multinomial theorem, is the product
+    of its factors, with the multinomial coefficients reduced mod p over
+    GF(p); (1+x+y)^97, 4,851 terms over QQ, parses in under a second to the
+    multinomial coefficients 97! / (i! j! (97 - i - j)!)."""
+    import math
+
+    field = GF(p) if p else QQ
+    names = ("x", "y", "z")
+    rng = random.Random(67 + p)
+    for _ in range(30):
+        terms = []
+        for _ in range(rng.randint(2, 4)):
+            coef = rng.choice([1, 2, 3, 5, -1, -4])
+            mono = "*".join(f"{v}^{rng.randint(1, 3)}" for v in names if rng.random() < 0.5)
+            terms.append(f"{coef}*{mono}" if mono else str(coef))
+        text = " + ".join(terms)
+        base = parse_polynomial(text, field, names)
+        k = rng.randint(2, 9)
+        want = base
+        for _ in range(k - 1):
+            want = want * base
+        assert parse_polynomial(f"({text})^{k}", field, names, max_terms=5000) == want
+    started = time.perf_counter()
+    got = parse_polynomial("(1+x+y)^97", field, ("x", "y"), max_terms=5000)
+    assert time.perf_counter() - started < 1
+    want = {}
+    for i in range(98):
+        for j in range(98 - i):
+            f = math.factorial
+            c = f(97) // (f(i) * f(j) * f(97 - i - j))
+            if not p or c % p:
+                want[i, j] = field.from_int(c)
+    assert got.coeffs == want
+
+
 def test_expansion_caps_follow_the_file_and_the_flags(capsys, tmp_path):
     # generators are bounded by the file's own max_terms
     bounded = dict(SMALL, ideal=["(x+y)^60", "y^2"], options={"max_terms": 60})

@@ -23,10 +23,12 @@ from hsmult import (
 )
 from hsmult.errors import CapExceeded
 from hsmult.linalg import kernel, plain_kernel
-from hsmult import matlis, reduction
+from hsmult import matlis, modp, reduction
 from hsmult.exprparse import parse_generator, parse_polynomial
 from hsmult.instance import parse_instance
 from hsmult.matlis import DEFAULT_CAPS, DualBasisResult, RunMemo, canonical_cleared_matrix
+from hsmult.modp import DEFAULT_PRIMES
+from hsmult.dual import gamma_candidates
 from hsmult.oracles import monomial_length, vector_space_length
 from hsmult.poly import clear_row_denominators
 from hsmult.scalars import GFElement
@@ -86,7 +88,10 @@ def _act_build(gens, gamma, order, nvars):
             rows.append(tuple(img.coeffs.get(s, field.zero()) for img in images))
     grid = None
     if isinstance(field, FunctionField):
-        grid = tuple(tuple(clear_row_denominators(field, row)) for row in rows)
+        grid = tuple(
+            clear_row_denominators(field, [(j, a) for j, a in enumerate(row) if a], len(row))
+            for row in rows
+        )
     return tuple(rows), grid
 
 
@@ -540,49 +545,83 @@ def test_budget_stops_the_loop_at_that_length(glex):
         step(state)
 
 
-def test_injected_solver_inconsistencies(ff, glex):
+def test_injected_solver_inconsistencies(ff, glex, monkeypatch):
+    """A solve that claims a kernel vector with vanishing first entry is an
+    InternalInconsistency, and an UnexpectedNullity from a solve propagates,
+    on both routes of a K(t) step: the exact solve on the support the span
+    proposes, and ``kernel_via_modp`` once the run has left its span."""
     from hsmult.errors import InternalInconsistency
     from hsmult import UnexpectedNullity
 
     gens = example1_gens(ff)
 
-    def bad_solver(M):  # claims a kernel vector with vanishing first entry
+    def bad_kernel(M, *args, **kwargs):  # a vector with vanishing first entry
         return tuple([M.field.zero()] + [M.field.one()] * (M.ncols - 1))
 
-    state = DualBasisState(gens, glex, DEFAULT_CAPS, solver=bad_solver)
-    with pytest.raises(InternalInconsistency):
-        while not state.done():
-            step(state)
-
-    def nullity_solver(M):
+    def nullity_kernel(M, *args, **kwargs):
         raise UnexpectedNullity(2)
 
-    state2 = DualBasisState(gens, glex, DEFAULT_CAPS, solver=nullity_solver)
-    with pytest.raises(UnexpectedNullity):
-        step(state2)
+    for route in ("kernel", "kernel_via_modp"):
+        for fake, error in (
+            (bad_kernel, InternalInconsistency), (nullity_kernel, UnexpectedNullity),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(matlis, route, fake)
+                state = DualBasisState(gens, glex, DEFAULT_CAPS)
+                if route == "kernel_via_modp":
+                    state.span = None
+                with pytest.raises(error):
+                    while not state.done():
+                        step(state)
 
 
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
 
 
 def _eager_run(gens, order, caps):
-    """The run with every rejected matrix made canonical when it is rejected,
-    from the full matrix (rows and row tags included)."""
+    """The run, step by step, with each step checked against a fresh
+    build_matrix + kernel on its full gamma: the same verdict, and on
+    acceptance the same vector.  Returns the finished state and the rejected
+    matrices made canonical when they are rejected, from the fresh ones."""
+    state = DualBasisState(gens, order, caps)
+    key = state.memo.key
     eager = []
-
-    def solver(M):
+    while not state.done():
+        tau0 = min(state.l2 - state.l1, key=key)
+        gamma = [tau0] + gamma_candidates(
+            state.t2, state.ltn, order, tau0, limit=caps.max_terms, key=key
+        )
+        M = build_matrix(gens, gamma, order, state.nvars)
         v = kernel(M)
-        if v is None and isinstance(M.field, FunctionField) and M.field.params:
+        assert step(state) is (v is not None)
+        if v is not None:
+            assert state.elements[-1].coeffs == {g: a for g, a in zip(gamma, v) if a}
+        elif state.track_certificates:
             eager.append(canonical_cleared_matrix(M))
-        return v
-
-    return compute_dual_basis(gens, order, caps, solver=solver), eager
+    return state, eager
 
 
 def _assert_one_zero_per_row(matrices):
     for M in matrices:
         for row in M.grid:
             assert len({id(a) for a in row if not a}) <= 1
+
+
+def _random_parameter_gens(rng, field, pool):
+    """A pure power of each of 2 or 3 variables plus up to 3 terms below
+    degree 3 with coefficients drawn from pool."""
+    one = field.one()
+    nvars = rng.choice([2, 3])
+    gens = []
+    for i in range(nvars):
+        power = tuple(rng.randint(2, 3) if j == i else 0 for j in range(nvars))
+        coeffs = {power: one}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 2) for _ in range(nvars))
+            if sum(e) >= 1 and e != power:
+                coeffs[e] = rng.choice(pool)
+        gens.append(SparsePoly(field, nvars, coeffs))
+    return gens
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -615,16 +654,7 @@ def test_matlist_on_read_equals_eager_on_random_parameter_ideals(glex):
         one = field.one()
         pool = [a, b, a + one, one / (a + one), a * b - one, field.from_int(3),
                 a / field.from_int(2) if not field.char else a * a]
-        nvars = rng.choice([2, 3])
-        gens = []
-        for i in range(nvars):
-            power = tuple(rng.randint(2, 3) if j == i else 0 for j in range(nvars))
-            coeffs = {power: one}
-            for _ in range(rng.randint(1, 3)):
-                e = tuple(rng.randint(0, 2) for _ in range(nvars))
-                if sum(e) >= 1 and e != power:
-                    coeffs[e] = rng.choice(pool)
-            gens.append(SparsePoly(field, nvars, coeffs))
+        gens = _random_parameter_gens(rng, field, pool)
         res, eager = _eager_run(gens, glex, caps)
         # read after every step too: the matrices read before are not remade
         state = DualBasisState(gens, glex, caps)
@@ -637,3 +667,106 @@ def test_matlist_on_read_equals_eager_on_random_parameter_ideals(glex):
         _assert_one_zero_per_row(res.matlist + res.rejected)
         compared += len(eager)
     assert compared >= 20
+
+
+def test_every_parameter_step_matches_a_fresh_solve(glex):
+    """Every step of a K(t) run, decided on the run's span at its point,
+    gives the verdict and vector of a fresh build_matrix + kernel on its
+    full gamma, and the MatList is the one built eagerly: seeded ideals over
+    QQ(t), GF(32003)(t) and GF(3)(t), the last with its point in GF(3^8)."""
+    rng = random.Random(71)
+    caps = ResourceCaps(max_terms=400, max_degree=16, max_iterations=400)
+    steps = {}
+    for trial in range(36):
+        field = FunctionField((QQ, GF(32003), GF(3))[trial % 3], ("a", "b"))
+        a, b = field.param("a"), field.param("b")
+        one = field.one()
+        pool = [a, b, a + one, one / (a + one), a * b - one, field.from_int(2) * b, a * a]
+        gens = _random_parameter_gens(rng, field, pool)
+        state, eager = _eager_run(gens, glex, caps)
+        assert state.span is not None  # the span decided every step
+        assert [M.grid for M in state.matlist] == [M.grid for M in eager]
+        stats = state.stats
+        assert (stats.retries, stats.fallbacks) == (0, 0)
+        assert stats.dispatched == stats.trivial_by_modp + stats.accepted_by_support
+        assert stats.accepted_by_support == len(state.elements)
+        steps[field.char] = steps.get(field.char, 0) + stats.dispatched
+    assert min(steps.values()) >= 40, steps
+
+
+P = DEFAULT_PRIMES[0]
+
+
+def _force_point(monkeypatch, point):
+    """Make point the first hashed point of every field over QQ."""
+    real = modp._hashed_point
+    monkeypatch.setattr(
+        modp, "_hashed_point",
+        lambda retry, nparams, char: point if retry == 0 else real(retry, nparams, char),
+    )
+
+
+@pytest.mark.parametrize("case", ["vanishing denominator", "prime denominator", "no support vector"])
+def test_degenerate_points_send_the_run_to_kernel_via_modp(monkeypatch, glex, case):
+    """At a point where a generator coefficient's denominator vanishes (over
+    QQ also a denominator divisible by the prime), or where tau0's image lies
+    in the span but the exact solve on its support finds no vector, the run
+    leaves its span: that step and every later one go to kernel_via_modp on
+    the whole matrix.  The length, PolyList and MatList are those of the run
+    decided on the span at a good point, and so are the counts of each path."""
+    ff = FunctionField(QQ, ("a", "b"))
+    a, b = ff.param("a"), ff.param("b")
+    x3, y2, xy = (SparsePoly.monomial(ff, e) for e in ((3, 0), (0, 2), (1, 1)))
+    g2 = y2 + xy.scale(b)
+    if case == "vanishing denominator":
+        gens, point, on_span = [x3 + xy.scale(a / (a - ff.from_int(3))), g2], (P, (3, 5)), 0
+    elif case == "prime denominator":
+        gens, point, on_span = [x3 + xy.scale(a / ff.from_int(P)), g2], None, 0
+    else:  # at a = 1 the column of 1/x^3 vanishes
+        gens, point, on_span = [x3.scale(a - ff.one()) + xy.scale(a), g2], (P, (1, 5)), 2
+    with monkeypatch.context() as m:
+        _force_point(m, modp._hashed_point(1, 2, 0))
+        ref, _ = _eager_run(gens, glex, DEFAULT_CAPS)
+    assert ref.span is not None
+    if point is not None:
+        _force_point(monkeypatch, point)
+    calls = []
+    real = matlis.kernel_via_modp
+    monkeypatch.setattr(
+        matlis, "kernel_via_modp", lambda M, **kw: calls.append(M) or real(M, **kw)
+    )
+    state, eager = _eager_run(gens, glex, DEFAULT_CAPS)
+    assert state.span is None
+    assert (state.length, state.polylist) == (ref.length, ref.polylist)
+    grids = [M.grid for M in state.matlist]
+    assert grids == [M.grid for M in ref.matlist] == [M.grid for M in eager]
+    steps = len(state.l1) + len(state.elements)
+    assert len(calls) == steps - on_span
+    # the same paths as at the good point, and two retries: the degenerate
+    # point is kernel_via_modp's first point too
+    assert state.stats.dispatched == steps
+    assert state.stats.as_dict() == dict(ref.stats.as_dict(), retries=2)
+
+
+def test_dependent_candidate_columns_at_the_point_leave_the_span(monkeypatch, glex):
+    """The columns of 1/x and 1/y under (x + a y, x + y) are independent over
+    K(t) and equal at a = 1.  A step that meets them there goes to
+    kernel_via_modp on its whole matrix, which gives the exact verdict, and
+    the run leaves its span.  The step is made directly: in the runs tried,
+    such a point always made an earlier step leave the span first, through
+    a support solve with no vector."""
+    ff = FunctionField(QQ, ("a",))
+    x, y = (SparsePoly.variable(ff, 2, i) for i in range(2))
+    gens = [x + y.scale(ff.param("a")), x + y]
+    _force_point(monkeypatch, (P, (1,)))
+    state = DualBasisState(gens, glex, DEFAULT_CAPS)
+    gamma = [(2, 0), (1, 0), (0, 1)]
+    M = build_matrix(gens, gamma, glex, 2)
+    assert kernel(M) is None
+    assert matlis._parameter_kernel(state, gamma) is None
+    assert state.span is None
+    assert [R.grid for R in state.rejected] == [M.grid]
+    # the image at a = 1 proposes a support with no exact vector, so the
+    # next point decides
+    assert (state.stats.trivial_by_modp, state.stats.retries) == (1, 1)
+

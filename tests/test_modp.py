@@ -21,7 +21,7 @@ from hsmult import (
     specialize,
 )
 from hsmult import modp
-from hsmult.matlis import DEFAULT_CAPS, DualBasisState
+from hsmult.linalg import ColumnSpan
 from hsmult.modp import DEFAULT_PRIMES, _PRIMITIVE, _Extension, _point_field, point_field_order
 from hsmult.scalars import pp_add, pp_mul
 from tests.conftest import naive_pp_eval, plain
@@ -159,21 +159,23 @@ def _upper_unitriangular(ff, n):
 
 
 def test_parameter_matrices_of_few_columns_are_decided_by_their_image(ff):
-    """The engine's solver sends every matrix over K(t), however narrow,
+    """kernel_via_modp decides every matrix over K(t), however narrow,
     through its mod-p image; only base-field steps count as direct."""
     a, b = ff.param("a"), ff.param("b")
     one, zero = ff.one(), ff.zero()
-    gens = [SparsePoly.monomial(ff, e) for e in ((2, 0), (0, 2))]
-    state = DualBasisState(gens, MonomialOrder("glex"), DEFAULT_CAPS)
+    stats = ModpStats()
+
+    def solve(M):
+        return kernel_via_modp(M, stats=stats)
+
     for n in range(1, 5):
-        assert state.solver(_upper_unitriangular(ff, n)) is None
-    assert state.solver(ExactMatrix(ff, ((zero,),), 1)) == (one,)
-    assert state.solver(ExactMatrix(ff, ((a, -one),), 2)) == (one, a)
-    assert state.solver(ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)) == (a, -one, b)
-    assert state.solver(_upper_unitriangular(ff, 4).columns((0, 1, 2, 3, 3))) == (
+        assert solve(_upper_unitriangular(ff, n)) is None
+    assert solve(ExactMatrix(ff, ((zero,),), 1)) == (one,)
+    assert solve(ExactMatrix(ff, ((a, -one),), 2)) == (one, a)
+    assert solve(ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)) == (a, -one, b)
+    assert solve(_upper_unitriangular(ff, 4).columns((0, 1, 2, 3, 3))) == (
         zero, zero, zero, one, -one,
     )
-    stats = state.stats
     assert (stats.direct, stats.trivial_by_modp, stats.accepted_by_support) == (0, 4, 4)
     assert (stats.retries, stats.fallbacks) == (0, 0)
     # a base-field run solves every step from its span, as a direct solve
@@ -432,6 +434,37 @@ def test_extension_kernel_matches_naive_elimination(p):
         assert got == expected
         seen["vector" if isinstance(expected, list) else "trivial" if expected is None else expected] += 1
     assert min(seen.values()) >= 5
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_column_span_over_an_extension_gives_the_naive_kernel(p):
+    """A ColumnSpan over GF(q) holds logarithms and uses the arithmetic of
+    _Extension: columns are inserted while they stay independent, and the
+    first dependent one reduces to zero with the coordinates of the naive
+    kernel vector of [that column | the inserted ones]."""
+    F, N, rng = _point_field(p), NaiveGF(p), random.Random(10 + p)
+    dependent = 0
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randrange(N.q) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if ncols > 2 and rng.random() < 0.5:  # the last column a combination of the first two
+            a, b = rng.randrange(N.q), rng.randrange(N.q)
+            for row in rows:
+                row[-1] = N.add(N.mul(a, row[0]), N.mul(b, row[1]))
+        span = ColumnSpan(p, F)
+        for j in range(ncols):
+            col = {i: F.log[row[j]] for i, row in enumerate(rows) if row[j]}
+            residual, coords = span.reduce(j, col)
+            if residual:
+                span.insert(j, residual, coords)
+                continue
+            order = [j] + list(range(j))
+            want = _naive_kernel(N, [[row[k] for k in order] for row in rows], j + 1)
+            assert [F.exp[coords[k]] if k in coords else 0 for k in order] == want
+            dependent += 1
+            break
+    assert dependent >= 20
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -31,7 +31,10 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert hsmult.linalg.kernel is original
     assert tracer.calls["linalg.kernel_ff"] > 0
     assert tracer.calls["matlis.canonical_cleared_matrix"] > 0
-    # the work of one example1 run: 4 steps over 8 colon candidates
+    # the work of one example1 run: 4 steps over 8 colon candidates; the
+    # matrices are the 3 rejected steps' and the accepted step's support
+    # matrix, whose support is its whole gamma, so the cells are as many as
+    # when every step built its matrix
     assert tracer.calls["matlis.step"] == 4
     assert tracer.counts["dual.gamma_candidates.terms"] == 8
     assert tracer.counts["matlis.build_matrix.cells"] == 47
@@ -124,13 +127,14 @@ def test_member_gf32003_images_stay_off_kernel(monkeypatch):
     finally:
         tracer.uninstall()
     assert (result["member"], result["decided_by"]) == (False, "point-length")
-    # the mod-p image shares the base-field eliminator but not `kernel`, so
     # only exact solves count as kernels; the base-field steps, the run of
     # J + I (3) and the point run (2), solve from their run's span of
     # candidate columns and call no kernel; the K(t) run of J makes the
-    # other 4 steps, each through its image, and its one accepted step makes
-    # the one exact kernel
-    assert tracer.calls["modp.kernel_via_modp"] == 4
+    # other 4 steps, each decided on its run's span at the point, and its
+    # one accepted step makes the one exact kernel.  None goes to
+    # modp.kernel_via_modp: all 4 did (4 calls) while every K(t) step
+    # specialized its whole matrix
+    assert tracer.calls["modp.kernel_via_modp"] == 0
     assert tracer.calls["linalg.kernel_ff"] == 1
     assert tracer.calls["linalg.kernel_base"] == 0
     assert tracer.calls["matlis.step"] == 4 + 3 + 2
@@ -157,7 +161,7 @@ def test_member_in_j_makes_no_point_run_and_no_k_t_run(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, specialize, nonsingular, certify, points",
+    "name, at_point, nonsingular, certify, points",
     [
         ("example1.json", 4, 6, 5, 5),
         ("params_gf2.json", 7, 4, 7, 7),
@@ -166,7 +170,7 @@ def test_member_in_j_makes_no_point_run_and_no_k_t_run(monkeypatch):
         ("example4.json", 12, 6, 4, 4),
     ],
 )
-def test_reduce_keeps_its_point_evaluations(monkeypatch, name, specialize, nonsingular, certify, points):
+def test_reduce_keeps_its_point_evaluations(monkeypatch, name, at_point, nonsingular, certify, points):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -174,22 +178,26 @@ def test_reduce_keeps_its_point_evaluations(monkeypatch, name, specialize, nonsi
     tracer.install()
     try:
         inst, options = load_instance(name)
-        run_command("reduce", inst, options)
+        _, stats = run_command("reduce", inst, options)
     finally:
         tracer.uninstall()
     # MatList checks and certify calls as recorded while each had an
     # evaluator of its own; the tracer tells them apart by name, so
-    # modp.specialize must stay a function of its own.  Every matrix over
-    # K(t) has one image; over GF(2) and GF(3) it is taken in GF(2^13) and
-    # GF(3^8).  Over GF(p) each residue point is certified once, so certify
-    # calls equal distinct points (params_gf2 made 13 calls for its 7 before)
-    assert tracer.calls["modp.specialize"] == specialize
+    # modp.specialize must stay a function of its own.  Every K(t) step is
+    # decided at the point, over GF(2) and GF(3) one in GF(2^13) and GF(3^8),
+    # on its run's span of column images, so no step specializes a matrix:
+    # modp.specialize made one call per step (at_point: 4, 7, 11, 7 and 12)
+    # while every step specialized its whole matrix.  Over GF(p) each
+    # residue point is certified once, so certify calls equal distinct
+    # points (params_gf2 made 13 calls for its 7 before)
+    assert stats.trivial_by_modp + stats.accepted_by_support == at_point
+    assert tracer.calls["modp.specialize"] == 0
     assert tracer.calls["linalg.nonsingular_at"] == nonsingular
     assert tracer.calls["reduction.certify"] == certify
     assert tracer.distinct_certify_points() == points
 
 
-@pytest.mark.parametrize("name, gcds", [("params_gf2.json", 43), ("example4.json", 164)])
+@pytest.mark.parametrize("name, gcds", [("params_gf2.json", 43), ("example4.json", 172)])
 def test_reduce_gcd_work(monkeypatch, name, gcds):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
@@ -204,7 +212,9 @@ def test_reduce_gcd_work(monkeypatch, name, gcds):
     # every pp_gcd call, nested ones included; a single-term argument returns
     # at once (the full recursion made 547 and 488 calls).  params_gf2 made
     # 220 while its points were drawn from GF(2), when two matrices fell back
-    # to the exact kernel
+    # to the exact kernel.  example4 made 164 while the support solve kept
+    # every row of the step's matrix: the support matrix keeps only the rows
+    # that meet the support, each cleared by the lcm of its own cells
     assert tracer.counts["scalars.pp_gcd.calls"] == gcds
 
 
