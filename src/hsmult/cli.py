@@ -20,6 +20,7 @@ import dataclasses
 import json
 import sys
 import time
+from types import MappingProxyType
 
 from .errors import (
     CapExceeded,
@@ -59,6 +60,7 @@ COMMANDS = ("dual", "length", "mult", "reduce", "member", "selftest")
 
 def run_command(command, inst, options, member_expr=None):
     """Execute one command; returns the result payload and engine stats.
+    The member payload is a read-only mapping, one for equal reports.
 
     The caps ride on inst; of the options only search_bound is read here.
     A dim that contradicts the quotient ideal raises ValueError from
@@ -102,10 +104,8 @@ def run_command(command, inst, options, member_expr=None):
     if command == "member":
         h = parse_member_expression(member_expr, inst)
         res = membership(inst, h)
-        # reports are kept by long-running callers, which ask about the same
-        # elements again, so the element string is interned
         payload = {
-            "element": sys.intern(h.to_str(inst.var_names)),
+            "element": res.element,
             "e": res.e,
             "member": res.member,
             "decided_by": res.decided_by,
@@ -114,7 +114,11 @@ def run_command(command, inst, options, member_expr=None):
             payload["point_length"] = res.point_length
         elif res.decided_by == "multiplicity":
             payload["e_extended"] = res.e_extended
-        return payload, res.modp_stats
+        # reports are kept by long-running callers, which ask about the same
+        # elements again, so equal member reports are one read-only mapping
+        # (``reduction._shared``)
+        items = tuple(payload.items())
+        return _shared(items, MappingProxyType(payload)), res.modp_stats
     raise ValueError(f"unknown command {command!r}")
 
 
@@ -251,6 +255,8 @@ def _human_lines(command, result):
             evidence = f"e = {result['e']}; it lies in the ideal"
         elif result["decided_by"] == "point-length":
             evidence = f"e = {result['e']}; colength {result['point_length']} at a point"
+        elif result["decided_by"] == "integral-equation":
+            evidence = f"e = {result['e']}; its square lies in J(J + (h))"
         else:
             evidence = f"e = {result['e']} vs {result['e_extended']}"
         lines.append(
@@ -343,7 +349,7 @@ def main(argv=None):
     if not args.no_timing:
         report["timing"] = {"seconds": round(elapsed, 6)}
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True, default=dict))
     else:
         for line in _human_lines(args.command, result):
             print(line)

@@ -8,13 +8,21 @@ Grammar (whitespace-insensitive):
     power  := atom ('^' INTEGER)?
     atom   := INTEGER | NAME | '(' expr ')'
 
-Names resolve to declared variables.
+Names resolve to declared variables.  The text is tokenized in one pass.
 Division builds an exact rational pair of polynomials, so both rational
 literals (3/4) and series generators (1/(1-x)) come out of one grammar; the
-caller decides whether a non-constant denominator is acceptable.  A factor
-that is the constant 1, every denominator of a polynomial expression, is
-never multiplied by, and a single term raised to a power is built directly:
-the pair is the same as the plain SparsePoly arithmetic would give.
+caller decides whether a non-constant denominator is acceptable.
+
+Most expressions are sums of monomial terms, and those build no pair.  A
+term whose factors are all signed integers, variables and variable powers
+is carried as (int coefficient, exponents), and while the denominator of
+the sum is 1 every term is added into one coefficient dict in place.  Only
+parentheses, '/' and powers of integers build SparsePoly pairs, and a
+term or sum turns into a pair at the first of them.  A factor that is the
+constant 1, every denominator of a polynomial expression, is never
+multiplied by, and a single term raised to a power is built directly.  The
+pair, every ParseError and every CapExceeded are the same as the plain
+SparsePoly arithmetic of each factor and term, in order, would give.
 
 With ``max_terms`` set, expansion is bounded: a power a^k of t > 1 terms
 raises CapExceeded("expression terms", max_terms) before it is expanded
@@ -35,37 +43,53 @@ import re
 from .errors import CapExceeded, ParseError
 from .poly import SparsePoly, exp_add
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
+# one match per newline, token or end of input: a newline (counted for the
+# line numbers), a token after any blanks, or the rest of the text when no
+# token starts here, which is blank or holds a stray character
+_TOKEN = re.compile(
+    r"(\n)|\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))|(.*)", re.DOTALL
+)
+_KINDS = (None, None, "int", "name", "op")
 
 
 def _tokenize(text):
+    """(kind, value, line, column) per token, in one pass, and an "end"."""
     tokens = []
-    pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        if text[pos] == "\n":
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
             line += 1
-            line_start = pos + 1
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-        col = m.start(1 if m.group(1) else 2 if m.group(2) else 3) - line_start + 1
-        if m.group(1):
-            tokens.append(("int", int(m.group(1)), line, col))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), line, col))
+            line_start = m.end()
+        elif group == 5:
+            stray = m.group(5).lstrip()
+            if stray:
+                col = m.start() - line_start + 1
+                raise ParseError(f"unexpected character {stray[0]!r}", line, col)
+            break
         else:
-            tokens.append(("op", m.group(3), line, col))
-        pos = m.end()
+            value = m.group(group)
+            tokens.append((
+                _KINDS[group], int(value) if group == 2 else value, line,
+                m.start(group) - line_start + 1,
+            ))
     tokens.append(("end", None, line, len(text) - line_start + 1))
     return tokens
+
+
+def bound_product(a, b, cap):
+    """CapExceeded("expression terms", cap) when the product a * b of two
+    SparsePolys has more than cap distinct exponent sums, the bound on its
+    terms before any cancel.  The sums are counted only when a and b have
+    more than cap coefficient pairs, and the count stops past cap; no cap
+    (None) bounds nothing."""
+    if cap is not None and len(a.coeffs) * len(b.coeffs) > cap:
+        sums = set()
+        for ea in a.coeffs:
+            sums.update([exp_add(ea, eb) for eb in b.coeffs])
+            if len(sums) > cap:
+                raise CapExceeded("expression terms", cap)
 
 
 def _scalar_pow(c, k):
@@ -99,13 +123,7 @@ class _Parser:
             return a
         if a.coeffs == self._one_coeffs:
             return b
-        cap = self.max_terms
-        if cap is not None and len(a.coeffs) * len(b.coeffs) > cap:
-            sums = set()
-            for ea in a.coeffs:
-                sums.update([exp_add(ea, eb) for eb in b.coeffs])
-                if len(sums) > cap:
-                    raise CapExceeded("expression terms", cap)
+        bound_product(a, b, self.max_terms)
         return a * b
 
     def _pow(self, a, k):
@@ -191,27 +209,60 @@ class _Parser:
         return value
 
     def expr(self):
+        """(num, den) of a sum of terms.  While den is 1 the numerator is
+        one dict, and each term is added into it in place; the zeros it may
+        hold are dropped when it becomes a SparsePoly."""
         mul = self._mul
-        num, den = self.term()
+        field = self.field
+        acc = {}
+        num = den = None  # the pair, once a term's denominator is not 1
+        val = "+"
         while True:
-            kind, val, _, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                n2, d2 = self.term()
-                if val == "+":
-                    num, den = mul(num, d2) + mul(n2, den), mul(den, d2)
-                else:
-                    num, den = mul(num, d2) - mul(n2, den), mul(den, d2)
+            n2, d2 = self.term()
+            neg = val == "-"
+            if d2 is None and num is None:
+                c, e = n2
+                c = field.from_int(-c if neg else c)
+                acc[e] = acc[e] + c if e in acc else c
             else:
+                if d2 is None:
+                    n2, d2 = self._monomial(*n2), self.one
+                if num is None and d2.coeffs == self._one_coeffs:
+                    for e, c in n2.coeffs.items():
+                        c = -c if neg else c
+                        acc[e] = acc[e] + c if e in acc else c
+                else:
+                    if num is None:
+                        num, den = SparsePoly(field, self.nvars, acc), self.one
+                    if neg:
+                        num, den = mul(num, d2) - mul(n2, den), mul(den, d2)
+                    else:
+                        num, den = mul(num, d2) + mul(n2, den), mul(den, d2)
+            kind, val, _, _ = self.peek()
+            if kind != "op" or val not in "+-":
+                if num is None:
+                    return SparsePoly(field, self.nvars, acc), self.one
                 return num, den
+            self.next()
 
     def term(self):
+        """A product of factors.  While every factor is a signed integer, a
+        variable or a variable power (``_monomial_factor``), the product is
+        (coefficient, exponents) and den is None; the first other factor,
+        or a '/', makes it a pair (num, den), into which the rest of the
+        term is multiplied."""
         mul = self._mul
-        num, den = self.unary()
+        coeff = 1
+        exps = [0] * self.nvars
+        num = None
+        val = "*"
         while True:
-            kind, val, _, _ = self.peek()
-            if kind == "op" and val in "*/":
-                tok = self.next()
+            c = None if num is not None or val == "/" else self._monomial_factor(exps)
+            if c is not None:
+                coeff *= c
+            else:
+                if num is None:
+                    num, den = self._monomial(coeff, tuple(exps)), self.one
                 n2, d2 = self.unary()
                 if val == "*":
                     num, den = mul(num, n2), mul(den, d2)
@@ -219,8 +270,47 @@ class _Parser:
                     if n2.is_zero():
                         self.error("division by zero", tok)
                     num, den = mul(num, d2), mul(den, n2)
-            else:
+            kind, val, _, _ = self.peek()
+            if kind != "op" or val not in "*/":
+                if num is None:
+                    return (coeff, tuple(exps)), None
                 return num, den
+            tok = self.next()
+
+    def _monomial_factor(self, exps):
+        """The integer of the factor at the cursor, when it is a signed
+        integer, or a signed variable or variable power (then 1 or -1, and
+        the exponent is added into exps), moving past it; otherwise None,
+        with the cursor left where it was."""
+        tokens = self.tokens
+        i = self.i
+        sign = 1
+        kind, val, _, _ = tokens[i]
+        while kind == "op" and (val == "-" or val == "+"):
+            if val == "-":
+                sign = -sign
+            i += 1
+            kind, val, _, _ = tokens[i]
+        if kind == "int":
+            if tokens[i + 1][1] == "^":
+                return None
+            self.i = i + 1
+            return sign * val
+        if kind != "name" or val not in self.var_index:
+            return None
+        if tokens[i + 1][1] == "^":
+            kind, k, _, _ = tokens[i + 2]
+            if kind != "int":
+                return None
+            exps[self.var_index[val]] += k
+            self.i = i + 3
+        else:
+            exps[self.var_index[val]] += 1
+            self.i = i + 1
+        return sign
+
+    def _monomial(self, c, e):
+        return SparsePoly(self.field, self.nvars, {e: self.field.from_int(c)})
 
     def unary(self):
         sign = 1

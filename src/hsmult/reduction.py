@@ -15,7 +15,7 @@ multiplicity cache's key.
 
 Integral-closure membership: h lies in the integral closure of J exactly when
 e(J + (h)) = e(J) (Rees; R formally equidimensional, e.g. Cohen-Macaulay).
-``membership`` tries three paths in order.
+``membership`` tries four paths in order.
 
 In the ideal.  Every element of J is integral over J, and whether h lies in
 J + I is decided by Matlis duality.  For an m-primary ideal L of S = K[[x]],
@@ -57,11 +57,24 @@ reduced as (p mod P)/(q mod P).  When P divides a coefficient's denominator
 or q(0), there is no point run.  ``verify_reduction_by_length`` tests an
 equality, so it stays over QQ.
 
-Over K(t).  When the point colength reaches e(J), or the caps end the run or
-Q_a (or its residues) is not m-primary, or P divides a denominator, e(J + (h))
-is computed over K(t) and compared; members
-outside J + I take this path.  The result names the path in decided_by
-("in-ideal", "point-length" or "multiplicity") and carries point_length or
+By an integral equation.  When the point run does not refute membership,
+and J's generators and h are polynomials over the base field, the complete
+inverse system of L = J(J + (h)) + I is computed over the base field,
+unbudgeted and under the query's caps, from the generators g_i g_j (i <= j),
+g_i h and those of I.  When h^2 lies in L (``_in_ideal`` on h^2), then in R
+
+    h^2 = a_1 h + a_2,  a_1 in J, a_2 in J^2,
+
+an equation of integral dependence (Swanson and Huneke, *Integral Closure
+of Ideals, Rings, and Modules*, Def. 1.1.1), so h is a member.  A product
+whose term bound passes ``max_terms`` (``exprparse.bound_product``), caps
+that end the run, or h^2 outside L decide nothing.  The converse holds at
+the reduction number r of J in J + (h) (ibid., Cor. 1.2.5: h^(r+1) lies in
+J(J + (h))^r), but only r = 1 is tried: one run per query that reaches it.
+
+Over K(t).  Otherwise e(J + (h)) is computed over K(t) and compared.  The
+result names the path in decided_by ("in-ideal", "point-length",
+"integral-equation" or "multiplicity") and carries point_length or
 e_extended to match; the CLI's member report uses the same keys.
 """
 
@@ -76,6 +89,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import CapExceeded, NonUnitDenominator, NotZeroDimensional, SearchExhausted
+from .exprparse import bound_product
 from .linalg import nonsingular_at
 from .matlis import DEFAULT_CAPS, compute_dual_basis
 from .modp import DEFAULT_PRIMES, ModpStats, sha256
@@ -148,10 +162,25 @@ class ProblemInstance:
                 f"ideal with {k} nonzero generators"
             )
 
-    def with_extra_generator(self, h):
-        return dataclasses.replace(self, j_gens=self.j_gens + (h,))
+    def with_extra_generator(self, h, text=None):
+        """J + (h), keyed by this instance's key, ";" and text, h's printed
+        form (``generator_to_str``; made here when not given)."""
+        if text is None:
+            text = generator_to_str(h, self.var_names)
+        ext = dataclasses.replace(self, j_gens=self.j_gens + (h,))
+        object.__setattr__(ext, "_key", f"{self.canonical_key()};{text}")
+        return ext
 
     def canonical_key(self):
+        """The instance as text: field, variables, order, dim, I and J, the
+        generators printed in order.  Made once per instance and kept."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self._make_key()
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def _make_key(self):
         order = self.order
         prec = "" if order.precedence is None else ",".join(map(str, order.precedence))
         parts = [
@@ -259,11 +288,13 @@ _SHARED: OrderedDict = OrderedDict()
 _SHARED_SIZE = 4096
 
 
-def _shared(t):
-    """The kept tuple equal to t, which t becomes when there is none."""
+def _shared(t, value=None):
+    """The value kept under the tuple t: the kept tuple equal to t, which t
+    becomes when there is none, or with value given, the value first kept
+    under t."""
     kept = _SHARED.get(t)
     if kept is None:
-        _SHARED[t] = kept = t
+        _SHARED[t] = kept = t if value is None else value
         if len(_SHARED) > _SHARED_SIZE:
             _SHARED.popitem(last=False)
     else:
@@ -280,10 +311,11 @@ def multiplicity(inst, use_cache=True):
     ValueError.  With use_cache, results are kept for the last 256 distinct
     instances.
     """
-    key = inst.canonical_key()
-    if use_cache and key in _MULT_CACHE:
-        _MULT_CACHE.move_to_end(key)
-        return _MULT_CACHE[key]
+    if use_cache:
+        key = inst.canonical_key()
+        if key in _MULT_CACHE:
+            _MULT_CACHE.move_to_end(key)
+            return _MULT_CACHE[key]
     inst.check_dimension()
     if inst.d == 0:
         gens, field = _dim_zero_generators(inst), inst.base
@@ -574,15 +606,17 @@ class Membership:
 
     decided_by is "in-ideal" when h lies in J + I, "point-length" when the
     colength point_length at the hashed point (over QQ, that of the residues
-    mod 2^31 - 1) was below e, and "multiplicity"
-    when e_extended = e(J + (h)) was computed.  modp_stats sums the mod-p
-    counters of the multiplicity and point runs made, in a ModpStats of its
-    own.
+    mod 2^31 - 1) was below e, "integral-equation" when h^2 lies in
+    J(J + (h)) + I, and "multiplicity" when e_extended = e(J + (h)) was
+    computed.  element is h as printed, modp_stats sums the mod-p counters of
+    the multiplicity, point and integral-equation runs made, in a ModpStats
+    of its own.
     """
 
     member: bool
     e: int
     decided_by: str
+    element: str
     modp_stats: ModpStats
     point_length: int | None = None
     e_extended: int | None = None
@@ -624,6 +658,26 @@ def _in_ideal(ideal_dual, h):
     )
 
 
+def _integral_equation(inst, h, stats):
+    """Whether h^2 lies in L = J(J + (h)) + I, decided on the complete
+    inverse system of L over the base field (see the module docstring).
+    The generators of L are g_i g_j for i <= j, g_i h and those of I; False
+    when a product's term bound (``exprparse.bound_product``) or the caps
+    end the run, or L is not m-primary.  J's generators and h are
+    polynomials over the base field."""
+    js = inst.j_gens
+    pairs = [(a, b) for i, a in enumerate(js) for b in js[i:]]
+    pairs += [(g, h) for g in js] + [(h, h)]
+    try:
+        for a, b in pairs:
+            bound_product(a, b, inst.caps.max_terms)
+        *gens, square = (a * b for a, b in pairs)
+        dual = compute_dual_basis(gens + list(inst.i_gens), inst.order, inst.caps, stats=stats)
+    except (CapExceeded, NotZeroDimensional):
+        return False
+    return _in_ideal(_inverse_system(dual), square)
+
+
 def membership(inst, h):
     """Membership of h in the integral closure of J (see the module docstring).
 
@@ -632,20 +686,26 @@ def membership(inst, h):
     other than the caps and a non m-primary ideal propagate.
     """
     res = multiplicity(inst)
-    if isinstance(h, SparsePoly) and h.field == inst.base:
+    element = generator_to_str(h, inst.var_names)
+    polynomial = isinstance(h, SparsePoly) and h.field == inst.base
+    if polynomial:
         ideal_dual = _ideal_dual(res, inst.caps)
         if ideal_dual is not None and _in_ideal(ideal_dual, h):
             stats = dataclasses.replace(res.modp_stats)
-            return Membership(True, res.e, "in-ideal", stats)
-    ext = inst.with_extra_generator(h)
+            return Membership(True, res.e, "in-ideal", element, stats)
+    ext = inst.with_extra_generator(h, element)
     point_stats = ModpStats()
     length = _point_length(ext, res.e, point_stats)
     stats = res.modp_stats + point_stats
     if length is not None and length < res.e:
-        return Membership(False, res.e, "point-length", stats, point_length=length)
+        return Membership(False, res.e, "point-length", element, stats, point_length=length)
+    if polynomial and all(isinstance(g, SparsePoly) for g in inst.j_gens):
+        if _integral_equation(inst, h, stats):
+            return Membership(True, res.e, "integral-equation", element, stats)
     res2 = multiplicity(ext)
     return Membership(
-        res.e == res2.e, res.e, "multiplicity", stats + res2.modp_stats, e_extended=res2.e
+        res.e == res2.e, res.e, "multiplicity", element, stats + res2.modp_stats,
+        e_extended=res2.e,
     )
 
 

@@ -352,9 +352,12 @@ def _reaches(root, cls):
     return False
 
 
-def test_results_do_not_keep_the_run_memo(glex):
+def test_results_do_not_keep_the_run_memo(monkeypatch, glex):
     """The memo lives as long as its run: no DualBasisResult, and no cached
-    MultiplicityResult, after member queries too, holds one."""
+    MultiplicityResult, after member queries too, holds one.  The
+    integral-equation check is turned off, so that the member x*y takes the
+    K(t) run of J + (h)."""
+    monkeypatch.setattr(reduction, "_integral_equation", lambda inst, h, stats: False)
     ff = FunctionField(QQ, ("a", "b"))
     state = DualBasisState(example1_gens(ff), glex, DEFAULT_CAPS)
     assert _reaches(state, RunMemo)  # the walk does find a memo that is kept
@@ -692,6 +695,59 @@ def test_every_parameter_step_matches_a_fresh_solve(glex):
         assert stats.accepted_by_support == len(state.elements)
         steps[field.char] = steps.get(field.char, 0) + stats.dispatched
     assert min(steps.values()) >= 40, steps
+
+
+def _rejected_column_sets(monkeypatch):
+    """Record the column set (tau0 and its candidates) of every rejected
+    K(t) step, one list per run, keyed by the run's state (kept alive, so
+    that no two runs share a key)."""
+    runs = {}
+    real = matlis._parameter_kernel
+
+    def recording(state, gamma):
+        vec = real(state, gamma)
+        if vec is None:
+            runs.setdefault(state, []).append(frozenset(gamma))
+        return vec
+
+    monkeypatch.setattr(matlis, "_parameter_kernel", recording)
+    return runs
+
+
+def _chain_pairs(runs):
+    """The number of consecutive rejected steps; AssertionError unless each
+    step's column set contains the one before it."""
+    pairs = 0
+    for sets in runs.values():
+        for before, after in zip(sets, sets[1:]):
+            assert before <= after, sorted(before - after)
+            pairs += 1
+    return pairs
+
+
+def test_rejected_column_sets_form_a_chain(monkeypatch, glex):
+    """Over K(t), the candidate set C never loses a term and a rejected tau0
+    is a candidate of every later step, so each rejected step's columns
+    contain those of the rejected step before it: on the fixtures and on
+    seeded ideals over QQ(t), GF(32003)(t) and GF(3)(t)."""
+    runs = _rejected_column_sets(monkeypatch)
+    for name in FIXTURE_NAMES:
+        inst = load_instance(name)[0]
+        if inst.d:
+            multiplicity(inst, use_cache=False)
+    fixture_pairs = _chain_pairs(runs)
+    runs.clear()
+    rng = random.Random(73)
+    caps = ResourceCaps(max_terms=400, max_degree=16, max_iterations=400)
+    for trial in range(36):
+        field = FunctionField((QQ, GF(32003), GF(3))[trial % 3], ("a", "b"))
+        a, b = field.param("a"), field.param("b")
+        one = field.one()
+        pool = [a, b, a + one, a * b - one, field.from_int(2) * b, a * a]
+        state = DualBasisState(_random_parameter_gens(rng, field, pool), glex, caps)
+        while not state.done():
+            step(state)
+    assert fixture_pairs >= 20 and _chain_pairs(runs) >= 60
 
 
 P = DEFAULT_PRIMES[0]

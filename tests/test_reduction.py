@@ -392,6 +392,8 @@ def _check_membership(inst, h):
     assert got.member == (e == e2)
     if got.decided_by == "point-length":
         assert got.point_length < e and got.e_extended is None
+    elif got.decided_by == "integral-equation":
+        assert got.member and got.point_length is None and got.e_extended is None
     else:
         assert got.decided_by == "multiplicity"
         assert got.e_extended == e2 and got.point_length is None
@@ -445,11 +447,12 @@ def test_membership_agrees_with_multiplicities(
 def test_membership_in_a_quotient_ring(example3, h):
     got = _check_membership(example3, make_poly(QQ, 3, {h: 1}))
     # x*y lies in J, and y^3 in J + I (I = (x^2 + y^3 + z^4)) but not in J;
-    # the other monomials lie outside J + I and take a run of J + (h)
+    # the other monomials lie outside J + I: x*z is proven integral by
+    # (xz)^2 = x^2 z^2 in J^2, and the rest are refuted at the point
     if h in ((1, 1, 0), (0, 3, 0)):
         assert got.decided_by == "in-ideal"
     else:
-        assert got.decided_by == ("multiplicity" if got.member else "point-length")
+        assert got.decided_by == ("integral-equation" if got.member else "point-length")
 
 
 @pytest.mark.parametrize(
@@ -483,7 +486,10 @@ def test_membership_falls_back_at_a_degenerate_point(
 
     monkeypatch.setattr(reduction, "compute_dual_basis", recording)
     got = _check_membership(inst, make_poly(QQ, 2, h))
-    assert (got.member, got.decided_by) == (member, "multiplicity")
+    # the member xy is proven by (xy)^2 = x^2 y^2 in J^2
+    assert (got.member, got.decided_by) == (
+        member, "integral-equation" if member else "multiplicity"
+    )
     # (budget, length) of the finished point runs
     assert [r for r in runs if r[0] is not None] == point_runs
 
@@ -522,6 +528,98 @@ def test_members_of_j_skip_the_run_over_k_t(char, ideal, h):
     got = membership(inst, parse_member_expression(h, inst))
     assert (got.member, got.decided_by, got.e) == (True, "in-ideal", 16)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "char, ideal, h",
+    [
+        # (x^2 y^2)^2 = x^4 y^4 lies in J^2, so h is integral; its K(t) run
+        # of J + (h) (four parameters, e = 16) did not finish in 30 s
+        (0, ["x^4", "y^4", "-x^3*y"],
+         "x^4 - x^3*y + y^4 + 3*x^3*y^2 + x^4*y^2 - 2*x^2*y^4 + 2*x^4*y^3 - x^3*y^4"
+         " + x^2*y^2"),
+        # the same over GF(32003), with six parameters
+        (32003, ["x^4", "y^4", "3*x*y^3", "3*x*y^3"], "x^4 + 2*y^4 + x*y^3 + x^5*y + x^2*y^2"),
+    ],
+)
+def test_members_outside_j_are_proven_by_an_integral_equation(char, ideal, h):
+    import time
+
+    from hsmult.instance import parse_member_expression
+
+    payload = {"characteristic": char, "variables": ["x", "y"], "ideal": ideal, "dim": 2}
+    inst, _ = parse_instance(json.dumps(payload))
+    start = time.perf_counter()
+    got = membership(inst, parse_member_expression(h, inst))
+    assert (got.member, got.decided_by, got.e) == (True, "integral-equation", 16)
+    assert got.e_extended is None and got.point_length is None
+    assert time.perf_counter() - start < 1.0
+
+
+def _integral_draw(rng, field, names, quotient):
+    """(J, h): pure powers x^a and y^b, sometimes one more term inside the
+    box, and h one or two terms strictly inside it (over the quotient ring
+    possibly times z), sometimes plus an element of J.  A term x^i y^j with
+    i/a + j/b >= 1 is integral over (x^a, y^b); x^2 y over (x^3, y^3) is,
+    but (x^2 y)^2 is not in J(J + (h))."""
+    n = len(names)
+    a, b = rng.randint(2, 3), rng.randint(2, 3)
+
+    def mono(i, j, k=0):
+        return (i, j, k)[:n]
+
+    gens = [make_poly(field, n, {mono(a, 0): rng.choice([1, 2, -1])}),
+            make_poly(field, n, {mono(0, b): 1})]
+    if rng.random() < 0.3:
+        gens.append(make_poly(field, n, {mono(rng.randint(1, a), rng.randint(1, b)): 2}))
+    if quotient and rng.random() < 0.3:
+        # z = q(x, y) in R, so this is x (q(x, y) + x^a)
+        gens.append(make_poly(field, n, {mono(1, 0, 1): 1, mono(a + 1, 0): 1}))
+    box = [(i, j) for i in range(a) for j in range(b) if i + j]
+    h = {}
+    for _ in range(rng.randint(1, 2)):
+        u = mono(*rng.choice(box), int(quotient and rng.random() < 0.3))
+        h[u] = rng.choice([1, 2, -3])
+    h = make_poly(field, n, h)
+    if rng.random() < 0.2:
+        h = h + gens[0] * make_poly(field, n, {mono(0, 1): 1})
+    return tuple(gens), h
+
+
+@pytest.mark.parametrize("ring", ["QQ", "GF3", "GF32003", "quotient"])
+def test_integral_equation_verdicts_agree_with_multiplicities(monkeypatch, ring):
+    """With the point run turned off, non-members reach the integral-equation
+    path too: every member it proves has e(J + (h)) = e(J), and every query
+    it passes on gets the verdict of the K(t) run of J + (h).  The quotient
+    ring is R = S/(z - q(x, y)) over QQ, of dimension 2."""
+    from hsmult import reduction
+
+    monkeypatch.setattr(reduction, "_point_length", lambda ext, budget, stats: None)
+    field = {"QQ": QQ, "GF3": GF(3), "GF32003": GF(32003), "quotient": QQ}[ring]
+    quotient = ring == "quotient"
+    names = ("x", "y", "z") if quotient else ("x", "y")
+    rng = random.Random(f"integral-equation-{ring}")
+    counts = {"integral-equation": 0, "multiplicity": 0, "in-ideal": 0}
+    for _ in range(40):
+        gens, h = _integral_draw(rng, field, names, quotient)
+        i_gens = ()
+        if quotient:
+            q = {(2, 0, 0): rng.randint(1, 3), (1, 1, 0): rng.randint(-1, 1), (0, 0, 1): -1}
+            i_gens = (make_poly(field, 3, {e: c for e, c in q.items() if c}),)
+        inst = ProblemInstance(
+            base=field, nvars=len(names), var_names=names, i_gens=i_gens, j_gens=gens, d=2
+        )
+        got = membership(inst, h)
+        counts[got.decided_by] += 1
+        if got.decided_by == "in-ideal":
+            continue
+        e2 = multiplicity(inst.with_extra_generator(h), use_cache=False).e
+        if got.decided_by == "integral-equation":
+            assert got.member and e2 == got.e, (gens, h)
+        else:
+            assert got.decided_by == "multiplicity"
+            assert (got.member, got.e_extended) == (e2 == got.e, e2), (gens, h)
+    assert counts["integral-equation"] >= 3 and counts["multiplicity"] >= 3, counts
 
 
 def _mixed_generators(rng, gens):
@@ -647,7 +745,8 @@ def test_a_budgeted_dual_basis_is_never_read(glex):
         base=QQ, nvars=2, var_names=("x", "y"), i_gens=(), j_gens=(xy, g), d=2, order=glex
     )
     got = _check_membership(inst, x2)
-    assert (got.member, got.decided_by) == (True, "multiplicity")
+    # x^4 = x^2 (x^2 - y^2) + (xy)^2 lies in J^2
+    assert (got.member, got.decided_by) == (True, "integral-equation")
 
 
 def test_dim_zero_contract(glex, P):
@@ -943,17 +1042,27 @@ def test_point_lengths_mod_p_match_qq(glex):
         (["x^2", f"{P}*y^2"], "x*y", True),
     ],
 )
-def test_membership_mod_p_falls_back_to_the_run_over_k_t(glex, ideal, h, member):
+def test_membership_mod_p_falls_back_to_the_run_over_k_t(monkeypatch, glex, ideal, h, member):
     """Where the residues mod P give no point colength below e(J), the run
-    over K(t) decides, with the right verdict."""
+    over K(t) decides, with the right verdict.  The integral-equation check
+    is turned off so that the K(t) run is reached; with it on, the members
+    are proven by it."""
+    from hsmult import reduction
+
     names = ("x", "y")
     inst = ProblemInstance(
         base=QQ, nvars=2, var_names=names, i_gens=(),
         j_gens=tuple(parse_generator(g, QQ, names) for g in ideal), d=2, order=glex,
     )
-    got = membership(inst, parse_generator(h, QQ, names))
+    element = parse_generator(h, QQ, names)
+    with_check = membership(inst, element)
+    monkeypatch.setattr(reduction, "_integral_equation", lambda inst, h, stats: False)
+    got = membership(inst, element)
     assert (got.member, got.e, got.decided_by, got.point_length) == (
         member, 4, "multiplicity", None
+    )
+    assert (with_check.member, with_check.decided_by) == (
+        (True, "integral-equation") if member else (False, "multiplicity")
     )
 
 
@@ -996,6 +1105,25 @@ def test_reports_of_one_instance_share_their_matlist_rows():
     for a, b in zip(first["matlist"], second["matlist"]):
         assert a is b
         assert all(ra is rb for ra, rb in zip(a, b))
+
+
+def test_equal_member_reports_are_one_dict():
+    from hsmult.cli import run_command
+
+    reports = []
+    for expr in ("x", "x", "x*z", "x*z"):
+        inst, options = load_instance("example3.json")
+        reports.append(run_command("member", inst, options, expr)[0])
+    assert reports[0] is reports[1] and reports[2] is reports[3]
+    with pytest.raises(TypeError):
+        reports[0]["member"] = True
+    assert reports[0] == {
+        "element": "x", "e": 10, "member": False, "decided_by": "point-length",
+        "point_length": 6,
+    }
+    assert reports[2] == {
+        "element": "x*z", "e": 10, "member": True, "decided_by": "integral-equation",
+    }
 
 
 def test_shared_matlist_table_stays_within_its_bound(monkeypatch):
