@@ -18,9 +18,8 @@ class NonUnitDenominator(HsmultError):
 
 
 class DenominatorVanishes(HsmultError):
-    """A coefficient's denominator vanishes at the requested parameter point.
-
-    Signals a non-generic specialization point.
+    """A coefficient's denominator vanishes at the requested parameter point:
+    over QQ, the prime of a mod-p point divides its integer denominator.
     """
 
     def __init__(self, coefficient, point):

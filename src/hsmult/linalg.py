@@ -1,7 +1,9 @@
 """Exact rank and kernel computation over any field of the scalar tower.
 
-A function-field matrix is read through its ``grid``: every row cleared of
-denominators once into parameter polynomials.  Elimination on the grid is
+A parameter-ring matrix is read through its ``grid``: every row times the
+integer lcm of its denominators, once, into parameter polynomials (over QQ
+an input coefficient like 1/2 is the only denominator; in characteristic p
+there is none).  Elimination on the grid is
 fraction-free (Bareiss-style two-term cross products, stripping the full
 content of every updated row, which keeps entry degrees linear in the pivot
 count), and so is back-substitution.  Columns are taken left to right; the
@@ -90,7 +92,7 @@ class ExactMatrix:
     def grid(self):
         """Function-field rows as parameter polynomials, cleared on first use.
 
-        Each grid row is the entry row times a nonzero polynomial, so ranks and
+        Each grid row is the entry row times a positive int, so ranks and
         kernels read the grid in place of the rows.
         """
         field, ncols = self.field, self.ncols
@@ -352,8 +354,8 @@ def nonsingular_at(M, values):
 
     ``values`` holds one plain number per parameter of M's field (see
     ``scalars.pp_eval_rows``).  Each grid row is the entry row times a
-    polynomial (1 for a MatList matrix, whose grid is its entries), so this is
-    the entry-wise specialization wherever those polynomials do not vanish.
+    positive int (1 in characteristic p and for a MatList matrix, whose grid
+    is its entries), so this is the entry-wise specialization.
     """
     p = M.field.char
     return len(_eliminate(pp_eval_rows(M.grid, values, p), M.ncols, p)) == M.ncols

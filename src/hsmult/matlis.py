@@ -40,17 +40,19 @@ the image is a nonzero minor over K(t).  An image that reduces to zero
 gives the support S of the image's kernel vector; the exact ``kernel`` of
 the matrix on the columns of S is the step's vector, since the image has
 rank |S| - 1 there, which bounds the exact nullity by 1.  A candidate image
-that is dependent, a coefficient whose denominator vanishes at the point,
-or a support solve with no vector leaves the span: that step and every
-later one of the run go to ``modp.kernel_via_modp`` on the whole matrix.
+that is dependent, over QQ a coefficient whose integer denominator the
+run's prime divides, or a support solve with no vector leaves the span: that
+step and every later one of the run go to ``modp.kernel_via_modp`` on the
+whole matrix.
 So ``build_matrix`` runs over K(t) for the support solves, for the
 rejected steps whose matrices the certificate keeps, and after a run has
 left its span.
 
 The accepted xi's and staircase terms together form a K-basis of the dual
 module, so the basis size is the colength of <F>.  An accepted xi is kept as
-the kernel vector that found it; ``xis`` and ``basis()`` scale it to leading
-coefficient 1 only when read, so the loop itself never normalizes.
+the kernel vector that found it, and ``xis`` and ``basis()`` read it as is:
+over a base field it is 1 at its leading term (the span's coordinates), and
+over K[t] it is the primitive polynomial vector of the kernel contract.
 
 On a parameter field, the leading-coefficient numerators of accepted xi's and
 the rejected matrices are retained: they are the genericity certificate used
@@ -155,8 +157,8 @@ class RunMemo:
     generator's terms are exact up to the degree it was last truncated at, and
     a column needs the terms of degree at most |tau| only, so a column stays
     exact once made.  Each coefficient is evaluated at the point once; should
-    a denominator vanish there, the memo keeps the error in ``vanished`` and
-    evaluates no more.
+    the point's prime divide an integer denominator (over QQ), the memo keeps
+    the error in ``vanished`` and evaluates no more.
     """
 
     __slots__ = (
@@ -314,12 +316,9 @@ class _DualBasis:
 
     @property
     def xis(self):
-        """The accepted xi's in acceptance order, each monic at its leading term."""
-        one = self.field.one()
-        return [
-            eta.scale(one / eta.coeffs[lt])
-            for eta, lt in zip(self.elements, self.accepted_lts)
-        ]
+        """The accepted xi's in acceptance order, as found: 1 at the leading
+        term over a base field, primitive over K[t]."""
+        return list(self.elements)
 
     def basis(self):
         """T1 terms ascending in the order, then xi's in acceptance order."""

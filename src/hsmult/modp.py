@@ -3,9 +3,10 @@
 A composition-series run over a parameter field decides its steps at one
 point (``point_span``): ``matlis`` keeps the images of its candidate columns
 there in a ``linalg.ColumnSpan`` over the point field, from each generator
-coefficient's image (``coefficient_images``).  Evaluation at a point is a
-ring map, so it can only lower the rank: a column independent of the others
-at the point is independent over K(t).
+coefficient's image (``coefficient_images``): its numerator's image, over
+QQ times the inverse of its integer denominator mod p.  Evaluation at a
+point is a ring map, so it can only lower the rank: a column independent of
+the others at the point is independent over K(t).
 
 ``kernel_via_modp`` decides a whole matrix, for the runs that leave their
 span and for the public API.  It tries up to three points (one per prime of
@@ -279,24 +280,23 @@ def point_span(ff):
 
 
 def coefficient_images(coeffs, point):
-    """Function-field scalars at a point (prime, values), each as the
+    """Parameter-ring scalars at a point (prime, values), each as the
     ``linalg.ColumnSpan`` over the point field holds it: an int in [0, p),
     or over GF(q) its logarithm (see ``_Extension``); None for zero.
-    DenominatorVanishes when a denominator vanishes at the point."""
+    DenominatorVanishes when, over QQ, the prime divides an integer
+    denominator."""
     p, values = point
     F = _point_field(p)
-    rows = [(a.num, a.den) for a in coeffs]
+    nums = [[a.num for a in coeffs]]
+    if F is not None:  # characteristic p: every denominator is 1
+        return [None if v == 0 else F.log[v] for v in F.eval_rows(nums, values)[0]]
     out = []
-    images = pp_eval_rows(rows, values, p) if F is None else F.eval_rows(rows, values)
-    for (num, den), a in zip(images, coeffs):
-        if not den:
-            raise DenominatorVanishes(str(a), point)
-        if not num:
-            out.append(None)
-        elif F is None:
-            out.append(num * pow(den, -1, p) % p)
-        else:
-            out.append((F.log[num] - F.log[den]) % F.m)
+    for num, a in zip(pp_eval_rows(nums, values, p)[0], coeffs):
+        if a.den != 1:
+            if not a.den % p:
+                raise DenominatorVanishes(str(a), point)
+            num = num * pow(a.den, -1, p) % p
+        out.append(num or None)
     return out
 
 

@@ -9,8 +9,10 @@ serialize identically.
 
 from __future__ import annotations
 
-from .errors import DenominatorVanishes, RingMismatch
-from .scalars import FunctionField, pp_key, terms_to_str
+import math
+
+from .errors import RingMismatch
+from .scalars import FunctionField, pp_key, pp_scale, terms_to_str
 
 
 def exp_add(a, b):
@@ -191,11 +193,10 @@ def lift_poly(p, ff):
 
 
 def substitute_params(p, assignment):
-    """Evaluate each K(t)-coefficient of p at a parameter point.
+    """Evaluate each K[t]-coefficient of p at a parameter point.
 
     ``assignment`` maps parameter names to base-field scalars and must cover
-    every parameter of the coefficient field.  Raises DenominatorVanishes when
-    the point is non-generic for some coefficient.
+    every parameter of the coefficient field.
     """
     ff = p.field
     if not isinstance(ff, FunctionField):
@@ -214,22 +215,16 @@ def substitute_params(p, assignment):
 
 
 def clear_row_denominators(field, cells, ncols):
-    """Scale a row of function-field scalars to polynomial (denominator 1) form.
+    """Scale a row of parameter-ring scalars to polynomial (denominator 1) form.
 
     The row has ncols cells and is given by its nonzero ones, as a
     collection of (column, scalar) pairs.  Returns the tuple of numerator
-    ppoly dicts after multiplying the row by the lcm of the denominators;
-    every zero entry is the row's one empty dict.  Kernels and ranks are
-    invariant under this.
+    ppoly dicts after multiplying the row by the integer lcm of the
+    denominators (1 in characteristic p); every zero entry is the row's one
+    empty dict.  Kernels and ranks are invariant under this.
     """
-    from .scalars import pp_const, pp_divexact, pp_lcm, pp_mul
-
-    char = field.char
-    lcm = pp_const(1, len(field.params), char)
-    for _, a in cells:
-        if a.den != lcm:
-            lcm = pp_lcm(lcm, a.den, char)
+    lcm = math.lcm(*(a.den for _, a in cells))
     out = [{}] * ncols
     for k, a in cells:
-        out[k] = a.num if a.den == lcm else pp_mul(a.num, pp_divexact(lcm, a.den, char), char)
+        out[k] = a.num if a.den == lcm else pp_scale(a.num, lcm // a.den, field.char)
     return tuple(out)

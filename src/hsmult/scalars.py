@@ -1,22 +1,25 @@
-"""Exact scalar tower: rationals, prime fields, and rational functions in parameters.
+"""Exact scalar tower: rationals, prime fields, and polynomials in parameters.
 
 Coefficient fields come in three layers:
 
 * ``QQ`` -- exact rationals, elements are ``fractions.Fraction``;
 * ``GF(p)`` -- prime fields, elements are ``GFElement``;
-* ``FunctionField(base, params)`` -- rational functions in a fixed tuple of
-  parameter names over either base, elements are ``RationalFunction``.
+* ``FunctionField(base, params)`` -- the parameter ring K[t] in a fixed
+  tuple of parameter names over either base, elements are
+  ``RationalFunction``.  The engine works over K(t), but every scalar it
+  builds there is a parameter polynomial, and nothing divides by one.
 
 Parameter polynomials are plain dicts ``{exponent tuple: coefficient}`` with
 integer coefficients (reduced to ``[1, p-1]`` in characteristic p) and no zero
 entries.  Each convention the PolyList/MatList strings rest on has one owner
 here: the term order ``pp_key``, the unit ``pp_unit``, the primitive row
 ``pp_primitive_row`` (kernel vectors and MatList rows) and the term printer
-``terms_to_str`` (``pp_to_str`` and ``poly.SparsePoly.to_str``).  Rational
-functions are kept canonical: numerator and denominator coprime
-(multivariate gcd, integer content included), both times the unit of the
-denominator.  This makes equality a dict comparison and certificate output
-reproducible.
+``terms_to_str`` (``pp_to_str`` and ``poly.SparsePoly.to_str``).  A
+``RationalFunction`` is num/den with num a parameter polynomial and den a
+positive int coprime to num's integer content (1 in characteristic p), so
+over QQ an input coefficient like 1/2 keeps its value.  Division is by
+nonzero constants only, the units of K[t].  Equality is a dict comparison,
+and certificate output is reproducible.
 ``pp_eval_rows`` is the one evaluator of parameter polynomials at a point
 of QQ or GF(p); ``modp`` evaluates them at points of GF(p^k).
 """
@@ -28,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .errors import DenominatorVanishes, RingMismatch
+from .errors import RingMismatch
 
 # ---------------------------------------------------------------------------
 # parameter polynomials (internal representation)
@@ -308,13 +311,6 @@ def pp_gcd(a, b, char):
     return _pp_unit_normalize(g, char)
 
 
-def pp_lcm(a, b, char):
-    if not a or not b:
-        return {}
-    g = pp_gcd(a, b, char)
-    return pp_mul(a, pp_divexact(b, g, char), char)
-
-
 def pp_eval_rows(rows, values, p):
     """Rows of parameter polynomials at a point, as new lists of plain numbers:
     ints in [0, p) over GF(p); over QQ (p == 0) a Fraction, or the int 0.
@@ -517,37 +513,26 @@ def GF(p):
 
 
 # ---------------------------------------------------------------------------
-# rational functions
+# the parameter ring K[t]
 # ---------------------------------------------------------------------------
 
 
 class RationalFunction:
-    """Canonical fraction num/den of parameter polynomials over a base field."""
+    """An element num/den of the parameter ring K[t]: num a parameter
+    polynomial, den a positive int coprime to num's integer content, and 1
+    in characteristic p.  A constant is the only divisor."""
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, num, den, _canonical=False):
-        if _canonical:
-            self.field = field
-            self.num = num
-            self.den = den
-            return
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        char = field.char
-        r = len(field.params)
-        if not num:
-            self.field = field
-            self.num = {}
-            self.den = pp_const(1, r, char)
-            return
-        g = pp_gcd(num, den, char)
-        if g != pp_const(1, r, char):
-            num = pp_divexact(num, g, char)
-            den = pp_divexact(den, g, char)
-        u = pp_unit(den, char)
-        if u != 1:
-            num, den = pp_scale(num, u, char), pp_scale(den, u, char)
+    def __init__(self, field, num, den=1):
+        if den != 1:
+            if not den:
+                raise ZeroDivisionError("zero denominator")
+            g = math.gcd(den, *num.values())
+            if den < 0:
+                g = -g
+            num = {e: c // g for e, c in num.items()} if g != 1 else num
+            den //= g
         self.field = field
         self.num = num
         self.den = den
@@ -559,10 +544,10 @@ class RationalFunction:
     def __add__(self, other):
         self._check(other)
         ch = self.field.char
-        num = pp_add(
-            pp_mul(self.num, other.den, ch), pp_mul(other.num, self.den, ch), ch
-        )
-        return RationalFunction(self.field, num, pp_mul(self.den, other.den, ch))
+        den = math.lcm(self.den, other.den)
+        a = self.num if den == self.den else pp_scale(self.num, den // self.den, ch)
+        b = other.num if den == other.den else pp_scale(other.num, den // other.den, ch)
+        return RationalFunction(self.field, pp_add(a, b, ch), den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -571,26 +556,26 @@ class RationalFunction:
         self._check(other)
         ch = self.field.char
         return RationalFunction(
-            self.field,
-            pp_mul(self.num, other.num, ch),
-            pp_mul(self.den, other.den, ch),
+            self.field, pp_mul(self.num, other.num, ch), self.den * other.den
         )
 
     def __truediv__(self, other):
+        """Division by a nonzero constant, a unit of K[t]; ArithmeticError
+        for any other divisor."""
         self._check(other)
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
+        c = other.num.get((0,) * len(self.field.params))
+        if c is None or len(other.num) > 1:
+            raise ArithmeticError("division by a non-constant parameter polynomial")
         ch = self.field.char
-        return RationalFunction(
-            self.field,
-            pp_mul(self.num, other.den, ch),
-            pp_mul(self.den, other.num, ch),
-        )
+        if ch:
+            return RationalFunction(self.field, pp_scale(self.num, _modinv(c, ch), ch))
+        num = self.num if other.den == 1 else pp_scale(self.num, other.den, 0)
+        return RationalFunction(self.field, num, self.den * c)
 
     def __neg__(self):
-        return RationalFunction(
-            self.field, pp_neg(self.num, self.field.char), self.den, _canonical=True
-        )
+        return RationalFunction(self.field, pp_neg(self.num, self.field.char), self.den)
 
     def __eq__(self, other):
         return (
@@ -604,43 +589,34 @@ class RationalFunction:
         return bool(self.num)
 
     def __hash__(self):
-        return hash(
-            (self.field, frozenset(self.num.items()), frozenset(self.den.items()))
-        )
+        return hash((self.field, frozenset(self.num.items()), self.den))
 
     def evaluate(self, values):
         """Evaluate at base-field scalars, one per parameter of the field."""
         base = self.field.base
         p = base.char
         point = [v.v for v in values] if p else values
-        num, den = pp_eval_rows(((self.num, self.den),), point, p)[0]
-        if not den:
-            raise DenominatorVanishes(str(self), values)
-        return base.from_int(num * pow(den, -1, p)) if p else num / den
+        ((num,),) = pp_eval_rows(((self.num,),), point, p)
+        return base.from_int(num) if p else Fraction(num, self.den)
 
     def __repr__(self):
         return self.field.to_str(self)
 
 
 class FunctionField:
-    """Rational functions in a fixed ordered tuple of parameter names."""
+    """The parameter ring K[t] in a fixed ordered tuple of parameter names;
+    the name is the field of fractions the paper works over."""
 
     def __init__(self, base, params):
         self.base = base
         self.params = tuple(params)
         self.char = base.char
-        # the denominator of every from_ppoly polynomial, shared; never mutated
-        self._unit = pp_const(1, len(self.params), self.char)
 
     def zero(self):
-        return RationalFunction(self, {}, pp_const(1, len(self.params), self.char))
+        return RationalFunction(self, {})
 
     def one(self):
-        return RationalFunction(
-            self,
-            pp_const(1, len(self.params), self.char),
-            pp_const(1, len(self.params), self.char),
-        )
+        return RationalFunction(self, pp_const(1, len(self.params), self.char))
 
     def from_int(self, n):
         return self.lift(self.base.from_int(n))
@@ -649,33 +625,21 @@ class FunctionField:
         """Embed a base-field scalar."""
         r = len(self.params)
         if self.char:
-            return RationalFunction(
-                self, pp_const(a.v, r, self.char), pp_const(1, r, self.char)
-            )
-        return RationalFunction(
-            self,
-            pp_const(a.numerator, r, 0),
-            pp_const(a.denominator, r, 0),
-            _canonical=True,
-        )
+            return RationalFunction(self, pp_const(a.v, r, self.char))
+        return RationalFunction(self, pp_const(a.numerator, r, 0), a.denominator)
 
     def param(self, name):
         i = self.params.index(name)
-        r = len(self.params)
-        e = tuple(1 if j == i else 0 for j in range(r))
-        return RationalFunction(self, {e: 1}, pp_const(1, r, self.char))
+        e = tuple(1 if j == i else 0 for j in range(len(self.params)))
+        return RationalFunction(self, {e: 1})
 
-    def from_ppoly(self, num, den=None):
-        """num/den made canonical; with no den, num is taken as is (no gcd)."""
-        if den is None:
-            return RationalFunction(self, num, self._unit, _canonical=True)
-        return RationalFunction(self, num, den)
+    def from_ppoly(self, num):
+        """The parameter polynomial num, taken as is."""
+        return RationalFunction(self, num)
 
     def to_str(self, a):
         num = pp_to_str(a.num, self.params)
-        if a.den == pp_const(1, len(self.params), self.char):
-            return num
-        return f"({num})/({pp_to_str(a.den, self.params)})"
+        return num if a.den == 1 else f"({num})/({a.den})"
 
     def __eq__(self, other):
         return (

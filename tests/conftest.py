@@ -9,7 +9,7 @@ import pytest
 from hsmult import MonomialOrder, SparsePoly
 from hsmult.instance import parse_instance
 from hsmult.reduction import clear_multiplicity_cache
-from hsmult.scalars import GFElement
+from hsmult.scalars import FunctionField, GFElement, pp_primitive_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,6 +33,18 @@ def plain(a):
     if isinstance(a, GFElement):
         return a.v
     return a or 0
+
+
+def is_kernel_vector(xi, lt):
+    """Whether a dual element is a vector of the kernel contract with its
+    leading term lt first: 1 there over a base field; over K[t] polynomials
+    that ``pp_primitive_row`` leaves as they are."""
+    field = xi.field
+    if not isinstance(field, FunctionField):
+        return xi.coeffs[lt] == field.one()
+    scalars = [xi.coeffs[lt]] + [c for e, c in xi.coeffs.items() if e != lt]
+    nums = [c.num for c in scalars]
+    return all(c.den == 1 for c in scalars) and pp_primitive_row(nums, field.char) == nums
 
 
 def naive_pp_eval(a, values, base):

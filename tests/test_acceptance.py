@@ -25,6 +25,7 @@ from hsmult import (
 from hsmult.matlis import DEFAULT_CAPS, DualBasisState, step
 from hsmult.oracles import INFINITE, monomial_length, monomial_multiplicity_fit
 from hsmult.reduction import generic_generators
+from tests.conftest import is_kernel_vector
 
 GLEX = MonomialOrder("glex")
 
@@ -38,13 +39,11 @@ def test_criterion_1_example1(example1):
     res = multiplicity(example1, use_cache=False)
     elapsed = time.perf_counter() - started
     assert res.e == 5
-    # accepted xi_1 equals a/x^4y - 1/x^2y^2 + b/xy^3 up to monic normalization
+    # accepted xi_1 is the paper's a/x^4y - 1/x^2y^2 + b/xy^3 as it is
     ff = res.field
     a, b = ff.param("t_1_3"), ff.param("t_2_3")
     assert res.xi_count == 1
-    xi = res.dual.xis[0]
-    rescaled = xi.scale(a)
-    assert rescaled.coeffs == {(3, 0): a, (1, 1): -ff.one(), (0, 2): b}
+    assert res.dual.elements[0].coeffs == {(3, 0): a, (1, 1): -ff.one(), (0, 2): b}
     # PolyList evaluation enforces a != 0
     assert res.polylist_strings() == ["t_1_3"]
     assert certify(((0,), (1,)), res) is False
@@ -186,6 +185,7 @@ def test_criterion_8_invariant_suite(
             ltn_before = state.ltn
             if step(state):  # kernel() inside raises on nullity > 1
                 xi = state.xis[-1]
+                assert is_kernel_vector(xi, state.accepted_lts[-1]), "xi not primitive"
                 for term in xi.terms():
                     assert not ltn_before.contains(term), "reduced form violated"
                 accepted_keys.append(order.key(leading(xi, order)[0]))
@@ -195,7 +195,7 @@ def test_criterion_8_invariant_suite(
             for eta in state.basis():
                 assert not act(f, eta), "basis element not annihilated"
         runs += 1
-    _passed(8, f"strict LT chain, reduced form, annihilation, nullity <= 1 on {runs} fixture runs")
+    _passed(8, f"strict LT chain, reduced form, primitive xi's, annihilation, nullity <= 1 on {runs} fixture runs")
 
 
 def test_criterion_9_finite_field(example1_gf):

@@ -8,17 +8,21 @@ content in ``pp_primitive`` and ``matlis.canonical_cleared_matrix``, the term
 printer in ``pp_to_str`` and ``SparsePoly.to_str``.  The copies below are
 those versions, kept verbatim apart from names, so that the one owner of each
 convention (``pp_unit``, ``pp_primitive_row``, ``terms_to_str``) is checked
-to give the same dicts, rows and strings.
+to give the same dicts, rows and strings.  Scalars of the parameter ring
+have int denominators, so the frozen ``RationalFunction`` normal form and
+the frozen ``pp_lcm`` row clearing are checked on constant denominators.
 """
 
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from hsmult import GF, QQ, FunctionField, RationalFunction, SparsePoly
 from hsmult.linalg import _strip_row_content
+from hsmult.poly import clear_row_denominators
 from hsmult.scalars import (
     _modinv,
     _pp_unit_normalize,
@@ -130,6 +134,27 @@ def _frozen_rational_function(field, num, den):
             num = pp_neg(num, 0)
             den = pp_neg(den, 0)
     return num, den
+
+
+def _frozen_pp_lcm(a, b, char):
+    if not a or not b:
+        return {}
+    g = pp_gcd(a, b, char)
+    return pp_mul(a, pp_divexact(b, g, char), char)
+
+
+def _frozen_clear_row_denominators(field, cells, ncols):
+    """``poly.clear_row_denominators`` as it was when denominators were
+    parameter polynomials, folded by ``pp_lcm``."""
+    char = field.char
+    lcm = pp_const(1, len(field.params), char)
+    for _, a in cells:
+        if a.den != lcm:
+            lcm = _frozen_pp_lcm(lcm, a.den, char)
+    out = [{}] * ncols
+    for k, a in cells:
+        out[k] = a.num if a.den == lcm else pp_mul(a.num, pp_divexact(lcm, a.den, char), char)
+    return tuple(out)
 
 
 def _frozen_pp_to_str(a, names):
@@ -270,21 +295,54 @@ def test_unit_and_primitive_forms_match_the_frozen_copies(char):
 
 @pytest.mark.parametrize("char", CHARS)
 def test_rational_functions_match_the_frozen_denominator_unit(char):
+    """Division by a constant, the only divisor of the parameter ring, and
+    the int denominator it leaves, against the frozen normal form of a
+    fraction over that constant."""
     rng = random.Random(1810 + char)
     negative = 0
     for _ in range(300):
         r = rng.randint(1, 3)
         field = FunctionField(GF(char) if char else QQ, ("a", "b", "c")[:r])
         num = _draw(rng, r, char)
-        den = _draw(rng, r, char, rng.choice(["constant", "term", "general"]))
+        den = _draw(rng, r, char, "constant")
         if not den:
             continue
-        negative += not char and pp_leading(den)[1] < 0
-        got = RationalFunction(field, num, den)
+        (c,) = den.values()
+        negative += c < 0
+        got = field.from_ppoly(num) / field.from_int(c)
         exp_num, exp_den = _frozen_rational_function(field, num, den)
         assert list(got.num.items()) == list(exp_num.items())
-        assert list(got.den.items()) == list(exp_den.items())
+        assert pp_const(got.den, r, char) == exp_den
+        if not char:
+            assert RationalFunction(field, num, c) == got
     assert char or negative >= 20
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_row_clearing_matches_the_frozen_lcm_clearing(char):
+    """Rows of scalars with int denominators (1 over GF(p)) clear to the
+    grid rows the pp_lcm clearing made of the same denominators as
+    constant polynomials."""
+    rng = random.Random(1830 + char)
+    cleared = 0
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        field = FunctionField(GF(char) if char else QQ, ("a", "b", "c")[:r])
+        ncols = rng.randint(1, 5)
+        cells = []
+        for k in range(ncols):
+            num = _draw(rng, r, char)
+            if num and rng.random() < 0.8:
+                den = 1 if char else rng.choice([1, 1, 2, 3, 4, 6, 10])
+                cells.append((k, field.from_ppoly(num) / field.from_int(den)))
+        as_polys = [
+            (k, SimpleNamespace(num=a.num, den=pp_const(a.den, r, char))) for k, a in cells
+        ]
+        got = clear_row_denominators(field, cells, ncols)
+        assert got == _frozen_clear_row_denominators(field, as_polys, ncols)
+        assert len({id(a) for a in got if not a}) <= 1
+        cleared += any(a.den != 1 for _, a in cells)
+    assert char or cleared >= 50
 
 
 @pytest.mark.parametrize("char", CHARS)
@@ -299,15 +357,16 @@ def test_pp_to_str_matches_the_frozen_copy(char):
 
 def _scalar_pool(field):
     """Coefficients for SparsePoly: 1 and -1, integers, and over QQ
-    fractions; over a function field rational functions whose text needs
-    parentheses."""
+    fractions; over a function field parameter polynomials (over QQ with
+    integer denominators) whose text needs parentheses."""
     pool = [field.one(), -field.one(), field.from_int(2), field.from_int(-7)]
     if field == QQ:
         pool += [Fraction(3, 4), Fraction(-1, 6), Fraction(12, 5)]
     if isinstance(field, FunctionField):
         a, b = field.param("a"), field.param("b")
         one = field.one()
-        pool += [a, -b, a + one, a * b - one, one / (a + b), -(a / (b + one)), a * a]
+        pool += [a, -b, a + one, a * b - one, (a + b) / field.from_int(2), -(a / field.from_int(5)),
+                 a * a]
     return pool
 
 

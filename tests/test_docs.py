@@ -1,5 +1,6 @@
 """README's lists of CLI flags and instance options match the program, and
-the README and the source name no code that is gone."""
+the README and the source name no code that is gone: a code span
+``module.name`` or ``Exported.attr`` must resolve."""
 
 import importlib
 import pkgutil
@@ -39,21 +40,25 @@ def test_readme_options_match_default_options():
 
 
 def _module_references(text, ticks):
-    """(module, name) for each code span, opened by ticks backticks, that
-    begins with an hsmult module name, a dot and a name."""
-    spans = re.findall(rf"(?<!`){ticks}([a-z_]+)\.([A-Za-z_]\w*)", text)
-    return [(m, n) for m, n in spans if m in MODULES]
+    """(owner, name) for each code span, opened by ticks backticks, that
+    begins with an hsmult module name or a name the package exports (a
+    class such as ``ExactMatrix``), a dot and a name."""
+    spans = re.findall(rf"(?<!`){ticks}([A-Za-z_]\w*)\.([A-Za-z_]\w*)", text)
+    return [(m, n) for m, n in spans if m in MODULES or m in hsmult.__all__]
+
+
+def _owner(m):
+    return importlib.import_module(f"hsmult.{m}") if m in MODULES else getattr(hsmult, m)
 
 
 def _unresolved(refs):
-    return [
-        f"{m}.{n}" for m, n in refs if not hasattr(importlib.import_module(f"hsmult.{m}"), n)
-    ]
+    return [f"{m}.{n}" for m, n in refs if not hasattr(_owner(m), n)]
 
 
 def test_readme_module_references_resolve():
     refs = _module_references(README, "`")
     assert len(refs) >= 6
+    assert len([m for m, _ in refs if m not in MODULES]) >= 2
     assert _unresolved(refs) == []
 
 

@@ -215,7 +215,11 @@ def _random_param_matrix(field, rng, nrows, ncols, squares=True):
     params = [field.param(name) for name in field.params]
     pool = [field.zero(), field.zero(), one, -one, field.from_int(2)] + params
     pool += [t + one for t in params] + [t * t - one for t in params if squares]
-    pool += [params[0] * params[-1], one / (params[0] + one)]
+    # over QQ a cell with an integer denominator; over GF(p) a polynomial
+    pool += [
+        params[0] * params[-1],
+        (params[0] + one) / field.from_int(2) if not field.char else params[0] * params[-1] + one,
+    ]
     return ExactMatrix(
         field,
         tuple(tuple(rng.choice(pool) for _ in range(ncols)) for _ in range(nrows)),
@@ -233,7 +237,7 @@ def _kernel_or_nullity(solve, M):
 def _annihilated_by_grid(M, v):
     """Every row of M's cleared grid times v is zero; v has denominator 1."""
     char = M.field.char
-    assert all(a.den == M.field.one().den for a in v)
+    assert all(a.den == 1 for a in v)
     for row in M.grid:
         acc = {}
         for a, b in zip(row, v):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmult import GF, QQ, DenominatorVanishes, FunctionField, RingMismatch
+from hsmult import GF, QQ, FunctionField, RationalFunction, RingMismatch
 from hsmult.scalars import (
     PRIME_CHECK_LIMIT,
     _as_uni,
@@ -20,7 +20,6 @@ from hsmult.scalars import (
     pp_divexact,
     pp_eval_rows,
     pp_gcd,
-    pp_lcm,
     pp_mul,
     pp_primitive,
     pp_to_str,
@@ -85,39 +84,45 @@ def test_mixed_prime_fields_rejected():
 
 def test_rational_function_canonical_form(ff):
     a, b = ff.param("a"), ff.param("b")
-    x = (a * a - b * b) / (a - b)
-    assert x == a + b
-    # denominator sign fixed: positive leading coefficient
-    y = ff.one() / (ff.from_int(2) - a)
-    assert y.den == {(1, 0): 1, (0, 0): -2}
-    assert y.num == {(0, 0): -1}
+    # an int denominator, positive and coprime to the numerator's content
+    x = (ff.from_int(4) * a + ff.from_int(6)) / ff.from_int(-8)
+    assert x.num == {(1, 0): -2, (0, 0): -3}
+    assert x.den == 4
+    y = ff.one() / ff.from_int(-2)
+    assert (y.num, y.den) == ({(0, 0): -1}, 2)
+    assert (x - x).den == 1
+    # only a constant divides
+    with pytest.raises(ArithmeticError, match="non-constant"):
+        (a * a - b * b) / (a - b)
+    with pytest.raises(ZeroDivisionError):
+        a / ff.zero()
 
 
 def test_rational_function_equality_representation_independent(ff):
     a, b = ff.param("a"), ff.param("b")
-    lhs = a / b + b / a
-    rhs = (a * a + b * b) / (a * b)
+    lhs = a / ff.from_int(2) + b / ff.from_int(3)
+    rhs = (ff.from_int(3) * a + ff.from_int(2) * b) / ff.from_int(6)
     assert lhs == rhs
     assert hash(lhs) == hash(rhs)
+    assert lhs == RationalFunction(ff, {(1, 0): 9, (0, 1): 6}, 18)
 
 
 def test_fraction_sum_recanonicalizes(ff):
-    # a/b + c/d == (ad + bc)/bd after normalization, on concrete entries
-    a, b = ff.param("a"), ff.param("b")
-    two = ff.from_int(2)
-    f1 = a / (b * b)
-    f2 = two / b
-    assert f1 + f2 == (a + two * b) / (b * b)
+    # a/4 + 3/6 == (a + 2)/4 after normalization, on concrete entries
+    a = ff.param("a")
+    f1 = a / ff.from_int(4)
+    f2 = ff.from_int(3) / ff.from_int(6)
+    assert f1 + f2 == (a + ff.from_int(2)) / ff.from_int(4)
+    assert (f1 + f2).den == 4
 
 
 def test_lift_and_evaluate(ff):
     x = ff.lift(Fraction(-3, 4))
     assert x.evaluate((Fraction(0), Fraction(0))) == Fraction(-3, 4)
     a = ff.param("a")
-    g = (a + ff.one()) / a
-    assert g.evaluate((Fraction(1), Fraction(9))) == 2
-    with pytest.raises(DenominatorVanishes):
-        g.evaluate((Fraction(0), Fraction(1)))
+    g = (a + ff.one()) / ff.from_int(3)
+    assert g.evaluate((Fraction(1), Fraction(9))) == Fraction(2, 3)
+    assert type(g.evaluate((Fraction(-1), Fraction(1)))) is Fraction
 
 
 def test_pp_eval_rows_matches_term_by_term_evaluation():
@@ -151,21 +156,22 @@ def test_pp_eval_rows_matches_term_by_term_evaluation():
                     assert type(v) is int and 0 <= v < p
                 else:
                     assert type(v) is (Fraction if v else int)
-            num, den = rows[0][0], poly(r)
-            if den and naive_pp_eval(den, scalars, base):
-                ff = FunctionField(base, ("a", "b", "c")[:r])
-                assert ff.from_ppoly(num, den).evaluate(scalars) == naive_pp_eval(
-                    num, scalars, base
-                ) / naive_pp_eval(den, scalars, base)
+            ff = FunctionField(base, ("a", "b", "c")[:r])
+            num = ff.from_ppoly(rows[0][0])
+            assert num.evaluate(scalars) == naive_pp_eval(rows[0][0], scalars, base)
+            if not p:  # an int denominator
+                assert (num / ff.from_int(6)).evaluate(scalars) == naive_pp_eval(
+                    rows[0][0], scalars, base
+                ) / 6
 
 
 def test_function_field_over_prime_field():
     F = GF(5)
     ff = FunctionField(F, ("t",))
     t = ff.param("t")
-    x = (t + ff.one()) / (ff.from_int(2) * t)
-    # denominator monic
-    assert x.den == {(1,): 1}
+    x = (t + ff.one()) / ff.from_int(2)
+    # a unit divides into the numerator: the denominator stays 1
+    assert x.den == 1
     assert x.num == {(1,): 3, (0,): 3}
     assert x.evaluate((F.from_int(1),)) == F.from_int(1)
 
@@ -403,7 +409,7 @@ def test_gcd_divides_and_lcm_consistent(a, b, c):
         pp_divexact(bc, g, 0)
         if c:
             assert pp_divexact(g, pp_gcd(c, g, 0), 0) is not None
-        lcm = pp_lcm(ac, bc, 0)
+        lcm = pp_mul(ac, pp_divexact(bc, g, 0), 0)
         pp_divexact(lcm, ac, 0)
         pp_divexact(lcm, bc, 0)
 
@@ -412,14 +418,16 @@ def test_gcd_divides_and_lcm_consistent(a, b, c):
 @given(_smallpoly, _smallpoly)
 def test_field_axioms_random(fa, fb):
     ff = FunctionField(QQ, ("a", "b"))
-    one = pp_const(1, 2, 0)
-    x = ff.from_ppoly(fa, one)
-    y = ff.from_ppoly(fb, one)
+    x = ff.from_ppoly(fa)
+    y = ff.from_ppoly(fb)
     assert x + y == y + x
     assert x * y == y * x
     assert (x + y) - y == x
-    if y:
+    if y and set(fb) == {(0, 0)}:
         assert (x / y) * y == x
+    elif y:
+        with pytest.raises(ArithmeticError, match="non-constant"):
+            x / y
     z = ff.from_int(3)
     assert (x + y) * z == x * z + y * z
 
@@ -427,3 +435,97 @@ def test_field_axioms_random(fa, fb):
 def test_primitive_part():
     assert pp_primitive({(1, 0): -4, (0, 0): -6}, 0) == {(1, 0): 2, (0, 0): 3}
     assert pp_primitive({(1,): 3}, 7) == {(1,): 1}
+
+
+
+def _ref_add(x, y, char):
+    out = dict(x)
+    for e, c in y.items():
+        v = out.get(e, 0) + c
+        v = v % char if char else v
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_scale(x, k, char):
+    return _ref_add({}, {e: c * k for e, c in x.items()}, char)
+
+
+def _ref_mul(x, y, char):
+    out = {}
+    for ex, cx in x.items():
+        for ey, cy in y.items():
+            out = _ref_add(out, {tuple(map(sum, zip(ex, ey))): cx * cy}, char)
+    return out
+
+
+def _ref_of(x):
+    """A parameter-ring scalar as the reference holds it."""
+    return {e: Fraction(c, x.den) for e, c in x.num.items()}
+
+
+@pytest.mark.parametrize("base", [QQ, GF(2), GF(3), GF(32003)], ids=repr)
+def test_parameter_ring_matches_fraction_dicts(base):
+    """Add, sub, mul, neg, division by a unit, equality, hash and evaluate
+    against dicts {exponent: Fraction} (ints mod p over GF(p)), on seeded
+    draws; a non-constant divisor raises, and every result is canonical:
+    an int denominator, positive and coprime to the numerator's content,
+    and 1 over GF(p)."""
+    char = base.char
+    rng = random.Random(2300 + char)
+    ff = FunctionField(base, ("a", "b"))
+
+    def coefficient():
+        if char:
+            return rng.randint(-6, 6) % char
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+
+    def draw():
+        """(reference, scalar), the scalar built from a multiple of its
+        lowest terms over QQ."""
+        ref = {}
+        for _ in range(rng.randint(0, 3)):
+            ref = _ref_add(ref, {(rng.randint(0, 2), rng.randint(0, 2)): coefficient()}, char)
+        den = 1 if char else rng.choice([1, 2, -3]) * math.lcm(
+            *(c.denominator for c in ref.values())
+        )
+        return ref, RationalFunction(ff, {e: int(c * den) for e, c in ref.items()}, den)
+
+    def canonical(x):
+        assert x.den >= 1 and (x.den == 1 or not char)
+        assert math.gcd(x.den, *x.num.values()) == 1
+        return x
+
+    units = 0
+    for _ in range(150):
+        (rx, x), (ry, y) = draw(), draw()
+        assert _ref_of(canonical(x)) == rx
+        assert _ref_of(canonical(x + y)) == _ref_add(rx, ry, char)
+        assert _ref_of(canonical(x - y)) == _ref_add(rx, _ref_scale(ry, -1, char), char)
+        assert _ref_of(canonical(x * y)) == _ref_mul(rx, ry, char)
+        assert _ref_of(canonical(-x)) == _ref_scale(rx, -1, char)
+        assert (x == y) == (rx == ry) and x + y == y + x
+        same = RationalFunction(ff, dict(x.num), x.den)
+        assert same == x and hash(same) == hash(x)
+        if ry and set(ry) == {(0, 0)}:
+            units += 1
+            c = ry[(0, 0)]
+            inv = pow(c, -1, char) if char else 1 / c
+            assert _ref_of(canonical(x / y)) == _ref_scale(rx, inv, char)
+        else:
+            # ZeroDivisionError is an ArithmeticError too: the message tells them apart
+            with pytest.raises(ArithmeticError, match="non-constant" if ry else "zero"):
+                x / y
+        values = [coefficient() for _ in range(2)]
+        expected = sum(
+            (c * values[0] ** e[0] * values[1] ** e[1] for e, c in rx.items()), Fraction(0)
+        )
+        got = x.evaluate([base.from_int(v) for v in values])
+        if char:
+            assert got == base.from_int(int(expected))
+        else:
+            assert type(got) is Fraction and got == expected
+    assert units >= 5
