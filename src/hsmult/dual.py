@@ -39,7 +39,8 @@ class DualElement:
 
     @classmethod
     def term(cls, field, alpha, scalar=None):
-        return cls(field, len(alpha), {tuple(alpha): scalar or field.one()})
+        c = field.one() if scalar is None else scalar
+        return cls(field, len(alpha), {tuple(alpha): c})
 
     def _check(self, other):
         if self.nvars != other.nvars or self.field != other.field:

@@ -11,28 +11,29 @@ pivot for a column is the row whose entry there has the smallest total
 degree, then the fewest terms, then the lowest index, so the cross products
 and row-content gcds work on small polynomials.  The pivot order cannot
 change a result: a rank is a rank, and the kernel contract below makes a
-kernel vector unique.  Base-field matrices, the mod-p images of ``modp`` and
-the grids ``nonsingular_at`` evaluates at a point share one ordinary
-Gaussian elimination and back-substitution on plain numbers
-(``plain_kernel``): ints in [0, p) over GF(p), Fractions over QQ, the int 0
-for zero.  A base-field ``ExactMatrix`` already holds its cells that way, so
-its kernel only copies the rows; over QQ a nonzero cell is a Fraction, never
-an int, so every division stays exact.  It pivots on the first row with a
-nonzero entry in the current column, columns left to right.
+kernel vector unique.
 
-A composition-series run solves its steps on one ``ColumnSpan``: an
-echelon basis of the span of its candidate columns, each stored as a map
-from row keys to plain numbers, kept across the steps with the coordinates
-that express every basis vector in the inserted columns.  Over a base field
-the columns are the matrix's own; over K(t) they are their images at a
-point of GF(p), or of GF(q) as logarithms on the arithmetic of
-``modp._Extension``.  Reducing a column leaves zero exactly when it lies in
-the span, and then its coordinates are the canonical kernel vector below,
-the one ``plain_kernel`` returns for [that column | the independent inserted
-ones]; over K(t) their nonzero entries are the support of the exact solve.
-``plain_kernel`` and its ``_eliminate`` stay for matrices met once, whose
-coordinates no later step reads: the ``nonsingular_at`` checks of a MatList
-and the images ``modp.kernel_via_modp`` takes.
+On plain numbers, ints in [0, p) over GF(p), Fractions over QQ and the int
+0 for zero, ``ColumnSpan`` decides every kernel and ``_eliminate`` every
+rank.  A base-field ``ExactMatrix`` already holds its cells that way; over
+QQ a nonzero cell is a Fraction, never an int, so every division stays
+exact.  ``_eliminate`` is ordinary Gaussian elimination, pivoting on the
+first row with a nonzero entry in the current column, columns left to
+right: it ranks base-field matrices and the grids ``nonsingular_at``
+evaluates at a point.
+
+A ``ColumnSpan`` is an echelon basis of the span of named columns, each
+stored as a map from row keys to plain numbers, kept with the coordinates
+that express every basis vector in the inserted columns.  A
+composition-series run keeps one across its steps: over a base field the
+columns are the matrix's own; over K(t) they are their images at a point of
+GF(p), or of GF(q) as logarithms on the arithmetic of ``modp._Extension``.
+Reducing a column leaves zero exactly when it lies in the span, and then
+its coordinates are the canonical kernel vector below of [that column | the
+independent inserted ones]; over K(t) their nonzero entries are the support
+of the exact solve.  A matrix met once, a base-field ``kernel`` or an image
+``modp.kernel_via_modp`` takes, is decided by ``span_kernel``, which inserts
+its columns into a fresh span in index order.
 
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
 one-dimensional kernel is returned as one canonical vector.  Over a function
@@ -69,12 +70,13 @@ from .scalars import (
 class ExactMatrix:
     """Immutable rectangular matrix over a field of the scalar tower.
 
-    A base-field matrix holds the plain numbers ``plain_kernel`` takes: ints
-    in [0, p) over GF(p), Fractions over QQ, and the int 0 in zero cells; its
-    kernel vector comes back in field scalars.  A function-field matrix holds
-    its scalars, or it may be grid-only (``rows`` is None): it is given
-    by its polynomial grid alone, as every matrix ``build_matrix`` makes over
-    a function field is, and is read only through that grid.  Grid
+    A base-field matrix holds the plain numbers a ``ColumnSpan`` and
+    ``_eliminate`` take: ints in [0, p) over GF(p), Fractions over QQ, and
+    the int 0 in zero cells; its kernel vector comes back in field scalars.
+    A function-field matrix holds its scalars, or it may be grid-only
+    (``rows`` is None): it is given by its polynomial grid alone, as every
+    matrix ``build_matrix`` makes over a function field is, and is read only
+    through that grid.  Grid
     polynomials are shared, within a row (one empty dict per row for its zero
     cells) and with the matrices a grid was made from, so nothing may write
     into them.
@@ -206,29 +208,6 @@ def _free_column(pivots, ncols):
     return free[0] if free else None
 
 
-def plain_kernel(rows, ncols, p):
-    """Kernel of a matrix of plain numbers (see ``_eliminate``), reducing its
-    row lists in place: None when trivial, the vector whose first nonzero
-    entry is 1 when it is a line, and UnexpectedNullity beyond that.
-    """
-    pivots = _eliminate(rows, ncols, p)
-    free = _free_column(pivots, ncols)
-    if free is None:
-        return None
-    v = [0] * ncols
-    v[free] = 1 if p else Fraction(1)
-    for r, c in reversed(pivots):
-        row = rows[r]
-        s = sum(row[j] * v[j] for j in range(c + 1, ncols) if row[j] and v[j])
-        if s:
-            v[c] = -s * pow(row[c], -1, p) % p if p else -s / row[c]
-    first = next(a for a in v if a)
-    if p:
-        inv = pow(first, -1, p)
-        return [a * inv % p for a in v]
-    return [a / first for a in v]
-
-
 class ColumnSpan:
     """An echelon basis of the span of named columns, on plain numbers.
 
@@ -243,7 +222,7 @@ class ColumnSpan:
     residual is zero exactly when the column lies in the span.  The residual's
     coordinates, with the reduced column's own at 1, are then a dependency
     whose entry at that column is 1: on columns that are independent, the
-    canonical kernel vector ``plain_kernel`` would return.
+    canonical kernel vector of [that column | the inserted ones].
     """
 
     __slots__ = ("p", "ext", "one", "names", "_basis")
@@ -286,18 +265,52 @@ class ColumnSpan:
                 self._sub_multiple(coords, f, vcoords)
         return w, coords
 
+    def divide(self, a, *parts):
+        """Divide the maps in place by a; over GF(q), subtract its logarithm."""
+        if a == self.one:
+            return
+        p, ext = self.p, self.ext
+        inv = None if ext else pow(a, -1, p) if p else 1 / a
+        for part in parts:
+            for k, v in part.items():
+                part[k] = (v - a) % ext.m if ext else v * inv % p if p else v * inv
+
     def insert(self, name, residual, coords):
         """Add the nonzero residual ``reduce`` left of the column named name."""
         piv = next(iter(residual))
-        a = residual[piv]
-        if a != self.one:  # divide by a; over GF(q), subtract its logarithm
-            p, ext = self.p, self.ext
-            inv = None if ext else pow(a, -1, p) if p else 1 / a
-            for part in (residual, coords):
-                for k, v in part.items():
-                    part[k] = (v - a) % ext.m if ext else v * inv % p if p else v * inv
+        self.divide(residual[piv], residual, coords)
         self._basis.append((piv, residual, coords))
         self.names.add(name)
+
+
+def span_kernel(columns, p, ext=None):
+    """Kernel of the matrix with these columns, maps as ``ColumnSpan`` holds
+    them, decided on a fresh span in index order: None when trivial, a line
+    as the map {column index: nonzero number} that is 1 at its lowest index,
+    and UnexpectedNullity, with the nullity, beyond that."""
+    span = ColumnSpan(p, ext)
+    dependencies = []
+    for j, col in enumerate(columns):
+        residual, coords = span.reduce(j, col)
+        if residual:
+            span.insert(j, residual, coords)
+        else:
+            dependencies.append(coords)
+    if len(dependencies) > 1:
+        raise UnexpectedNullity(len(dependencies))
+    if not dependencies:
+        return None
+    (v,) = dependencies
+    span.divide(v[min(v)], v)
+    return v
+
+
+def field_vector(field, coords, keys):
+    """The base-field scalars of span coordinates at the keys, 0 where absent."""
+    if field.char:
+        return tuple(field.from_int(coords.get(k, 0)) for k in keys)
+    zero = field.zero()
+    return tuple(coords.get(k, zero) for k in keys)
 
 
 def kernel(M):
@@ -310,8 +323,11 @@ def kernel(M):
         raise InternalInconsistency("kernel of a matrix with no columns")
     field = M.field
     if not isinstance(field, FunctionField):
-        v = plain_kernel([list(row) for row in M.rows], M.ncols, field.char)
-        return v if v is None else tuple(map(field.from_int, v) if field.char else v)
+        cols = [
+            {i: row[j] for i, row in enumerate(M.rows) if row[j]} for j in range(M.ncols)
+        ]
+        v = span_kernel(cols, field.char)
+        return None if v is None else field_vector(field, v, range(M.ncols))
     char = field.char
     r = len(field.params)
     grid = list(M.grid)

@@ -90,7 +90,7 @@ from .errors import (
     NotZeroDimensional,
     UnexpectedNullity,
 )
-from .linalg import ColumnSpan, ExactMatrix, kernel
+from .linalg import ColumnSpan, ExactMatrix, field_vector, kernel
 from .modp import ModpStats, coefficient_images, kernel_via_modp, point_span
 from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
 from .scalars import FunctionField, pp_primitive, pp_primitive_row
@@ -436,13 +436,7 @@ def _span_kernel(state, gamma):
     field, from the run's span of the candidate columns."""
     state.stats.direct += 1
     coords = _span_coordinates(state, gamma, state.memo.column_maps)
-    if coords is None:
-        return None
-    field = state.field
-    if field.char:
-        return tuple(field.from_int(coords.get(g, 0)) for g in gamma)
-    zero = field.zero()
-    return tuple(coords.get(g, zero) for g in gamma)
+    return None if coords is None else field_vector(state.field, coords, gamma)
 
 
 def _parameter_kernel(state, gamma):

@@ -43,10 +43,11 @@ field.  ``kernel_via_modp`` reads the matrix's cleared grid
 (``specialize``), and the restricted solve takes its columns.  Over a prime
 point field, grids and coefficients are evaluated by
 ``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at a
-point of a prime field, and an image is eliminated by
-``linalg.plain_kernel``, the one base-field eliminator, on its ints mod p;
-over GF(q) both are ``_Extension``'s.  No field element or rational
-function is built for an image.
+point of a prime field, and over GF(q) by ``_Extension``.  The kernel of an
+image is decided by ``linalg.span_kernel`` on a fresh ``linalg.ColumnSpan``
+over the point field, on its ints mod p or, over GF(q), their logarithms,
+as every kernel on plain numbers is.  No field element or rational function
+is built for an image.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ except ImportError:
     from hashlib import sha256
 
 from .errors import DenominatorVanishes, InternalInconsistency, UnexpectedNullity
-from .linalg import ColumnSpan, _free_column, kernel, plain_kernel
+from .linalg import ColumnSpan, kernel, span_kernel
 from .scalars import pp_eval_rows
 
 # largest primes below 2^31, descending: the retry-th point is taken mod the
@@ -196,54 +197,6 @@ class _Extension:
             out.append(new)
         return out
 
-    def kernel(self, rows, ncols):
-        """``linalg.plain_kernel`` over GF(q) on rows of ints as above: None
-        when trivial, the vector whose first nonzero entry is 1 when it is a
-        line, and UnexpectedNullity beyond that."""
-        m, zech, log = self.m, self.zech, self.log
-        rows = [[log[a] for a in row] for row in rows]
-        pivots = []
-        for c in range(ncols):
-            r = len(pivots)
-            pr = next((i for i in range(r, len(rows)) if rows[i][c] >= 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            prow = rows[r]
-            cols = [j for j in range(c + 1, ncols) if prow[j] >= 0]
-            # row += f * prow with f = -row[c] / prow[c]
-            shift = self.minus_one - prow[c]
-            for row in rows[r + 1 :]:
-                if row[c] < 0:
-                    continue
-                f = row[c] + shift
-                for j in cols:
-                    t = (f + prow[j]) % m
-                    b = row[j]
-                    if b < 0:
-                        row[j] = t
-                    else:
-                        z = zech[(t - b) % m]
-                        row[j] = z if z < 0 else (b + z) % m
-            pivots.append((r, c))
-            if len(pivots) == len(rows):
-                break
-        free = _free_column(pivots, ncols)
-        if free is None:
-            return None
-        v = [-1] * ncols
-        v[free] = 0
-        for r, c in reversed(pivots):
-            row = rows[r]
-            s = -1
-            for j in range(c + 1, ncols):
-                if row[j] >= 0 and v[j] >= 0:
-                    s = self.add(s, row[j] + v[j])
-            if s >= 0:
-                v[c] = (s + self.minus_one - row[c]) % m
-        first = next(a for a in v if a >= 0)
-        return [0 if a < 0 else self.exp[(a - first) % m] for a in v]
-
 
 @cache
 def _point_field(p):
@@ -364,17 +317,18 @@ def kernel_via_modp(M, points=(), stats=None):
             p, values = _hashed_point(retry, nparams, ff.char)
         rows = specialize(M, (p, values))
         F = _point_field(p)
+        cols = [
+            {i: F.log[row[j]] if F else row[j] for i, row in enumerate(rows) if row[j]}
+            for j in range(M.ncols)
+        ]
         try:
-            if F is None:
-                image = plain_kernel(rows, M.ncols, p)
-            else:
-                image = F.kernel(rows, M.ncols)
+            image = span_kernel(cols, p, F)
         except UnexpectedNullity:
             continue
         if image is None:
             stats.trivial_by_modp += 1
             return None
-        v = _restricted_solve(M, [j for j, a in enumerate(image) if a])
+        v = _restricted_solve(M, sorted(image))
         if v is not None:
             stats.accepted_by_support += 1
             return v

@@ -61,9 +61,8 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, field, exponent, scalar=None):
-        return cls(
-            field, len(exponent), {tuple(exponent): scalar or field.one()}
-        )
+        c = field.one() if scalar is None else scalar
+        return cls(field, len(exponent), {tuple(exponent): c})
 
     def _check(self, other):
         if self.nvars != other.nvars or self.field != other.field:

@@ -14,8 +14,10 @@ from hsmult import (
     nonsingular_at,
     rank,
 )
-from hsmult.linalg import ColumnSpan, plain_kernel
+from hsmult.linalg import ColumnSpan
 from hsmult.scalars import GFElement, pp_const, pp_gcd, pp_leading
+from tests.conftest import plain
+from tests.frozen_elimination import frozen_plain_kernel
 
 
 def matvec(M, v):
@@ -224,8 +226,9 @@ def _random_base_matrix(field, rng, nrows, ncols):
 
 
 def test_base_kernel_agrees_with_naive_elimination():
-    """Base-field kernels, ranks and the mod-p images share one eliminator on
-    plain numbers; check it against elimination in field elements."""
+    """Base-field kernels (decided on a ColumnSpan) and ranks (by row
+    elimination) against elimination in field elements, and kernels against
+    the frozen row elimination on plain numbers that once decided them."""
     rng = random.Random(11)
     for field in (QQ, GF(2), GF(3), GF(7), GF(2147483647)):
         seen = {"trivial": 0, "line": 0, "many": 0}
@@ -250,17 +253,16 @@ def test_base_kernel_agrees_with_naive_elimination():
             # field elements, never bare ints: an int would let DualElement
             # arithmetic skip the reduction mod p
             assert all(type(a) is (GFElement if field.char else Fraction) for a in v)
-            if field.char:  # a mod-p image is the same solve on the ints
-                ints = [list(row) for row in M.rows]
-                assert plain_kernel(ints, M.ncols, field.char) == [a.v for a in v]
+            rows = [list(row) for row in M.rows]
+            assert frozen_plain_kernel(rows, M.ncols, field.char) == list(map(plain, v))
             seen["line"] += 1
         assert min(seen.values()) >= 20, (field, seen)
 
 
 def test_column_span_dependencies_are_the_plain_kernel():
     """Insert columns while they stay independent; the first dependent one
-    reduces to zero, and its coordinates are the vector plain_kernel gives
-    for the matrix [that column | the inserted ones]."""
+    reduces to zero, and its coordinates are the vector the frozen
+    plain_kernel gives for the matrix [that column | the inserted ones]."""
     rng = random.Random(19)
     for field in (QQ, GF(2), GF(7), GF(2147483647)):
         p = field.char
@@ -278,7 +280,8 @@ def test_column_span_dependencies_are_the_plain_kernel():
                     continue
                 order = [j] + list(range(j))
                 rows = [[M.rows[i][k] for k in order] for i in range(nrows)]
-                assert [coords.get(k, 0) for k in order] == plain_kernel(rows, j + 1, p)
+                want = frozen_plain_kernel(rows, j + 1, p)
+                assert [coords.get(k, 0) for k in order] == want
                 dependent += 1
                 break
         assert dependent >= 20, field

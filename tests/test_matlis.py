@@ -22,7 +22,7 @@ from hsmult import (
     step,
 )
 from hsmult.errors import CapExceeded
-from hsmult.linalg import kernel, plain_kernel
+from hsmult.linalg import kernel
 from hsmult import matlis, modp, reduction
 from hsmult.exprparse import parse_generator, parse_polynomial
 from hsmult.instance import parse_instance
@@ -40,6 +40,7 @@ from hsmult.reduction import (
 )
 from hsmult.series import PolySeries, RationalSeries
 from tests.conftest import FIXTURES, is_kernel_vector, load_instance, plain
+from tests.frozen_elimination import frozen_plain_kernel
 
 
 @pytest.fixture
@@ -203,16 +204,17 @@ def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
 
 
 def _fresh_plain_kernel(gens, gamma, order, nvars):
-    """The step's matrix built from scratch, and plain_kernel of its rows."""
+    """The step's matrix built from scratch, and the frozen plain_kernel of
+    its rows."""
     M = build_matrix(gens, gamma, order, nvars)
     rows, _ = _act_build(gens, gamma, order, nvars)
     assert M.rows == tuple(tuple(map(plain, row)) for row in rows)
-    return plain_kernel([list(row) for row in M.rows], M.ncols, M.field.char)
+    return frozen_plain_kernel([list(row) for row in M.rows], M.ncols, M.field.char)
 
 
 def _checked_span_steps(monkeypatch):
     """Wrap the base-field step solve: each call must give the vector a fresh
-    build_matrix + plain_kernel gives, and the columns the run's memo holds
+    build_matrix + the frozen plain_kernel gives, and the columns the run's memo holds
     must make the fresh matrix.  Returns the per-run list of the top gamma
     degrees seen."""
     original = matlis._span_kernel
@@ -243,7 +245,8 @@ def _checked_span_steps(monkeypatch):
 
 def test_every_base_field_step_matches_a_fresh_solve(monkeypatch, glex):
     """At every step of a base-field run, the solve from the run's span of
-    candidate columns returns the vector build_matrix + plain_kernel return,
+    candidate columns returns the vector build_matrix + the frozen plain_kernel
+    return,
     over QQ, GF(7) and GF(32003): series generators whose memoized truncation
     must deepen, and seeded polynomial ideals."""
     names = ("x", "y")

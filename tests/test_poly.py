@@ -5,6 +5,7 @@ import pytest
 from hsmult import (
     GF,
     QQ,
+    DualElement,
     FunctionField,
     RingMismatch,
     SparsePoly,
@@ -23,6 +24,16 @@ def test_mul(P):
     x = SparsePoly.variable(QQ, 2, 0)
     y = SparsePoly.variable(QQ, 2, 1)
     assert (x * y).coeffs == {(1, 1): Fraction(1)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_zero_scalar_makes_a_zero_term(field):
+    """A zero scalar, also 5 over GF(5), gives zero; no scalar gives 1."""
+    for zero in (field.zero(), field.from_int(5 if field.char else 0)):
+        assert SparsePoly.monomial(field, (1, 2), zero).coeffs == {}
+        assert DualElement.term(field, (1, 2), zero).coeffs == {}
+    assert SparsePoly.monomial(field, (1, 2)).coeffs == {(1, 2): field.one()}
+    assert DualElement.term(field, (1, 2)).coeffs == {(1, 2): field.one()}
 
 
 def test_scalar_mul_over_function_field():
