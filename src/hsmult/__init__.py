@@ -11,6 +11,7 @@ multiplicity comparison.
 from .dual import (
     DualElement,
     Staircase,
+    Terms,
     act,
     gamma_candidates,
     initial_staircase,
@@ -85,6 +86,7 @@ __all__ = [
     "SeriesOracle",
     "SparsePoly",
     "Staircase",
+    "Terms",
     "UnexpectedNullity",
     "ZeroElement",
     "act",

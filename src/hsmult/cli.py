@@ -70,7 +70,7 @@ def run_command(command, inst, options, member_expr=None):
         stats = ModpStats()
         gens = list(inst.j_gens) + list(inst.i_gens)
         dual = compute_dual_basis(gens, inst.order, inst.caps, stats=stats)
-        result = {"length": dual.length, "t1_size": len(dual.t1_points),
+        result = {"length": dual.length, "t1_size": dual.t1_size,
                   "xi_count": len(dual.elements)}
         if command == "dual":
             result["basis"] = [

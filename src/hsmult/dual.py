@@ -12,9 +12,28 @@ else: membership is a set lookup, and the colon by the maximal ideal adds
 the minimal generators, the upper neighbours of points that lie outside
 while all their lower neighbours lie inside.  Its corners (pairwise
 incomparable maxima) are derived when read.
+
+Staircases hold packed terms, the ints of one ``Terms`` layout.  With n
+variables and a field width w, a term alpha is
+
+    |alpha| << n(w + 1)  +  sum over k of alpha[prec[k]] << (n - 1 - k)(w + 1),
+
+prec the order's precedence, most significant first: the total degree in
+the top field, and below it one field of w bits per variable, each with a
+guard bit above it (G, the mask of the guard bits, is ``Terms.guards``).
+So the int order is glex (degree, then the exponents in precedence order),
+a neighbour alpha +- e_i is alpha +- ``units[i]`` (e_i's field and one
+degree), and e divides tau exactly when D = (tau | G) - e has D & G == G:
+each field subtracts into its own guard bit, which stays set iff that
+field of e is at most tau's, and then tau - e is D ^ G.  The width is set
+once per run, from its caps and its generators' largest exponent, so that
+every term the run meets fits (``matlis.run_terms``).  Exponent tuples come
+back only at the edges: ``DualElement`` keys, and what a run returns.
 """
 
 from __future__ import annotations
+
+from operator import lshift
 
 from .errors import (
     CapExceeded,
@@ -134,23 +153,16 @@ def leading(eta, order):
     return lt, eta.coeffs[lt]
 
 
-def _below(p, i):
-    return p[:i] + (p[i] - 1,) + p[i + 1 :]
-
-
-def _above(p, i):
-    return p[:i] + (p[i] + 1,) + p[i + 1 :]
-
-
-def _down_closure(tops, known, nvars, limit=None):
+def _down_closure(tops, known, terms, limit=None):
     """Points at or below some top that are not in the order ideal known."""
+    steps = terms.steps
     seen = {t for t in tops if t not in known}
     stack = list(seen)
     while stack:
         p = stack.pop()
-        for i in range(nvars):
-            if p[i]:
-                q = _below(p, i)
+        for unit, field in steps:
+            if p & field:
+                q = p - unit
                 if q not in known and q not in seen:
                     seen.add(q)
                     stack.append(q)
@@ -159,48 +171,112 @@ def _down_closure(tops, known, nvars, limit=None):
     return seen
 
 
-def _outer_border(points, members, nvars):
+def _outer_border(points, members, terms):
     """Upper neighbours of points that lie outside members while all their
     lower neighbours lie inside."""
+    steps = terms.steps
     out = set()
     for p in points:
-        for i in range(nvars):
-            q = _above(p, i)
-            if q not in members and q not in out and all(
-                _below(q, j) in members for j in range(nvars) if q[j]
-            ):
+        for unit, _ in steps:
+            q = p + unit
+            if q in members or q in out:
+                continue
+            for u, field in steps:
+                if q & field and q - u not in members:
+                    break
+            else:
                 out.add(q)
     return out
 
 
-class Staircase:
-    """A finite order ideal of Z_{>=0}^n: its point set, enumerated on first
-    use from the corners it was given, and the frozenset of minimal
-    generators of the complement.  ``extended`` carries both over to a
-    larger staircase, enumerating only the new points; the corners are
-    derived when read.
+class Terms:
+    """The packed layout of the dual terms of one run (see the module
+    docstring): n fields of ``width`` bits, each able to hold every exponent
+    up to ``top``, in the precedence of ``order``.
+
+    ``steps`` pairs each variable's unit with the mask of its field, in the
+    ambient variable order.  ``int_order`` tells whether the int order is
+    the order (glex); else ``order_key`` is its sort key on packed terms.
     """
 
-    __slots__ = ("nvars", "_tops", "_members", "_min_gens")
+    __slots__ = (
+        "nvars", "order", "top", "width", "guards", "steps", "int_order", "_shifts",
+        "ones", "_degree", "_ambient",
+    )
 
-    def __init__(self, nvars, corners=()):
+    def __init__(self, nvars, order, top):
         self.nvars = nvars
-        self._tops = {tuple(c) for c in corners}
+        self.order = order
+        self.top = top
+        w = self.width = max(top.bit_length(), 1)
+        prec = tuple(order._prec(nvars))
+        rank = {v: k for k, v in enumerate(prec)}
+        self._shifts = shifts = tuple((nvars - 1 - rank[i]) * (w + 1) for i in range(nvars))
+        self._degree = nvars * (w + 1)
+        self._ambient = prec == tuple(range(nvars))
+        self.guards = sum(1 << (s + w) for s in shifts)
+        self.ones = sum(1 << s for s in shifts)
+        degree = 1 << self._degree
+        self.steps = tuple((degree + (1 << s), ((1 << w) - 1) << s) for s in shifts)
+        self.int_order = order.kind == "glex"
+
+    def pack(self, alpha):
+        """The packed term of an exponent vector, each entry at most top."""
+        if len(alpha) != self.nvars:
+            raise RingMismatch("exponent length does not match the packed layout")
+        if alpha and max(alpha) > self.top:
+            raise InternalInconsistency("exponent beyond the packed field width")
+        return sum(map(lshift, alpha, self._shifts)) + (sum(alpha) << self._degree)
+
+    def unpack(self, p):
+        """The exponent tuple of a packed term."""
+        field = (1 << self.width) - 1
+        return tuple([p >> s & field for s in self._shifts])
+
+    def degree(self, p):
+        return p >> self._degree
+
+    def order_key(self, p):
+        """``order.key`` of the unpacked term."""
+        return self.order.key(self.unpack(p))
+
+    def sorted_ambient(self, points):
+        """Points of one degree, ascending as their exponent tuples sort."""
+        return sorted(points) if self._ambient else sorted(points, key=self.unpack)
+
+
+class Staircase:
+    """A finite order ideal of Z_{>=0}^n on the packed terms of ``terms``:
+    its point set, enumerated on first use from the corners it was given,
+    and the frozenset of minimal generators of the complement.
+    ``extended`` carries both over to a larger staircase, enumerating only
+    the new points; the corners are derived when read.
+    """
+
+    __slots__ = ("terms", "_tops", "_members", "_min_gens")
+
+    def __init__(self, terms, corners=()):
+        self.terms = terms
+        self._tops = set(corners)
         self._members = None
         self._min_gens = None
 
     @classmethod
-    def _made(cls, nvars, members, min_gens):
-        st = cls(nvars)
+    def _made(cls, terms, members, min_gens):
+        st = cls(terms)
         st._members = members
         st._min_gens = min_gens
         return st
+
+    @property
+    def nvars(self):
+        return self.terms.nvars
 
     def members(self, limit=None):
         """The set of points.  Raises CapExceeded past limit."""
         if self._members is None:
             self._members = frozenset(
-                _down_closure(self._tops, frozenset(), self.nvars, limit)
+                _down_closure(self._tops, frozenset(), self.terms, limit)
             )
         if limit is not None and len(self._members) > limit:
             raise CapExceeded("staircase size", limit)
@@ -210,17 +286,14 @@ class Staircase:
     def corners(self):
         """The points with no upper neighbour inside."""
         members = self.members()
-        return frozenset(
-            p
-            for p in members
-            if all(_above(p, i) not in members for i in range(self.nvars))
-        )
+        units = [unit for unit, _ in self.terms.steps]
+        return frozenset(p for p in members if all(p + u not in members for u in units))
 
     def contains(self, beta):
-        return tuple(beta) in self.members()
+        return beta in self.members()
 
     def with_corner(self, beta):
-        return self.extended([tuple(beta)])
+        return self.extended([beta])
 
     def extended(self, terms):
         """The staircase spanned by this one and the given terms.
@@ -228,14 +301,14 @@ class Staircase:
         A minimal generator stays one unless it became a point; new ones are
         upper neighbours of new points.
         """
-        n = self.nvars
+        layout = self.terms
         old = self.members()
-        new = _down_closure(terms, old, n)
+        new = _down_closure(terms, old, layout)
         if not new:
             return self
         members = old | new
-        gens = (self.min_generators() - new) | _outer_border(new, members, n)
-        return Staircase._made(n, members, gens)
+        gens = (self.min_generators() - new) | _outer_border(new, members, layout)
+        return Staircase._made(layout, members, gens)
 
     def size(self, limit=None):
         return len(self.members(limit))
@@ -250,45 +323,48 @@ class Staircase:
         if self._min_gens is None:
             members = self.members()
             if members:
-                gens = _outer_border(members, members, self.nvars)
+                gens = _outer_border(members, members, self.terms)
             else:
-                gens = {(0,) * self.nvars}
+                gens = {0}
             self._min_gens = frozenset(gens)
         return self._min_gens
 
     def __eq__(self, other):
         return (
             isinstance(other, Staircase)
-            and other.nvars == self.nvars
+            and other.terms is self.terms
             and other.members() == self.members()
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.members()))
+        return hash(self.members())
 
     def __repr__(self):
-        return f"Staircase({sorted(self.corners)})"
+        return f"Staircase({sorted(map(self.terms.unpack, self.corners))})"
 
 
-def initial_staircase(supports, nvars, max_size=None):
+def initial_staircase(supports, terms, max_size=None):
     """Standard-monomial staircase of the monomial ideal spanned by supports.
 
-    ``supports`` is an iterable of exponent sets (one per generator).  Returns
-    (staircase, points) where points is the full dual-term enumeration.
+    ``supports`` is an iterable of sets of packed terms (one per generator).
+    Returns (staircase, points) where points is the full dual-term
+    enumeration, by degree and within one degree as the exponent tuples sort.
     Raises NotZeroDimensional when some variable has no pure-power bound.
     """
     gens = set()
     for sup in supports:
-        gens.update(tuple(e) for e in sup)
-    zero = (0,) * nvars
-    if zero in gens:
-        return Staircase(nvars), []
+        gens.update(sup)
+    if 0 in gens:
+        return Staircase(terms), []
     bounds = []
-    for i in range(nvars):
-        pure = [g[i] for g in gens if g[i] and g.count(0) == nvars - 1]
+    steps = terms.steps
+    guards, ones = terms.guards, terms.ones
+    every = sum(field for _, field in steps)
+    for i, (unit, field) in enumerate(steps):
+        pure = [g for g in gens if (g & every) == (g & field) != 0]
         if not pure:
             raise NotZeroDimensional(i)
-        bounds.append(min(pure))
+        bounds.append(terms.degree(min(pure)))
     # the staircase contains every axis point below its pure-power bound
     if max_size is not None and any(b > max_size for b in bounds):
         raise CapExceeded("staircase size", max_size)
@@ -297,22 +373,22 @@ def initial_staircase(supports, nvars, max_size=None):
     # outside exactly when it is a generator, and then a minimal one
     pts = []
     min_gens = []
-    level = [zero]
+    level = [0]
     while level:
         pts.extend(level)
         if max_size is not None and len(pts) > max_size:
             raise CapExceeded("staircase size", max_size)
         reached = {}
         for p in level:
-            for i in range(nvars):
-                q = p[:i] + (p[i] + 1,) + p[i + 1 :]
+            for unit, _ in steps:
+                q = p + unit
                 reached[q] = reached.get(q, 0) + 1
         nxt = []
         for q, k in reached.items():
-            if k == nvars - q.count(0):
+            if k == ((q | guards) - ones & guards).bit_count():  # q's nonzero fields
                 (min_gens if q in gens else nxt).append(q)
-        level = sorted(nxt)
-    return Staircase._made(nvars, frozenset(pts), frozenset(min_gens)), pts
+        level = terms.sorted_ambient(nxt)
+    return Staircase._made(terms, frozenset(pts), frozenset(min_gens)), pts
 
 
 def socle_candidates(st):
@@ -323,34 +399,30 @@ def socle_candidates(st):
     return st.min_generators()
 
 
-def span_of_terms(elements, nvars=None):
-    """Smallest staircase containing every term appearing in the elements."""
-    exps = set()
-    for eta in elements:
-        nvars = eta.nvars
-        exps.update(eta.coeffs)
-    if nvars is None:
-        raise ValueError("cannot infer variable count from an empty family")
-    return Staircase(nvars, exps)
+def span_of_terms(elements, terms):
+    """Smallest staircase containing every term appearing in the elements,
+    on the packed terms of ``terms``."""
+    return Staircase(terms, {terms.pack(e) for eta in elements for e in eta.coeffs})
 
 
-def gamma_candidates(t2, ltn, order, tau0, limit=None, key=None):
+def gamma_candidates(t2, ltn, tau0, limit=None, key=None):
     """Dual terms in (T2 :_E m) outside LT(N) and strictly below tau0, descending.
 
     The colon of a term module adds exactly the minimal generators of the
     complementary monomial ideal to the staircase itself.  ``key`` stands in
-    for ``order.key``: a run passes its memoized one.
+    for ``Terms.order_key``: a run passes its memoized one, and None where
+    the int order is the order.
     """
     lt_members = ltn.members(limit)
     if tau0 in lt_members:
         raise InternalInconsistency("tau0 must lie outside the LT staircase")
-    key = key or order.key
-    k0 = key(tau0)
-    out = [
-        p
-        for part in (t2.members(limit), t2.min_generators())
-        for p in part
-        if p not in lt_members and key(p) < k0
-    ]
+    if key is None and not t2.terms.int_order:
+        key = t2.terms.order_key
+    parts = (t2.members(limit), t2.min_generators())
+    if key is None:
+        out = [p for part in parts for p in part if p < tau0 and p not in lt_members]
+    else:
+        k0 = key(tau0)
+        out = [p for part in parts for p in part if key(p) < k0 and p not in lt_members]
     out.sort(key=key, reverse=True)
     return out

@@ -79,6 +79,7 @@ from dataclasses import dataclass
 
 from .dual import (
     DualElement,
+    Terms,
     gamma_candidates,
     initial_staircase,
     socle_candidates,
@@ -90,9 +91,9 @@ from .errors import (
     NotZeroDimensional,
     UnexpectedNullity,
 )
-from .linalg import ColumnSpan, ExactMatrix, field_vector, kernel
+from .linalg import ColumnSpan, ExactMatrix, kernel
 from .modp import ModpStats, coefficient_images, kernel_via_modp, point_span
-from .poly import SparsePoly, clear_row_denominators, exp_sub_nonneg
+from .poly import SparsePoly, clear_row_denominators
 from .scalars import FunctionField, pp_primitive, pp_primitive_row
 from .series import SeriesOracle
 
@@ -138,50 +139,80 @@ class _OrderKeys(dict):
         return k
 
 
-def _plain_terms(field, p):
-    """p's (exponent, coefficient) pairs; over a base field the coefficients
-    are the plain numbers of a base-field ExactMatrix (see ``linalg``)."""
+def run_terms(exact, order, nvars, caps):
+    """The packed layout of a run's terms (``dual.Terms``), with fields for
+    the largest exponent of its polynomial generators and for every term
+    the caps let the run meet.
+
+    A staircase of at most max_terms points has exponents below max_terms,
+    and ``step`` takes no tau0 of degree above max_degree, so a candidate
+    term has exponents at most max(max_terms, max_degree + 1), and an upper
+    neighbour one more.  A series generator is truncated at degree at most
+    max(max_terms, max_degree) + nvars (``_initial_data``, ``RunMemo``).
+    """
+    top = max(caps.max_terms, caps.max_degree) + nvars + 2
+    for p in exact:
+        if p is not None:
+            top = max([top] + [max(e) for e in p.coeffs])
+    return Terms(nvars, order, top)
+
+
+def _plain_terms(field, p, pack):
+    """p's (packed exponent, coefficient) pairs; over a base field the
+    coefficients are the plain numbers of a base-field ExactMatrix (see
+    ``linalg``)."""
     if isinstance(field, FunctionField) or not field.char:
-        return list(p.coeffs.items())
-    return [(e, c.v) for e, c in p.coeffs.items()]
+        return [(pack(e), c) for e, c in p.coeffs.items()]
+    return [(pack(e), c.v) for e, c in p.coeffs.items()]
 
 
 class RunMemo:
     """What the steps of one run share, dropped with the run.
 
-    ``key`` is the order's sort key, memoized per exponent.  Each generator
-    keeps its term list, and for each gamma term tau its column: the triples
-    (s, c, v) with c the coefficient of x^(tau - s), i.e. the nonzero entries
-    of generator . tau, and v the image of c at the run's ``point`` (see
-    ``modp.coefficient_images``; None for zero and without a point).  A series
-    generator's terms are exact up to the degree it was last truncated at, and
-    a column needs the terms of degree at most |tau| only, so a column stays
-    exact once made.  Each coefficient is evaluated at the point once; should
-    the point's prime divide an integer denominator (over QQ), the memo keeps
-    the error in ``vanished`` and evaluates no more.
+    ``terms`` is the run's packed layout (``run_terms``), and every dual
+    term below is packed in it.  ``key`` is the order's sort key on packed
+    terms, memoized per term, or None where the int order is the order
+    (glex).  Each generator keeps its term list, packed once, and for each
+    gamma term tau its column: the triples (s, c, v) with c the coefficient
+    of x^(tau - s), i.e. the nonzero entries of generator . tau, and v the
+    image of c at the run's ``point`` (see ``modp.coefficient_images``; None
+    for zero and without a point).  A series generator's terms are exact up
+    to the degree it was last truncated at, and a column needs the terms of
+    degree at most |tau| only, so a column stays exact once made.  Each
+    coefficient is evaluated at the point once; should the point's prime
+    divide an integer denominator (over QQ), the memo keeps the error in
+    ``vanished`` and evaluates no more.
     """
 
     __slots__ = (
-        "field", "key", "point", "vanished", "_gens", "_nvars", "_terms", "_exact_to",
+        "field", "terms", "key", "point", "vanished", "_gens", "_terms", "_exact_to",
         "_columns", "_images",
     )
 
-    def __init__(self, gens, order, nvars, exact=None, point=None):
+    def __init__(self, gens, order, nvars, exact=None, point=None, caps=None):
         if exact is None:
             exact = [_gen_exact_poly(g) for g in gens]
         self.field = field = gens[0].field
-        self.key = _OrderKeys(order.key).__getitem__
+        self.terms = terms = run_terms(exact, order, nvars, caps or DEFAULT_CAPS)
+        self.key = None if terms.int_order else _OrderKeys(terms.order_key).__getitem__
         self.point = point
         self.vanished = None
         self._gens = gens
-        self._nvars = nvars
         self._images = [{} for _ in gens]
         self._terms = [
-            None if p is None else self._with_images(i, _plain_terms(field, p))
+            None if p is None else self._with_images(i, _plain_terms(field, p, terms.pack))
             for i, p in enumerate(exact)
         ]
         self._exact_to = [-1 if p is None else math.inf for p in exact]
         self._columns = [{} for _ in gens]
+
+    def supports(self, degree):
+        """Each generator's packed support, a series generator's up to degree."""
+        pack = self.terms.pack
+        return [
+            {pack(e) for e in g.support_upto(degree)} if terms is None else [e for e, _, _ in terms]
+            for g, terms in zip(self._gens, self._terms)
+        ]
 
     def _with_images(self, i, pairs):
         """Generator i's (exponent, coefficient) pairs with their images."""
@@ -195,31 +226,41 @@ class RunMemo:
                 self.vanished = err
         return [(e, c, images.get(e)) for e, c in pairs]
 
-    def columns(self, gamma):
-        """Per generator, the list of its columns of the gamma terms.
+    def _exact_for(self, gamma):
+        """Each generator's terms, exact up to the largest degree in gamma.
 
         A series generator is truncated again only when some gamma term lies
         above the degree its terms are exact to, and then at max|gamma| +
         nvars.
         """
-        top = max(map(sum, gamma))
-        out = []
+        layout = self.terms
+        top = layout.degree(max(gamma))
         for i, g in enumerate(self._gens):
             if self._exact_to[i] < top:
-                depth = top + self._nvars
-                pairs = _plain_terms(self.field, g.truncate(depth))
+                depth = top + layout.nvars
+                pairs = _plain_terms(self.field, g.truncate(depth), layout.pack)
                 self._terms[i] = self._with_images(i, pairs)
                 self._exact_to[i] = depth
-            terms = self._terms[i]
-            known = self._columns[i]
+        return self._terms
+
+    def columns(self, gamma):
+        """Per generator, the list of its columns of the gamma terms.
+
+        A cell is the guard-bit quotient of ``dual.Terms``: e divides tau iff
+        d = (tau | G) - e keeps every guard bit, and then tau - e = d ^ G.
+        """
+        guards = self.terms.guards
+        out = []
+        for terms, known in zip(self._exact_for(gamma), self._columns):
             cols = []
             for tau in gamma:
                 col = known.get(tau)
                 if col is None:
+                    tg = tau | guards
                     col = known[tau] = [
-                        (s, c, v)
+                        (d ^ guards, c, v)
                         for e, c, v in terms
-                        if (s := exp_sub_nonneg(tau, e)) is not None
+                        if (d := tg - e) & guards == guards
                     ]
                 cols.append(col)
             out.append(cols)
@@ -227,23 +268,34 @@ class RunMemo:
 
     def column_maps(self, terms):
         """Per term tau, its column of a step's matrix as a map from row keys
-        (generator index, dual term s) to the nonzero cells."""
-        maps = [{} for _ in terms]
-        for i, cols in enumerate(self.columns(terms)):
-            for m, col in zip(maps, cols):
-                for s, c, _ in col:
-                    m[i, s] = c
-        return maps
+        to the nonzero cells, where dual term s of generator i's block has
+        the row key s * (number of generators) + i.  The maps are made from
+        the generators' terms and not kept: a base-field run, which builds
+        no matrix, meets most columns once."""
+        guards = self.terms.guards
+        k = len(self._gens)
+        gens = list(enumerate(self._exact_for(terms)))
+        return [
+            {
+                (d ^ guards) * k + i: c
+                for i, cells in gens
+                for e, c, _ in cells
+                if (d := tg - e) & guards == guards
+            }
+            for tg in [tau | guards for tau in terms]
+        ]
 
     def image_maps(self, terms):
-        """``column_maps`` at the point: the cells' nonzero images there.
-        Raises the memo's DenominatorVanishes, if it has one."""
+        """``column_maps`` at the point, from the kept columns: the cells'
+        nonzero images there.  Raises the memo's DenominatorVanishes, if it
+        has one."""
         maps = [{} for _ in terms]
+        k = len(self._gens)
         for i, cols in enumerate(self.columns(terms)):
             for m, col in zip(maps, cols):
                 for s, _, v in col:
                     if v is not None:
-                        m[i, s] = v
+                        m[s * k + i] = v
         if self.vanished is not None:
             raise self.vanished
         return maps
@@ -256,14 +308,16 @@ def build_matrix(gens, gamma, order, nvars, memo=None):
     of the gamma terms, sorted descending; entry (s, k) is the coefficient of
     s in generator . gamma_k.  That is the generator's coefficient at
     x^(gamma_k - s), so every cell is looked up in the generator, with no
-    product; the columns and sort keys come from the run's memo (a fresh one
-    without it).  All-zero rows never appear.  Over a base field the cells
-    are plain numbers, the int 0 where zero; over a function field each row
-    is cleared of denominators here, from its nonzero cells, into the grid
-    of a grid-only matrix.
+    product; the columns and sort keys come from the run's memo, and gamma
+    holds terms packed in its layout.  Without a memo, gamma holds exponent
+    tuples, packed into a fresh memo's.  All-zero rows never appear.  Over a
+    base field the cells are plain numbers, the int 0 where zero; over a
+    function field each row is cleared of denominators here, from its
+    nonzero cells, into the grid of a grid-only matrix.
     """
     if memo is None:
         memo = RunMemo(gens, order, nvars)
+        gamma = [memo.terms.pack(g) for g in gamma]
     field = memo.field
     ncols = len(gamma)
     rows = []
@@ -301,11 +355,23 @@ def canonical_cleared_matrix(M):
 
 
 class _DualBasis:
-    """The basis shared by a running state and its finished result."""
+    """The basis shared by a running state and its finished result; the T1
+    points are kept packed (``_t1``) and unpacked when first read."""
 
     @property
     def length(self):
-        return len(self.t1_points) + len(self.elements)
+        return len(self._t1) + len(self.elements)
+
+    @property
+    def t1_size(self):
+        return len(self._t1)
+
+    @property
+    def t1_points(self):
+        """The T1 staircase points as exponent tuples, in enumeration order."""
+        if self._t1_points is None:
+            self._t1_points = list(map(self.terms.unpack, self._t1))
+        return self._t1_points
 
     @property
     def matlist(self):
@@ -333,7 +399,9 @@ class _DualBasis:
 class DualBasisState(_DualBasis):
     """Single-owner state of one composition-series run, with its memo and
     the span of the candidate columns (at the run's point over a parameter
-    field; None once the run has left it)."""
+    field; None once the run has left it).  The staircases, the sets l1 and
+    l2 and the span's names hold terms packed in the memo's layout
+    (``terms``); ``accepted_lts`` holds exponent tuples."""
 
     def __init__(self, gens, order, caps, stats=None):
         if not gens:
@@ -357,9 +425,10 @@ class DualBasisState(_DualBasis):
         else:
             point, self.span = None, ColumnSpan(field.char)
         exact = [_gen_exact_poly(g) for g in self.gens]
-        self.memo = RunMemo(self.gens, order, nvars, exact, point)
-        t1, pts = _initial_data(self.gens, exact, nvars, caps)
-        self.t1_points = pts
+        self.memo = RunMemo(self.gens, order, nvars, exact, point, caps)
+        self.terms = self.memo.terms
+        t1, self._t1 = _initial_data(self.memo, exact, caps)
+        self._t1_points = None
         self.ltn = t1
         self.t2 = t1
         self.l1 = set()
@@ -376,7 +445,7 @@ class DualBasisState(_DualBasis):
         return self.l1 == self.l2
 
 
-def _initial_data(gens, exact, nvars, caps):
+def _initial_data(memo, exact, caps):
     """T1 staircase; oracle generators are truncated until the result is certified.
 
     A point survives only while no generator monomial of degree <= its own
@@ -385,21 +454,19 @@ def _initial_data(gens, exact, nvars, caps):
     degree 4, or the largest degree of a polynomial generator, and doubles
     while the truncated ideal is not m-primary.
     """
+    terms = memo.terms
     if all(p is not None for p in exact):
-        return initial_staircase([p.support() for p in exact], nvars, caps.max_terms)
+        return initial_staircase(memo.supports(0), terms, caps.max_terms)
     degree = max([4] + [p.total_degree() for p in exact if p is not None])
     last_error = None
     while degree <= caps.max_degree:
-        sups = []
-        for g, p in zip(gens, exact):
-            sups.append(p.support() if p is not None else g.support_upto(degree))
         try:
-            st, pts = initial_staircase(sups, nvars, caps.max_terms)
+            st, pts = initial_staircase(memo.supports(degree), terms, caps.max_terms)
         except NotZeroDimensional as err:
             last_error = err
             degree = degree * 2
             continue
-        maxdeg = max((sum(q) for q in pts), default=0)
+        maxdeg = terms.degree(max(pts, default=0))
         if maxdeg <= degree:
             return st, pts
         degree = maxdeg
@@ -433,17 +500,24 @@ def _span_coordinates(state, gamma, column_maps):
 
 def _span_kernel(state, gamma):
     """The kernel ``kernel`` would give for the step's matrix over a base
-    field, from the run's span of the candidate columns."""
+    field, from the run's span of the candidate columns: its nonzero
+    entries, as field scalars by packed term."""
     state.stats.direct += 1
     coords = _span_coordinates(state, gamma, state.memo.column_maps)
-    return None if coords is None else field_vector(state.field, coords, gamma)
+    if coords is None:
+        return None
+    field = state.field
+    if field.char:
+        return {g: field.from_int(c) for g, c in coords.items()}
+    return coords
 
 
 def _parameter_kernel(state, gamma):
     """The kernel of the step's matrix over K(t), decided on the run's span
-    at its point; a rejected step's matrix is kept as the certificate needs.
-    When the span cannot decide (see the module docstring), this step and
-    the rest of the run go to ``modp.kernel_via_modp`` on the whole matrix."""
+    at its point, as the nonzero entries by packed term; a rejected step's
+    matrix is kept as the certificate needs.  When the span cannot decide
+    (see the module docstring), this step and the rest of the run go to
+    ``modp.kernel_via_modp`` on the whole matrix."""
     stats = state.stats
 
     def build(terms):
@@ -464,31 +538,27 @@ def _parameter_kernel(state, gamma):
             v = kernel(build(support))
             if v is not None:
                 stats.accepted_by_support += 1
-                found = dict(zip(support, v))
-                zero = state.field.zero()
-                return tuple(found.get(g, zero) for g in gamma)
+                return {g: a for g, a in zip(support, v) if a}
         state.span = None
     M = build(gamma)
     vec = kernel_via_modp(M, stats=stats)
-    if vec is None and state.track_certificates:
-        state.rejected.append(M)
-    return vec
+    if vec is None:
+        if state.track_certificates:
+            state.rejected.append(M)
+        return None
+    return {g: a for g, a in zip(gamma, vec) if a}
 
 
 def step(state):
     """One loop iteration: accept a xi or move tau0 to the rejected set."""
     if state.done():
         raise InternalInconsistency("step called on a finished state")
-    order = state.order
     caps = state.caps
-    memo = state.memo
-    key = memo.key
+    key = state.memo.key
     tau0 = min(state.l2 - state.l1, key=key)
-    if sum(tau0) > caps.max_degree:
+    if state.terms.degree(tau0) > caps.max_degree:
         raise CapExceeded("candidate degree", caps.max_degree)
-    cands = gamma_candidates(
-        state.t2, state.ltn, order, tau0, limit=caps.max_terms, key=key
-    )
+    cands = gamma_candidates(state.t2, state.ltn, tau0, limit=caps.max_terms, key=key)
     gamma = [tau0] + cands
     state.stats.dispatched += 1
     if isinstance(state.field, FunctionField):
@@ -498,34 +568,40 @@ def step(state):
     if vec is None:
         state.l1.add(tau0)
         return False
-    c0 = vec[0]
+    c0 = vec.get(tau0)
     if not c0:
         raise InternalInconsistency(
             "kernel vector with vanishing leading coefficient"
         )
-    eta = DualElement(state.field, state.nvars, dict(zip(gamma, vec)))
-    if state.accepted_lts and key(tau0) <= key(state.accepted_lts[-1]):
+    unpack = state.terms.unpack
+    lt = unpack(tau0)
+    order_key = state.order.key
+    if state.accepted_lts and order_key(lt) <= order_key(state.accepted_lts[-1]):
         raise InternalInconsistency("leading terms of accepted elements not increasing")
+    eta = DualElement(state.field, state.nvars, {unpack(g): a for g, a in vec.items()})
     state.elements.append(eta)
-    state.accepted_lts.append(tau0)
+    state.accepted_lts.append(lt)
     if state.track_certificates:
         entry = pp_primitive(c0.num, state.field.char)
-        key = frozenset(entry.items())
-        if key not in state._polyset:
-            state._polyset.add(key)
+        entry_key = frozenset(entry.items())
+        if entry_key not in state._polyset:
+            state._polyset.add(entry_key)
             state.polylist.append(entry)
     state.ltn = state.ltn.with_corner(tau0)
-    state.t2 = state.t2.extended(eta.terms())
+    state.t2 = state.t2.extended(vec)
     state.l2 = socle_candidates(state.ltn)
     return True
 
 
 @dataclass
 class DualBasisResult(_DualBasis):
+    """A finished run; ``_t1`` holds the T1 points packed in ``terms``."""
+
     field: object
     nvars: int
     order: object
-    t1_points: list
+    terms: Terms
+    _t1: list
     elements: list
     accepted_lts: list
     polylist: list
@@ -535,6 +611,7 @@ class DualBasisResult(_DualBasis):
 
     def __post_init__(self):
         self._matlist = []
+        self._t1_points = None
 
 
 def compute_dual_basis(gens, order, caps=None, budget=None, stats=None):
@@ -557,7 +634,8 @@ def compute_dual_basis(gens, order, caps=None, budget=None, stats=None):
         field=state.field,
         nvars=state.nvars,
         order=order,
-        t1_points=list(state.t1_points),
+        terms=state.terms,
+        _t1=state._t1,
         elements=list(state.elements),
         accepted_lts=list(state.accepted_lts),
         polylist=list(state.polylist),

@@ -176,8 +176,9 @@ class _Extension:
         return n % self.m
 
     def eval_rows(self, grid, values):
-        """``scalars.pp_eval_rows`` into GF(q): the grid at values, elements
-        of GF(q) as ints, as new lists of ints."""
+        """``scalars.pp_eval_rows`` into GF(q): the grid at values (elements
+        of GF(q) as ints), as new lists of the logarithms of the entries,
+        -1 for zero, as a ``linalg.ColumnSpan`` over GF(q) holds them."""
         p, m, log = self.p, self.m, self.log
         logs = [log[v] for v in values]
         monomials = {}
@@ -193,7 +194,7 @@ class _Extension:
                     c %= p
                     if mono >= 0 and c:
                         acc = self.add(acc, (log[c] + mono) % m)
-                new.append(0 if acc < 0 else self.exp[acc])
+                new.append(acc)
             out.append(new)
         return out
 
@@ -242,7 +243,7 @@ def coefficient_images(coeffs, point):
     F = _point_field(p)
     nums = [[a.num for a in coeffs]]
     if F is not None:  # characteristic p: every denominator is 1
-        return [None if v == 0 else F.log[v] for v in F.eval_rows(nums, values)[0]]
+        return [None if v < 0 else v for v in F.eval_rows(nums, values)[0]]
     out = []
     for num, a in zip(pp_eval_rows(nums, values, p)[0], coeffs):
         if a.den != 1:
@@ -271,9 +272,10 @@ class ModpStats:
 
 
 def specialize(M, point):
-    """The grid evaluated at a point (prime, values): a new list of int rows,
-    reduced into [0, prime) by ``scalars.pp_eval_rows`` when the point field
-    is GF(prime), and elements of GF(q) otherwise."""
+    """The grid evaluated at a point (prime, values): a new list of int rows
+    of the plain numbers a ``linalg.ColumnSpan`` over the point field holds,
+    ints in [0, prime) from ``scalars.pp_eval_rows`` when that is GF(prime),
+    and over GF(q) logarithms, -1 for zero (``_Extension.eval_rows``)."""
     p, values = point
     F = _point_field(p)
     if F is None:
@@ -317,8 +319,9 @@ def kernel_via_modp(M, points=(), stats=None):
             p, values = _hashed_point(retry, nparams, ff.char)
         rows = specialize(M, (p, values))
         F = _point_field(p)
+        zero = -1 if F else 0
         cols = [
-            {i: F.log[row[j]] if F else row[j] for i, row in enumerate(rows) if row[j]}
+            {i: row[j] for i, row in enumerate(rows) if row[j] != zero}
             for j in range(M.ncols)
         ]
         try:

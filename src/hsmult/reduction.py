@@ -330,7 +330,7 @@ def multiplicity(inst, use_cache=True):
         params=field.params if isinstance(field, FunctionField) else (),
         field=field,
         base=inst.base,
-        t1_size=len(dual.t1_points),
+        t1_size=dual.t1_size,
         xi_count=len(dual.elements),
         polylist=list(dual.polylist),
         dual=dual,
@@ -394,13 +394,24 @@ def certify(a, res):
     True guarantees the combination with coefficients a generates a reduction
     (hence has colength e).  False proves nothing: the conditions are
     sufficient only, and verify_reduction_by_length stays the decisive test.
+
+    Condition (b) is decided on the last MatList matrix alone.  A run's
+    rejected column sets form a chain (each contains the one before: see
+    ``matlis``), and a kept matrix has exactly the nonzero rows of its
+    columns, with cells that depend only on the row and the column.  So
+    every earlier matrix is a column subset of the last one, up to zero
+    rows, row order and row scalings by nonzero constants (the clearing of
+    denominators and ``matlis.canonical_cleared_matrix``), none of which
+    change a rank at a point; full column rank of the last matrix at a
+    gives it to every column subset.
     """
     values = _plain_point(res, a)
     if not res.params:
         return True
     if not all(pp_eval_rows((res.polylist,), values, res.base.char)[0]):
         return False
-    return all(nonsingular_at(M, values) for M in res.matlist)
+    matlist = res.matlist
+    return not matlist or nonsingular_at(matlist[-1], values)
 
 
 def _shell_values(s):

@@ -187,7 +187,7 @@ def test_criterion_8_invariant_suite(
                 xi = state.xis[-1]
                 assert is_kernel_vector(xi, state.accepted_lts[-1]), "xi not primitive"
                 for term in xi.terms():
-                    assert not ltn_before.contains(term), "reduced form violated"
+                    assert not ltn_before.contains(state.terms.pack(term)), "reduced form violated"
                 accepted_keys.append(order.key(leading(xi, order)[0]))
         assert accepted_keys == sorted(accepted_keys), "LT chain not increasing"
         assert len(set(accepted_keys)) == len(accepted_keys), "LT chain not strict"

@@ -156,8 +156,14 @@ def test_build_matrix_matches_act_build(glex):
     assert fractional
 
 
+def _unpacked(memo_or_state, packed):
+    """Packed terms of a run as exponent tuples, in their order."""
+    return [memo_or_state.terms.unpack(g) for g in packed]
+
+
 def _check_memo_build(M, gens, gamma, order, nvars):
-    """M, built through a memo, equals a fresh build and the act reference."""
+    """M, built through a memo, equals a fresh build and the act reference
+    on the exponent tuples gamma."""
     fresh = build_matrix(gens, gamma, order, nvars)
     assert (M.field, M.rows, M.ncols) == (fresh.field, fresh.rows, fresh.ncols)
     rows, grid = _act_build(gens, gamma, order, nvars)
@@ -179,6 +185,7 @@ def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
     def checked(gens, gamma, order, nvars, memo=None):
         assert isinstance(memo, RunMemo)
         M = original(gens, gamma, order, nvars, memo)
+        gamma = _unpacked(memo, gamma)
         _check_memo_build(M, gens, gamma, order, nvars)
         if not memos or memos[-1] is not memo:
             memos.append(memo)
@@ -204,12 +211,18 @@ def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
 
 
 def _fresh_plain_kernel(gens, gamma, order, nvars):
-    """The step's matrix built from scratch, and the frozen plain_kernel of
-    its rows."""
+    """The step's matrix built from scratch on the exponent tuples gamma,
+    and the frozen plain_kernel of its rows."""
     M = build_matrix(gens, gamma, order, nvars)
     rows, _ = _act_build(gens, gamma, order, nvars)
     assert M.rows == tuple(tuple(map(plain, row)) for row in rows)
     return frozen_plain_kernel([list(row) for row in M.rows], M.ncols, M.field.char)
+
+
+def _full_vector(vec, gamma):
+    """A step's kernel, its nonzero entries by packed term, as the plain
+    numbers of the whole vector over gamma."""
+    return None if vec is None else [plain(vec[g]) if g in vec else 0 for g in gamma]
 
 
 def _checked_span_steps(monkeypatch):
@@ -223,16 +236,18 @@ def _checked_span_steps(monkeypatch):
     def checked(state, gamma):
         assert isinstance(state.memo, RunMemo)
         vec = original(state, gamma)
-        want = _fresh_plain_kernel(state.gens, gamma, state.order, state.nvars)
-        assert (None if vec is None else [plain(a) for a in vec]) == want
+        tuples = _unpacked(state, gamma)
+        want = _fresh_plain_kernel(state.gens, tuples, state.order, state.nvars)
+        assert _full_vector(vec, gamma) == want
         # field scalars, as `kernel` returns them
         assert vec is None or all(
-            type(a) is (GFElement if state.field.char else Fraction) for a in vec
+            type(a) is (GFElement if state.field.char else Fraction) for a in vec.values()
         )
         _check_memo_build(
             build_matrix(state.gens, gamma, state.order, state.nvars, state.memo),
-            state.gens, gamma, state.order, state.nvars,
+            state.gens, tuples, state.order, state.nvars,
         )
+        gamma = tuples
         if not memos or memos[-1] is not state.memo:
             memos.append(state.memo)
             tops.append(set())
@@ -287,11 +302,12 @@ def test_span_restarts_when_an_old_candidate_is_gone(glex):
     state = DualBasisState(gens, glex, DEFAULT_CAPS)
     span = state.span
     verdicts = []
-    for gamma in ([(1, 1), (2, 0), (0, 2)], [(0, 1), (2, 0), (0, 2)], [(1, 0), (0, 1)]):
+    for tuples in ([(1, 1), (2, 0), (0, 2)], [(0, 1), (2, 0), (0, 2)], [(1, 0), (0, 1)]):
+        gamma = [state.terms.pack(g) for g in tuples]
         before = set(span.names)
         vec = matlis._span_kernel(state, gamma)
-        want = _fresh_plain_kernel(state.gens, gamma, glex, 2)
-        assert (None if vec is None else [plain(a) for a in vec]) == want
+        want = _fresh_plain_kernel(state.gens, tuples, glex, 2)
+        assert _full_vector(vec, gamma) == want
         kept = before <= set(gamma[1:])
         # a rejected tau0 joins the span; a restart drops the old terms
         assert span.names == (before if kept else set()) | set(gamma[1:]) | (
@@ -310,7 +326,7 @@ def test_span_raises_on_a_dependent_candidate_column(glex):
     gens = [parse_polynomial(e, GF(7), ("x", "y")) for e in ("x + y", "x^2")]
     state = DualBasisState(gens, glex, DEFAULT_CAPS)
     with pytest.raises(UnexpectedNullity):
-        matlis._span_kernel(state, [(2, 0), (1, 0), (0, 1)])
+        matlis._span_kernel(state, [state.terms.pack(g) for g in [(2, 0), (1, 0), (0, 1)]])
 
 
 def test_one_memo_across_growing_gamma_lists(glex):
@@ -334,7 +350,8 @@ def test_one_memo_across_growing_gamma_lists(glex):
             pool = [(i, d - i) for d in range(top + 1) for i in range(d + 1)]
             gamma = {(top, 0), (0, top)} | set(rng.sample(pool, min(len(pool), 6)))
             gamma = sorted(gamma, key=glex.key, reverse=True)
-            _check_memo_build(build_matrix(gens, gamma, glex, 2, memo), gens, gamma, glex, 2)
+            M = build_matrix(gens, [memo.terms.pack(g) for g in gamma], glex, 2, memo)
+            _check_memo_build(M, gens, gamma, glex, 2)
 
 
 def _reaches(root, cls):
@@ -383,21 +400,21 @@ def test_results_do_not_keep_the_run_memo(monkeypatch, glex):
 
 def test_step_trace_example1(ff, glex):
     state = DualBasisState(example1_gens(ff), glex, DEFAULT_CAPS)
-    assert state.l2 == {(3, 0), (1, 1), (0, 2)}
+    assert set(_unpacked(state, state.l2)) == {(3, 0), (1, 1), (0, 2)}
     # 1/xy^3: matrix [[1]] from the y^2-block, trivial kernel -> rejected
     assert step(state) is False
-    assert state.l1 == {(0, 2)}
+    assert set(_unpacked(state, state.l1)) == {(0, 2)}
     assert state.matlist[-1].grid == (({(0, 0): 1},),)
     # 1/x^2y^2: [[a,0],[b,1]] rejected
     assert step(state) is False
-    assert state.l1 == {(0, 2), (1, 1)}
+    assert set(_unpacked(state, state.l1)) == {(0, 2), (1, 1)}
     assert state.matlist[-1].grid == (({(1, 0): 1}, {}), ({(0, 1): 1}, {(0, 0): 1}))
     # 1/x^4y: accepts xi_1, polylist gains the primitive numerator of a
     assert step(state) is True
     assert state.polylist == [{(1, 0): 1}]
     a, b = ff.param("a"), ff.param("b")
     assert state.xis[0].coeffs == {(3, 0): a, (1, 1): -ff.one(), (0, 2): b}
-    assert state.l2 == {(4, 0), (1, 1), (0, 2)}
+    assert set(_unpacked(state, state.l2)) == {(4, 0), (1, 1), (0, 2)}
     # 1/x^5y rejected, loop finishes
     assert step(state) is False
     assert state.done()
@@ -465,7 +482,7 @@ def test_reduced_form_of_xis(ff, glex):
         accepted = step(state)
         if accepted:
             for term in state.xis[-1].terms():
-                assert not ltn_before.contains(term)
+                assert not ltn_before.contains(state.terms.pack(term))
 
 
 def test_series_generators(glex):
@@ -596,13 +613,14 @@ def _eager_run(gens, order, caps):
     while not state.done():
         tau0 = min(state.l2 - state.l1, key=key)
         gamma = [tau0] + gamma_candidates(
-            state.t2, state.ltn, order, tau0, limit=caps.max_terms, key=key
+            state.t2, state.ltn, tau0, limit=caps.max_terms, key=key
         )
-        M = build_matrix(gens, gamma, order, state.nvars)
+        tuples = _unpacked(state, gamma)
+        M = build_matrix(gens, tuples, order, state.nvars)
         v = kernel(M)
         assert step(state) is (v is not None)
         if v is not None:
-            assert state.elements[-1].coeffs == {g: a for g, a in zip(gamma, v) if a}
+            assert state.elements[-1].coeffs == {g: a for g, a in zip(tuples, v) if a}
         elif state.track_certificates:
             eager.append(canonical_cleared_matrix(M))
     return state, eager
@@ -821,10 +839,47 @@ def test_dependent_candidate_columns_at_the_point_leave_the_span(monkeypatch, gl
     gamma = [(2, 0), (1, 0), (0, 1)]
     M = build_matrix(gens, gamma, glex, 2)
     assert kernel(M) is None
-    assert matlis._parameter_kernel(state, gamma) is None
+    assert matlis._parameter_kernel(state, [state.terms.pack(g) for g in gamma]) is None
     assert state.span is None
     assert [R.grid for R in state.rejected] == [M.grid]
     # the image at a = 1 proposes a support with no exact vector, so the
     # next point decides
     assert (state.stats.trivial_by_modp, state.stats.retries) == (1, 1)
 
+
+
+WIDE_TWO = ["x^2", "y^2 + x^70000"]
+WIDE_THREE = ["x^2", "y^2 + x^70000", "z^2", "x*y*z + y^65537"]
+WIDE_THREE_MULT = {
+    "e": 8,
+    "matlist": [[["1"]], [["1", "0"], ["0", "1"]], [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+    "params": ["t_1_4", "t_2_4", "t_3_4"],
+    "polylist": ["1"],
+    "t1_size": 7,
+    "xi_count": 1,
+}
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize(
+    "names, ideal, length, mult",
+    [
+        (["x", "y"], WIDE_TWO, {"length": 4, "t1_size": 4, "xi_count": 0},
+         {"e": 4, "matlist": [], "params": [], "polylist": [], "t1_size": 4, "xi_count": 0}),
+        (["x", "y", "z"], WIDE_THREE, {"length": 7, "t1_size": 7, "xi_count": 0}, WIDE_THREE_MULT),
+    ],
+)
+def test_exponents_wider_than_any_fixed_field(char, names, ideal, length, mult):
+    """Generator exponents of 2^16 and more beside a small staircase: the
+    length and mult reports are those recorded when dual terms were exponent
+    tuples, over QQ and GF(3); the 3-variable mult runs over K(t)."""
+    from hsmult.cli import run_command
+
+    inst, options = parse_instance(
+        json.dumps({"characteristic": char, "variables": names, "ideal": ideal, "dim": len(names)})
+    )
+    assert run_command("length", inst, options)[0] == length
+    report, stats = run_command("mult", inst, options)
+    report = json.loads(json.dumps(report))
+    assert {k: v for k, v in report.items() if k in mult} == mult
+    assert stats.dispatched == len(names) * 2 - 2

@@ -32,18 +32,27 @@ def ff():
     return FunctionField(QQ, ("a", "b"))
 
 
+def _from_logs(p, rows):
+    """Rows of logarithms over the point field of p (-1 for zero), as the
+    ints of their elements."""
+    F = _point_field(p)
+    return [[F.exp[v] if v >= 0 else 0 for v in row] for row in rows]
+
+
 def test_specialize_spec_examples(ff):
     a, b = ff.param("a"), ff.param("b")
     one, zero = ff.one(), ff.zero()
     M2 = ExactMatrix(ff, ((a, zero), (b, one)), 2)
+    # the point fields of 5 and 7 are GF(5^5) and GF(7^4): logarithms
     S = specialize(M2, (5, (2, 3)))
-    assert [list(row) for row in S] == [[2, 0], [3, 1]]
+    assert _from_logs(5, S) == [[2, 0], [3, 1]]
     M3 = ExactMatrix(ff, ((one, a, zero), (zero, b, one)), 3)
     S3 = specialize(M3, (5, (2, 3)))
-    assert [list(row) for row in S3] == [[1, 2, 0], [0, 3, 1]]
+    assert _from_logs(5, S3) == [[1, 2, 0], [0, 3, 1]]
     Z = ExactMatrix(ff, ((zero, zero),), 2)
     SZ = specialize(Z, (7, (1, 1)))
-    assert all(not e for row in SZ for e in row)
+    assert all(e == -1 for row in SZ for e in row)
+    assert specialize(M2, (DEFAULT_PRIMES[0], (2, 3))) == [[2, 0], [3, 1]]
 
 
 def test_kernel_via_modp_spec_examples(ff):
@@ -490,7 +499,8 @@ def test_specialize_into_extension_matches_naive_evaluation(p):
     N, rng = NaiveGF(p), random.Random(p)
     M = _random_param_matrix(ff, rng, 4, 5)
     values = (rng.randrange(N.q), rng.randrange(N.q))
-    got = specialize(M, (p, values))
+    # specialize gives the logarithms a span over GF(q) holds, -1 for zero
+    got = _from_logs(p, specialize(M, (p, values)))
     for row, out in zip(M.grid, got):
         for a, v in zip(row, out):
             acc = 0

@@ -23,6 +23,7 @@ from hsmult import (
     length_verified_certificate,
     membership,
     multiplicity,
+    nonsingular_at,
     rank,
     verify_reduction_by_length,
 )
@@ -1159,3 +1160,36 @@ def test_membership_sums_stats_into_its_own_modp_stats(example1):
     assert multiplicity(example1) is res
     total = ModpStats(1, 2, 3, 4, 5, 6) + ModpStats(6, 5, 4, 3, 2, 1)
     assert total == ModpStats(7, 7, 7, 7, 7, 7)
+
+
+def test_last_matlist_matrix_decides_condition_b(monkeypatch):
+    """Full column rank of the last MatList matrix at a point gives the
+    verdict of checking every MatList matrix there (see ``certify``): the
+    first 40 shell points of each distinct instance of the benchmark's
+    generic-reduce workload, seeds 7 and 501."""
+    from pathlib import Path
+
+    from hsmult import reduction
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import generate
+
+    points = verdicts = 0
+    seen = set()
+    for seed in (7, 501):
+        for req in generate("generic-reduce", seed):
+            inst = parse_instance(req.text)[0]
+            if inst.canonical_key() in seen:
+                continue
+            seen.add(inst.canonical_key())
+            res = multiplicity(inst, use_cache=False)
+            if len(res.matlist) < 2:
+                continue
+            shells = (reduction._shell_matrices(res.d, res.m - res.d, s) for s in range(3))
+            for a in itertools.islice(itertools.chain.from_iterable(shells), 40):
+                values = reduction._plain_point(res, a)
+                every = all(nonsingular_at(M, values) for M in res.matlist)
+                assert nonsingular_at(res.matlist[-1], values) is every, (req.text, a)
+                points += 1
+                verdicts |= 1 << every
+    assert points >= 3000 and verdicts == 3, (points, verdicts)

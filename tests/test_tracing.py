@@ -55,7 +55,9 @@ def test_reduce_example1_keeps_its_decisions(monkeypatch):
     # were still built from scalar objects; every matrix over K(t) is decided
     # through its image
     assert tracer.calls["reduction.certify"] == 5
-    assert tracer.calls["linalg.nonsingular_at"] == 6
+    # condition (b) is decided on the last MatList matrix alone, one call per
+    # certify call that passes the PolyList; checking every matrix made 6
+    assert tracer.calls["linalg.nonsingular_at"] == 2
     assert stats.as_dict() == {
         "dispatched": 4,
         "direct": 0,
@@ -160,6 +162,17 @@ def test_member_in_j_makes_no_point_run_and_no_k_t_run(monkeypatch):
     assert tracer.calls["linalg.kernel_ff"] == 0
 
 
+# linalg.nonsingular_at calls now that condition (b) is decided on the last
+# MatList matrix alone: one per certify call that passes the PolyList
+LAST_MATRIX_CHECKS = {
+    "example1.json": 2,
+    "params_gf2.json": 1,
+    "params_gf3.json": 1,
+    "example2_rational.json": 1,
+    "example4.json": 1,
+}
+
+
 @pytest.mark.parametrize(
     "name, at_point, nonsingular, certify, points",
     [
@@ -189,10 +202,11 @@ def test_reduce_keeps_its_point_evaluations(monkeypatch, name, at_point, nonsing
     # modp.specialize made one call per step (at_point: 4, 7, 11, 7 and 12)
     # while every step specialized its whole matrix.  Over GF(p) each
     # residue point is certified once, so certify calls equal distinct
-    # points (params_gf2 made 13 calls for its 7 before)
+    # points (params_gf2 made 13 calls for its 7 before).  nonsingular is
+    # the nonsingular_at count while certify checked every MatList matrix
     assert stats.trivial_by_modp + stats.accepted_by_support == at_point
     assert tracer.calls["modp.specialize"] == 0
-    assert tracer.calls["linalg.nonsingular_at"] == nonsingular
+    assert tracer.calls["linalg.nonsingular_at"] == LAST_MATRIX_CHECKS[name] <= nonsingular
     assert tracer.calls["reduction.certify"] == certify
     assert tracer.distinct_certify_points() == points
 
@@ -262,3 +276,37 @@ def test_every_step_takes_one_route(monkeypatch, command, name):
         stats.direct + stats.trivial_by_modp + stats.accepted_by_support + stats.fallbacks
     )
     assert tracer.calls["linalg.kernel_ff"] == stats.accepted_by_support + stats.fallbacks
+
+
+TRACED_ON_THE_PATH = (
+    "dual.initial_staircase",
+    "dual.socle_candidates",
+    "dual.gamma_candidates",
+    "matlis.compute_dual_basis",
+    "matlis.step",
+    "matlis.build_matrix",
+)
+
+
+def test_traced_names_stay_on_the_engine_path(monkeypatch):
+    """A base-field run and a K(t) run call the traced staircase and loop
+    functions, so a refactor that routes the engine around one of them fails
+    here, not only in a traced benchmark that reads 0 for it.  Base-field
+    steps solve on their run's span and build no matrix."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst, options = load_instance("example1_gf32003.json")
+        run_command("length", inst, options)
+        base = {n: tracer.calls[n] for n in TRACED_ON_THE_PATH}
+        inst, options = load_instance("example1.json")
+        run_command("mult", inst, options)
+    finally:
+        tracer.uninstall()
+    parameter = {n: tracer.calls[n] - base[n] for n in TRACED_ON_THE_PATH}
+    assert base.pop("matlis.build_matrix") == 0
+    assert min(base.values()) > 0, base
+    assert min(parameter.values()) > 0, parameter
