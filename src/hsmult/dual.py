@@ -19,13 +19,14 @@ variables and a field width w, a term alpha is
     |alpha| << n(w + 1)  +  sum over k of alpha[prec[k]] << (n - 1 - k)(w + 1),
 
 prec the order's precedence, most significant first: the total degree in
-the top field, and below it one field of w bits per variable, each with a
-guard bit above it (G, the mask of the guard bits, is ``Terms.guards``).
-So the int order is glex (degree, then the exponents in precedence order),
-a neighbour alpha +- e_i is alpha +- ``units[i]`` (e_i's field and one
-degree), and e divides tau exactly when D = (tau | G) - e has D & G == G:
-each field subtracts into its own guard bit, which stays set iff that
-field of e is at most tau's, and then tau - e is D ^ G.  The width is set
+the top field, unbounded, and below it one field of w bits per variable,
+each with a guard bit above it (G, the mask of the guard bits, is
+``Terms.guards``).  So the int order is glex (degree, then the exponents in
+precedence order), a neighbour alpha +- e_i is alpha plus or minus the unit
+of x_i (1 in its field and in the degree: ``Terms.steps``), and e divides
+tau exactly when D = (tau | G) - e has D & G == G: each field subtracts into
+its own guard bit, which stays set iff that field of e is at most tau's,
+and then tau - e is D ^ G.  The width is set
 once per run, from its caps and its generators' largest exponent, so that
 every term the run meets fits (``matlis.run_terms``).  Exponent tuples come
 back only at the edges: ``DualElement`` keys, and what a run returns.
@@ -195,8 +196,10 @@ class Terms:
     up to ``top``, in the precedence of ``order``.
 
     ``steps`` pairs each variable's unit with the mask of its field, in the
-    ambient variable order.  ``int_order`` tells whether the int order is
-    the order (glex); else ``order_key`` is its sort key on packed terms.
+    ambient variable order, and ``ones`` is 1 in every variable field:
+    (p | G) - ones keeps the guard bits of exactly the positive fields of p.
+    ``int_order`` tells whether the int order is the order (glex); else
+    ``order_key`` is its sort key on packed terms.
     """
 
     __slots__ = (
@@ -359,6 +362,7 @@ def initial_staircase(supports, terms, max_size=None):
     bounds = []
     steps = terms.steps
     guards, ones = terms.guards, terms.ones
+    units = [unit for unit, _ in steps]
     every = sum(field for _, field in steps)
     for i, (unit, field) in enumerate(steps):
         pure = [g for g in gens if (g & every) == (g & field) != 0]
@@ -379,10 +383,11 @@ def initial_staircase(supports, terms, max_size=None):
         if max_size is not None and len(pts) > max_size:
             raise CapExceeded("staircase size", max_size)
         reached = {}
+        count = reached.get
         for p in level:
-            for unit, _ in steps:
-                q = p + unit
-                reached[q] = reached.get(q, 0) + 1
+            for u in units:
+                q = p + u
+                reached[q] = count(q, 0) + 1
         nxt = []
         for q, k in reached.items():
             if k == ((q | guards) - ones & guards).bit_count():  # q's nonzero fields

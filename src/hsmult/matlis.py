@@ -11,9 +11,19 @@ parameter field the rows are cleared into the polynomial grid of a
 grid-only matrix as they are built.  A run's steps share one ``RunMemo``:
 the generators' term lists, the column of each (generator, gamma term)
 pair, with each cell's image at the run's point over a parameter field, and
-the order's sort key per exponent, which the tau0 choice,
-``gamma_candidates`` and the row sort read.  The memo belongs to the running
-state only, so it ends with the run.
+the order's sort key per term, which the tau0 choice, ``gamma_candidates``
+and the row sort read.  The memo belongs to the running state only, so it
+ends with the run.
+
+Every dual term of a run is one int of the run's ``dual.Terms`` layout
+(``run_terms``): the generators' terms, packed once by the memo, tau0,
+gamma, the names of the span's columns, the staircases and the sets l1 and
+l2.  A cell's row key is the int s * (number of generators) + i for the
+dual term s of generator i's block.  Under glex the sort key is the int
+itself; other orders use ``order.key`` of the unpacked term, memoized by the
+memo.  Exponent tuples come back only at the boundary: ``t1_points``
+(unpacked when first read), ``accepted_lts``, and the ``DualElement`` of an
+accepted step, made from the nonzero entries of its solve.
 
 A step's matrix has the columns of tau0 and of the candidate set C (the
 terms of (T2 :_E m) outside LT(N) and below tau0), and C never loses a term
@@ -31,8 +41,9 @@ restarts from empty.
 
 Over a base field the span holds the columns themselves, on the plain
 numbers of a base-field matrix, and no matrix is built: an accepted step's
-kernel vector is (1, -lambda), the one ``kernel`` would return, and a
-dependent candidate column raises UnexpectedNullity.  Over a parameter field
+kernel vector is (1, -lambda), the one ``kernel`` would return, read off the
+span's nonzero coordinates, and a dependent candidate column raises
+UnexpectedNullity.  Over a parameter field
 K(t) the span holds the columns' images at the run's point
 (``modp.point_span``, in GF(p) or GF(q)).  An image of tau0 independent of
 the span rejects the step: evaluation is a ring map, so a nonzero minor of
