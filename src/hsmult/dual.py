@@ -203,8 +203,8 @@ class Terms:
     """
 
     __slots__ = (
-        "nvars", "order", "top", "width", "guards", "steps", "int_order", "_shifts",
-        "ones", "_degree", "_ambient",
+        "nvars", "order", "top", "width", "guards", "ones", "steps", "int_order",
+        "_shifts", "_degree", "_ambient",
     )
 
     def __init__(self, nvars, order, top):
@@ -270,10 +270,6 @@ class Staircase:
         st._members = members
         st._min_gens = min_gens
         return st
-
-    @property
-    def nvars(self):
-        return self.terms.nvars
 
     def members(self, limit=None):
         """The set of points.  Raises CapExceeded past limit."""

@@ -221,21 +221,22 @@ def test_socle_candidates_are_outer_border(gens):
 def _corner_grid_min_generators(st_):
     """Reference: scan the grid whose coordinates are 0 or corner_i + 1;
     exponent tuples."""
+    nvars = st_.terms.nvars
     corners = _tuples(st_.terms, st_.corners)
     if not corners:
-        return {(0,) * st_.nvars}
+        return {(0,) * nvars}
 
     def inside(beta):
         return any(all(b <= c for b, c in zip(beta, corner)) for corner in corners)
 
-    axes = [sorted({0} | {c[i] + 1 for c in corners}) for i in range(st_.nvars)]
+    axes = [sorted({0} | {c[i] + 1 for c in corners}) for i in range(nvars)]
     return {
         beta
         for beta in itertools.product(*axes)
         if not inside(beta)
         and all(
             inside(beta[:i] + (beta[i] - 1,) + beta[i + 1 :])
-            for i in range(st_.nvars)
+            for i in range(nvars)
             if beta[i]
         )
     }
