@@ -360,7 +360,7 @@ def initial_staircase(supports, terms, max_size=None):
     guards, ones = terms.guards, terms.ones
     units = [unit for unit, _ in steps]
     every = sum(field for _, field in steps)
-    for i, (unit, field) in enumerate(steps):
+    for i, (_, field) in enumerate(steps):
         pure = [g for g in gens if (g & every) == (g & field) != 0]
         if not pure:
             raise NotZeroDimensional(i)
