@@ -199,7 +199,9 @@ class Terms:
     ambient variable order, and ``ones`` is 1 in every variable field:
     (p | G) - ones keeps the guard bits of exactly the positive fields of p.
     ``int_order`` tells whether the int order is the order (glex); else
-    ``order_key`` is its sort key on packed terms.
+    ``order_key`` is its sort key on packed terms.  Layouts compare equal,
+    and hash alike, when they pack every term alike: the same nvars, order
+    and width.
     """
 
     __slots__ = (
@@ -223,6 +225,14 @@ class Terms:
         self.steps = tuple((degree + (1 << s), ((1 << w) - 1) << s) for s in shifts)
         self.int_order = order.kind == "glex"
 
+    def __eq__(self, other):
+        return isinstance(other, Terms) and (
+            (self.nvars, self.order, self.width) == (other.nvars, other.order, other.width)
+        )
+
+    def __hash__(self):
+        return hash((self.nvars, self.order, self.width))
+
     def pack(self, alpha):
         """The packed term of an exponent vector, each entry at most top."""
         if len(alpha) != self.nvars:
@@ -243,6 +253,13 @@ class Terms:
         """``order.key`` of the unpacked term."""
         return self.order.key(self.unpack(p))
 
+    def quotients(self, tau, cells):
+        """The cells (tau - e, c, v) of those cells (e, c, v) whose e divides
+        tau: x^e . tau, by the guard-bit test of the module docstring."""
+        guards = self.guards
+        tg = tau | guards
+        return [(d ^ guards, c, v) for e, c, v in cells if (d := tg - e) & guards == guards]
+
     def sorted_ambient(self, points):
         """Points of one degree, ascending as their exponent tuples sort."""
         return sorted(points) if self._ambient else sorted(points, key=self.unpack)
@@ -253,7 +270,10 @@ class Staircase:
     its point set, enumerated on first use from the corners it was given,
     and the frozenset of minimal generators of the complement.
     ``extended`` carries both over to a larger staircase, enumerating only
-    the new points; the corners are derived when read.
+    the new points; the corners are derived when read.  Staircases compare
+    equal when their layouts do and they have the same points; the same
+    points packed in unequal layouts are different ints, so such staircases
+    compare, and hash, apart.
     """
 
     __slots__ = ("terms", "_tops", "_members", "_min_gens")
@@ -331,7 +351,7 @@ class Staircase:
     def __eq__(self, other):
         return (
             isinstance(other, Staircase)
-            and other.terms is self.terms
+            and other.terms == self.terms
             and other.members() == self.members()
         )
 

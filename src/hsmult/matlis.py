@@ -196,19 +196,19 @@ class RunMemo:
     """
 
     __slots__ = (
-        "field", "terms", "key", "point", "vanished", "_gens", "_terms", "_exact_to",
+        "field", "gens", "terms", "key", "point", "vanished", "_terms", "_exact_to",
         "_columns", "_images",
     )
 
-    def __init__(self, gens, order, nvars, exact=None, point=None, caps=None):
+    def __init__(self, gens, order, nvars, caps, exact=None, point=None):
         if exact is None:
             exact = [_gen_exact_poly(g) for g in gens]
         self.field = field = gens[0].field
-        self.terms = terms = run_terms(exact, order, nvars, caps or DEFAULT_CAPS)
+        self.gens = gens
+        self.terms = terms = run_terms(exact, order, nvars, caps)
         self.key = None if terms.int_order else _OrderKeys(terms.order_key).__getitem__
         self.point = point
         self.vanished = None
-        self._gens = gens
         self._images = [{} for _ in gens]
         self._terms = [
             None if p is None else self._with_images(i, _plain_terms(field, p, terms.pack))
@@ -222,7 +222,7 @@ class RunMemo:
         pack = self.terms.pack
         return [
             {pack(e) for e in g.support_upto(degree)} if terms is None else [e for e, _, _ in terms]
-            for g, terms in zip(self._gens, self._terms)
+            for g, terms in zip(self.gens, self._terms)
         ]
 
     def _with_images(self, i, pairs):
@@ -246,7 +246,7 @@ class RunMemo:
         """
         layout = self.terms
         top = layout.degree(max(gamma))
-        for i, g in enumerate(self._gens):
+        for i, g in enumerate(self.gens):
             if self._exact_to[i] < top:
                 depth = top + layout.nvars
                 pairs = _plain_terms(self.field, g.truncate(depth), layout.pack)
@@ -255,24 +255,16 @@ class RunMemo:
         return self._terms
 
     def columns(self, gamma):
-        """Per generator, the list of its columns of the gamma terms.
-
-        A cell is the guard-bit quotient of ``dual.Terms``: e divides tau iff
-        d = (tau | G) - e keeps every guard bit, and then tau - e = d ^ G.
-        """
-        guards = self.terms.guards
+        """Per generator, the list of its columns of the gamma terms
+        (``Terms.quotients``)."""
+        quotients = self.terms.quotients
         out = []
         for terms, known in zip(self._exact_for(gamma), self._columns):
             cols = []
             for tau in gamma:
                 col = known.get(tau)
                 if col is None:
-                    tg = tau | guards
-                    col = known[tau] = [
-                        (d ^ guards, c, v)
-                        for e, c, v in terms
-                        if (d := tg - e) & guards == guards
-                    ]
+                    col = known[tau] = quotients(tau, terms)
                 cols.append(col)
             out.append(cols)
         return out
@@ -281,27 +273,22 @@ class RunMemo:
         """Per term tau, its column of a step's matrix as a map from row keys
         to the nonzero cells, where dual term s of generator i's block has
         the row key s * (number of generators) + i.  The maps are made from
-        the generators' terms and not kept: a base-field run, which builds
-        no matrix, meets most columns once."""
-        guards = self.terms.guards
-        k = len(self._gens)
+        the generators' terms and not kept: a base-field run, the only
+        caller, builds no matrix, and on the closure-member workload it
+        meets every column once."""
+        quotients = self.terms.quotients
+        k = len(self.gens)
         gens = list(enumerate(self._exact_for(terms)))
         return [
-            {
-                (d ^ guards) * k + i: c
-                for i, cells in gens
-                for e, c, _ in cells
-                if (d := tg - e) & guards == guards
-            }
-            for tg in [tau | guards for tau in terms]
+            {s * k + i: c for i, cells in gens for s, c, _ in quotients(tau, cells)}
+            for tau in terms
         ]
 
     def image_maps(self, terms):
-        """``column_maps`` at the point, from the kept columns: the cells'
-        nonzero images there.  Raises the memo's DenominatorVanishes, if it
-        has one."""
+        """``column_maps`` at the point: the cells' nonzero images there.
+        Raises the memo's DenominatorVanishes, if it has one."""
         maps = [{} for _ in terms]
-        k = len(self._gens)
+        k = len(self.gens)
         for i, cols in enumerate(self.columns(terms)):
             for m, col in zip(maps, cols):
                 for s, _, v in col:
@@ -312,23 +299,19 @@ class RunMemo:
         return maps
 
 
-def build_matrix(gens, gamma, order, nvars, memo=None):
+def build_matrix(memo, gamma):
     """Annihilation matrix: block rows per generator, columns indexed by gamma.
 
     Within a block, rows are indexed by the dual terms appearing in the images
     of the gamma terms, sorted descending; entry (s, k) is the coefficient of
     s in generator . gamma_k.  That is the generator's coefficient at
     x^(gamma_k - s), so every cell is looked up in the generator, with no
-    product; the columns and sort keys come from the run's memo, and gamma
-    holds terms packed in its layout.  Without a memo, gamma holds exponent
-    tuples, packed into a fresh memo's.  All-zero rows never appear.  Over a
-    base field the cells are plain numbers, the int 0 where zero; over a
-    function field each row is cleared of denominators here, from its
+    product; the generators, columns and sort keys come from the run's memo,
+    and gamma holds terms packed in its layout.  All-zero rows never appear.
+    Over a base field the cells are plain numbers, the int 0 where zero; over
+    a function field each row is cleared of denominators here, from its
     nonzero cells, into the grid of a grid-only matrix.
     """
-    if memo is None:
-        memo = RunMemo(gens, order, nvars)
-        gamma = [memo.terms.pack(g) for g in gamma]
     field = memo.field
     ncols = len(gamma)
     rows = []
@@ -436,7 +419,7 @@ class DualBasisState(_DualBasis):
         else:
             point, self.span = None, ColumnSpan(field.char)
         exact = [_gen_exact_poly(g) for g in self.gens]
-        self.memo = RunMemo(self.gens, order, nvars, exact, point, caps)
+        self.memo = RunMemo(self.gens, order, nvars, caps, exact, point)
         self.terms = self.memo.terms
         t1, self._t1 = _initial_data(self.memo, exact, caps)
         self._t1_points = None
@@ -530,10 +513,6 @@ def _parameter_kernel(state, gamma):
     (see the module docstring), this step and the rest of the run go to
     ``modp.kernel_via_modp`` on the whole matrix."""
     stats = state.stats
-
-    def build(terms):
-        return build_matrix(state.gens, terms, state.order, state.nvars, state.memo)
-
     if state.span is not None:
         try:
             coords = _span_coordinates(state, gamma, state.memo.image_maps)
@@ -542,16 +521,16 @@ def _parameter_kernel(state, gamma):
         if coords is None:
             stats.trivial_by_modp += 1
             if state.track_certificates:
-                state.rejected.append(build(gamma))
+                state.rejected.append(build_matrix(state.memo, gamma))
             return None
         support = [g for g in gamma if g in coords]
         if support:
-            v = kernel(build(support))
+            v = kernel(build_matrix(state.memo, support))
             if v is not None:
                 stats.accepted_by_support += 1
                 return {g: a for g, a in zip(support, v) if a}
         state.span = None
-    M = build(gamma)
+    M = build_matrix(state.memo, gamma)
     vec = kernel_via_modp(M, stats=stats)
     if vec is None:
         if state.track_certificates:
@@ -606,7 +585,12 @@ def step(state):
 
 @dataclass
 class DualBasisResult(_DualBasis):
-    """A finished run; ``_t1`` holds the T1 points packed in ``terms``."""
+    """A finished run; ``_t1`` holds the T1 points packed in ``terms``.
+
+    Results compare field by field, the layout by value (``dual.Terms``), so
+    two runs of one input on equal caps compare equal; runs whose layouts
+    differ compare apart even where their points agree.
+    """
 
     field: object
     nvars: int

@@ -192,6 +192,26 @@ def test_staircase_corner_pruning():
     assert _tuples(T, st1.corners) == {(2, 0), (0, 1)}
 
 
+def test_staircases_compare_by_layout_value_and_points():
+    """Staircases built on separately made layouts that pack alike compare
+    equal and hash alike; a layout of another width, order or nvars does not
+    pack alike, and its staircase on the same points compares apart."""
+    corners = [(2, 0), (0, 1)]
+    a, b = _layout(2), _layout(2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert _staircase(a, corners) == _staircase(b, corners)
+    assert hash(_staircase(a, corners)) == hash(_staircase(b, corners))
+    assert _staircase(a, corners) != _staircase(a, [(1, 0), (0, 1)])
+    assert Terms(2, GLEX, 14) == a  # same width: 14 and 15 need four bits
+    for other in (Terms(2, GLEX, 16), _layout(2, MonomialOrder("lex")), _layout(3)):
+        assert other != a
+    wide = Terms(2, GLEX, 16)
+    assert _staircase(wide, corners) != _staircase(a, corners)
+    assert _tuples(wide, _staircase(wide, corners).members()) == _tuples(
+        a, _staircase(a, corners).members()
+    )
+
+
 _gens = st.sets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any), min_size=1, max_size=4
 )

@@ -55,11 +55,17 @@ def example1_gens(ff):
     return [f1, f2]
 
 
+def _fresh_build(gens, gamma, order, nvars):
+    """build_matrix on the exponent tuples gamma, packed through a fresh memo."""
+    memo = RunMemo(gens, order, nvars, DEFAULT_CAPS)
+    return build_matrix(memo, [memo.terms.pack(g) for g in gamma])
+
+
 def test_build_matrix_example1(ff, glex):
     a, b = ff.param("a"), ff.param("b")
     gens = example1_gens(ff)
     gamma = [(3, 0), (1, 1), (0, 2)]
-    M = build_matrix(gens, gamma, glex, 2)
+    M = _fresh_build(gens, gamma, glex, 2)
     assert M.rows is None
     entries = ((ff.one(), a, ff.zero()), (ff.zero(), b, ff.one()))
     assert M.grid == tuple(tuple(e.num for e in row) for row in entries)
@@ -68,10 +74,10 @@ def test_build_matrix_example1(ff, glex):
 def test_build_matrix_prunes_zero_rows(glex):
     x = SparsePoly.variable(QQ, 2, 0)
     y = SparsePoly.variable(QQ, 2, 1)
-    M = build_matrix([x, y], [(1, 0)], glex, 2)
+    M = _fresh_build([x, y], [(1, 0)], glex, 2)
     # the y-block contributes nothing: y kills 1/x^2y
     assert M.rows == ((Fraction(1),),)
-    M0 = build_matrix([x], [(0, 1)], glex, 2)
+    M0 = _fresh_build([x], [(0, 1)], glex, 2)
     assert M0.nrows == 0 and M0.ncols == 1
 
 
@@ -138,7 +144,7 @@ def test_build_matrix_matches_act_build(glex):
             key=glex.key,
             reverse=True,
         )
-        M = build_matrix(gens, gamma, glex, nvars)
+        M = _fresh_build(gens, gamma, glex, nvars)
         rows, grid = _act_build(gens, gamma, glex, nvars)
         assert M.ncols == len(gamma)
         if grid is None:
@@ -164,7 +170,7 @@ def _unpacked(memo_or_state, packed):
 def _check_memo_build(M, gens, gamma, order, nvars):
     """M, built through a memo, equals a fresh build and the act reference
     on the exponent tuples gamma."""
-    fresh = build_matrix(gens, gamma, order, nvars)
+    fresh = _fresh_build(gens, gamma, order, nvars)
     assert (M.field, M.rows, M.ncols) == (fresh.field, fresh.rows, fresh.ncols)
     rows, grid = _act_build(gens, gamma, order, nvars)
     if grid is None:
@@ -182,11 +188,11 @@ def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
     original = matlis.build_matrix
     memos, tops = [], []  # per run: its memo, the top gamma degrees it met
 
-    def checked(gens, gamma, order, nvars, memo=None):
+    def checked(memo, gamma):
         assert isinstance(memo, RunMemo)
-        M = original(gens, gamma, order, nvars, memo)
+        M = original(memo, gamma)
         gamma = _unpacked(memo, gamma)
-        _check_memo_build(M, gens, gamma, order, nvars)
+        _check_memo_build(M, memo.gens, gamma, memo.terms.order, memo.terms.nvars)
         if not memos or memos[-1] is not memo:
             memos.append(memo)
             tops.append(set())
@@ -213,7 +219,7 @@ def test_every_matrix_of_a_run_matches_a_fresh_build(monkeypatch, glex):
 def _fresh_plain_kernel(gens, gamma, order, nvars):
     """The step's matrix built from scratch on the exponent tuples gamma,
     and the frozen plain_kernel of its rows."""
-    M = build_matrix(gens, gamma, order, nvars)
+    M = _fresh_build(gens, gamma, order, nvars)
     rows, _ = _act_build(gens, gamma, order, nvars)
     assert M.rows == tuple(tuple(map(plain, row)) for row in rows)
     return frozen_plain_kernel([list(row) for row in M.rows], M.ncols, M.field.char)
@@ -244,7 +250,7 @@ def _checked_span_steps(monkeypatch):
             type(a) is (GFElement if state.field.char else Fraction) for a in vec.values()
         )
         _check_memo_build(
-            build_matrix(state.gens, gamma, state.order, state.nvars, state.memo),
+            build_matrix(state.memo, gamma),
             state.gens, tuples, state.order, state.nvars,
         )
         gamma = tuples
@@ -345,13 +351,54 @@ def test_one_memo_across_growing_gamma_lists(glex):
         else:
             series = parse_generator("(x + 2*y^2)/(1 - x - 3*y)", field, ("x", "y"))
         gens = [series, parse_polynomial("x^2 - y", field, ("x", "y"))]
-        memo = RunMemo(gens, glex, 2)
+        memo = RunMemo(gens, glex, 2, DEFAULT_CAPS)
         for top in (1, 2, 2, 4, 3, 7, 5, 9):
             pool = [(i, d - i) for d in range(top + 1) for i in range(d + 1)]
             gamma = {(top, 0), (0, top)} | set(rng.sample(pool, min(len(pool), 6)))
             gamma = sorted(gamma, key=glex.key, reverse=True)
-            M = build_matrix(gens, [memo.terms.pack(g) for g in gamma], glex, 2, memo)
+            M = build_matrix(memo, [memo.terms.pack(g) for g in gamma])
             _check_memo_build(M, gens, gamma, glex, 2)
+
+
+def test_column_maps_and_image_maps_agree_with_the_kept_columns(glex):
+    """column_maps makes its maps straight from the generators' terms and
+    image_maps from the kept columns; both hold the cells of ``columns`` at
+    the row keys s * (number of generators) + i."""
+    rng = random.Random(41)
+    qq_t = FunctionField(QQ, ("a",))
+    for field in (QQ, GF(7), qq_t):
+        gens = [parse_polynomial(e, field, ("x", "y")) for e in ("x^3 - 2*y^2", "x*y^2 + 3*y^3 + x^2")]
+        if field is qq_t:
+            point, _ = modp.point_span(field)
+            gens.append(SparsePoly.constant(field, 2, field.param("a")) * gens[0])
+        else:
+            point = None
+        memo = RunMemo(gens, glex, 2, DEFAULT_CAPS, point=point)
+        pool = [(i, d - i) for d in range(6) for i in range(d + 1)]
+        terms = [memo.terms.pack(g) for g in rng.sample(pool, 9)]
+        k = len(gens)
+        want = [{} for _ in terms]
+        images = [{} for _ in terms]
+        for i, cols in enumerate(memo.columns(terms)):
+            for m, im, col in zip(want, images, cols):
+                for s, c, v in col:
+                    m[s * k + i] = c
+                    if v is not None:
+                        im[s * k + i] = v
+        assert memo.column_maps(terms) == want
+        assert any(want)
+        if point is not None:
+            assert memo.image_maps(terms) == images and any(images)
+
+
+def test_results_of_one_input_compare_equal(glex):
+    """Two runs of one input on equal caps give equal results, their layouts
+    made apart but equal by value."""
+    x, y = (SparsePoly.variable(QQ, 2, i) for i in range(2))
+    gens = [x * x * x - y * y, x * y]
+    first, second = (compute_dual_basis(gens, glex) for _ in range(2))
+    assert first.terms is not second.terms and first.terms == second.terms
+    assert first == second
 
 
 def _reaches(root, cls):
@@ -616,7 +663,7 @@ def _eager_run(gens, order, caps):
             state.t2, state.ltn, tau0, limit=caps.max_terms, key=key
         )
         tuples = _unpacked(state, gamma)
-        M = build_matrix(gens, tuples, order, state.nvars)
+        M = _fresh_build(gens, tuples, order, state.nvars)
         v = kernel(M)
         assert step(state) is (v is not None)
         if v is not None:
@@ -837,7 +884,7 @@ def test_dependent_candidate_columns_at_the_point_leave_the_span(monkeypatch, gl
     _force_point(monkeypatch, (P, (1,)))
     state = DualBasisState(gens, glex, DEFAULT_CAPS)
     gamma = [(2, 0), (1, 0), (0, 1)]
-    M = build_matrix(gens, gamma, glex, 2)
+    M = _fresh_build(gens, gamma, glex, 2)
     assert kernel(M) is None
     assert matlis._parameter_kernel(state, [state.terms.pack(g) for g in gamma]) is None
     assert state.span is None
