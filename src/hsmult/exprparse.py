@@ -13,16 +13,14 @@ Division builds an exact rational pair of polynomials, so both rational
 literals (3/4) and series generators (1/(1-x)) come out of one grammar; the
 caller decides whether a non-constant denominator is acceptable.
 
-Most expressions are sums of monomial terms, and those build no pair.  A
-term whose factors are all signed integers, variables and variable powers
-is carried as (int coefficient, exponents), and while the denominator of
-the sum is 1 every term is added into one coefficient dict in place.  Only
-parentheses, '/' and powers of integers build SparsePoly pairs, and a
-term or sum turns into a pair at the first of them.  A factor that is the
-constant 1, every denominator of a polynomial expression, is never
-multiplied by, and a single term raised to a power is built directly.  The
-pair, every ParseError and every CapExceeded are the same as the plain
-SparsePoly arithmetic of each factor and term, in order, would give.
+Most expressions are sums of monomial terms, and those build no pair: a
+term of signed integers, variables and variable powers is carried as (int
+coefficient, exponents), added into one coefficient dict while the sum's
+denominator is 1 (``term``, ``expr``).  Only parentheses, '/' and powers of
+integers build SparsePoly pairs.  The constant 1, every denominator of a
+polynomial expression, is never multiplied by, and a single term is raised
+to a power directly.  The pair, every ParseError and every CapExceeded are
+those the plain SparsePoly arithmetic of each factor and term would give.
 
 With ``max_terms`` set, expansion is bounded: a power a^k of t > 1 terms
 raises CapExceeded("expression terms", max_terms) before it is expanded
@@ -33,15 +31,21 @@ only for products of more than max_terms coefficient pairs, and the count
 stops past max_terms.  A power within the bound is expanded by the
 multinomial theorem, one term per composition of k, so its work is linear
 in the bound and no expansion runs away.
+
+A literal, or over QQ a coefficient of the polynomial or series a parse
+returns, with more decimal digits than ``sys.get_int_max_str_digits``
+allows (0: no limit) is a ParseError, since no report could print it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .errors import CapExceeded, ParseError
 from .poly import SparsePoly, exp_add
+from .scalars import QQ
 
 # one match per newline, token or end of input: a newline (counted for the
 # line numbers), a token after any blanks, or the rest of the text when no
@@ -50,6 +54,8 @@ _TOKEN = re.compile(
     r"(\n)|\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))|(.*)", re.DOTALL
 )
 _KINDS = (None, None, "int", "name", "op")
+_TOO_LONG = "a number has more than {} decimal digits (sys.get_int_max_str_digits())"
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _tokenize(text):
@@ -57,6 +63,7 @@ def _tokenize(text):
     tokens = []
     line = 1
     line_start = 0
+    limit = _digit_limit()
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         if group == 1:
@@ -69,13 +76,24 @@ def _tokenize(text):
                 raise ParseError(f"unexpected character {stray[0]!r}", line, col)
             break
         else:
-            value = m.group(group)
-            tokens.append((
-                _KINDS[group], int(value) if group == 2 else value, line,
-                m.start(group) - line_start + 1,
-            ))
+            value, col = m.group(group), m.start(group) - line_start + 1
+            if group == 2 and 0 < limit < len(value):
+                raise ParseError(_TOO_LONG.format(limit), line, col)
+            tokens.append((_KINDS[group], int(value) if group == 2 else value, line, col))
     tokens.append(("end", None, line, len(text) - line_start + 1))
     return tokens
+
+
+def _checked_digits(g, *polys):
+    """g, unless a coefficient of g or polys is past the digit limit."""
+    limit = _digit_limit()
+    if limit and g.field == QQ:
+        bits = 3 * limit  # an int of at most 3 * limit bits has at most limit digits
+        for c in [c for p in (g, *polys) for c in p.coeffs.values()]:
+            n, d = c.numerator, c.denominator
+            if (n.bit_length() > bits or d.bit_length() > bits) and max(abs(n), d) >= 10**limit:
+                raise ParseError(_TOO_LONG.format(limit))
+    return g
 
 
 def bound_product(a, b, cap):
@@ -379,7 +397,7 @@ def parse_polynomial(text, field, var_names, max_terms=None):
     if den.total_degree() > 0 or not c:
         raise ParseError(f"expression {text!r} is not a polynomial")
     one = field.one()
-    return num if c == one else num.scale(one / c)
+    return _checked_digits(num if c == one else num.scale(one / c))
 
 
 def parse_generator(text, field, var_names, max_terms=None):
@@ -393,5 +411,5 @@ def parse_generator(text, field, var_names, max_terms=None):
         if not c:
             raise ParseError(f"zero denominator in {text!r}")
         one = field.one()
-        return num if c == one else num.scale(one / c)
-    return RationalSeries(num, den)
+        return _checked_digits(num if c == one else num.scale(one / c))
+    return RationalSeries(_checked_digits(num, den), den)

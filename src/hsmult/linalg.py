@@ -31,9 +31,9 @@ GF(p), or of GF(q) as logarithms on the arithmetic of ``modp._Extension``.
 Reducing a column leaves zero exactly when it lies in the span, and then
 its coordinates are the canonical kernel vector below of [that column | the
 independent inserted ones]; over K(t) their nonzero entries are the support
-of the exact solve.  A matrix met once, a base-field ``kernel`` or an image
-``modp.kernel_via_modp`` takes, is decided by ``span_kernel``, which inserts
-its columns into a fresh span in index order.
+of the exact solve.  A matrix met once, a base-field ``kernel`` or the
+image of one matrix at a point (``modp.kernel_via_modp``), is decided by
+``span_kernel``, which inserts its columns into a fresh span in index order.
 
 Kernel contract (the PolyList/MatList certificate strings rest on it): a
 one-dimensional kernel is returned as one canonical vector.  Over a function

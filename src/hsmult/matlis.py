@@ -5,25 +5,13 @@ repeatedly picks the smallest candidate leading term tau0 not yet settled,
 decides the kernel of the annihilation matrix over the colon candidates
 below tau0, and either accepts a new basis element xi (one-dimensional
 kernel) or records the rejection.  The candidates come from the point sets
-of the staircases (set lookups, and minimal generators kept per staircase);
-the matrix cells are looked up in the generators' coefficients, and over a
-parameter field the rows are cleared into the polynomial grid of a
-grid-only matrix as they are built.  A run's steps share one ``RunMemo``:
-the generators' term lists, the column of each (generator, gamma term)
-pair, with each cell's image at the run's point over a parameter field, and
-the order's sort key per term, which the tau0 choice, ``gamma_candidates``
-and the row sort read.  The memo belongs to the running state only, so it
-ends with the run.
-
-Every dual term of a run is one int of the run's ``dual.Terms`` layout
-(``run_terms``): the generators' terms, packed once by the memo, tau0,
-gamma, the names of the span's columns, the staircases and the sets l1 and
-l2.  A cell's row key is the int s * (number of generators) + i for the
-dual term s of generator i's block.  Under glex the sort key is the int
-itself; other orders use ``order.key`` of the unpacked term, memoized by the
-memo.  Exponent tuples come back only at the boundary: ``t1_points``
-(unpacked when first read), ``accepted_lts``, and the ``DualElement`` of an
-accepted step, made from the nonzero entries of its solve.
+of the staircases, and the matrix cells are looked up in the generators'
+coefficients.  A run's steps share one ``RunMemo``, which ends with the run.
+Every dual term of a run is one int of its ``dual.Terms`` layout
+(``run_terms``).  Exponent tuples come back only at the boundary:
+``t1_points`` (unpacked when first read), ``accepted_lts``, and the
+``DualElement`` of an accepted step, made from the nonzero entries of its
+solve.
 
 A step's matrix has the columns of tau0 and of the candidate set C (the
 terms of (T2 :_E m) outside LT(N) and below tau0), and C never loses a term
@@ -50,37 +38,36 @@ the span rejects the step: evaluation is a ring map, so a nonzero minor of
 the image is a nonzero minor over K(t).  An image that reduces to zero
 gives the support S of the image's kernel vector; the exact ``kernel`` of
 the matrix on the columns of S is the step's vector, since the image has
-rank |S| - 1 there, which bounds the exact nullity by 1.  A candidate image
-that is dependent, over QQ a coefficient whose integer denominator the
-run's prime divides, or a support solve with no vector leaves the span: that
-step and every later one of the run go to ``modp.kernel_via_modp`` on the
-whole matrix.
-So ``build_matrix`` runs over K(t) for the support solves, for the
-rejected steps whose matrices the certificate keeps, and after a run has
-left its span.
+rank |S| - 1 there, which bounds the exact nullity by 1.  The span cannot
+decide a step when a candidate image is dependent, when over QQ the run's
+prime divides a coefficient's integer denominator, or when a support solve
+finds no vector.  The run then moves to its next hashed point, with a new
+memo and an empty span, and decides the step there; at the last point of
+``modp.DEFAULT_PRIMES`` the exact ``kernel`` of the whole matrix decides it,
+and the run stays there.  So ``build_matrix`` runs over K(t) for the support
+solves, the rejected steps whose matrices the certificate keeps, and those
+exact steps.
 
 The accepted xi's and staircase terms together form a K-basis of the dual
 module, so the basis size is the colength of <F>.  An accepted xi is kept as
 the kernel vector that found it, and ``xis`` and ``basis()`` read it as is:
 over a base field it is 1 at its leading term (the span's coordinates), and
 over K[t] it is the primitive polynomial vector of the kernel contract.
-
 On a parameter field, the leading-coefficient numerators of accepted xi's and
-the rejected matrices are retained: they are the genericity certificate used
-by the reduction engine.  A rejected matrix is kept as built (grid-only,
-every zero cell of a row one shared empty dict); ``matlist`` makes those
-grids canonical when first read and keeps the result, so a run whose
-certificate nobody reads never canonicalizes.
+the rejected matrices are the genericity certificate used by the reduction
+engine.  A rejected matrix is kept as built (grid-only, every zero cell of a
+row one shared empty dict); ``matlist`` makes those grids canonical when
+first read, so a run whose certificate nobody reads never canonicalizes.
 
 The engine has no tuning settings.  Every step counts one ``dispatched``
 solve in the run's ``stats`` and one on the path that decided it: a
 base-field step counts as the ``direct`` solve it stands for, a K(t) step
-decided on the span as ``trivial_by_modp`` or ``accepted_by_support``, the
-counts ``kernel_via_modp`` would give at the same point, and
-``kernel_via_modp`` counts the steps it decides itself.  Series generators
-are truncated from a fixed start degree (see ``_initial_data``).  Neither
-changes the basis of a run that finishes: the kernel vector is canonical on
-every path, and the staircase is certified exact whatever the truncation.
+as ``trivial_by_modp`` or ``accepted_by_support`` when a point decided it,
+else as one of the ``fallbacks``; ``retries`` counts the point moves.
+Series generators are truncated from a fixed start degree (see
+``_initial_data``).  Neither changes the basis of a run that finishes: the
+kernel vector is canonical on every path, and the staircase is certified
+exact whatever the truncation.
 """
 
 from __future__ import annotations
@@ -103,7 +90,7 @@ from .errors import (
     UnexpectedNullity,
 )
 from .linalg import ColumnSpan, ExactMatrix, kernel
-from .modp import ModpStats, coefficient_images, kernel_via_modp, point_span
+from .modp import DEFAULT_PRIMES, ModpStats, coefficient_images, point_span
 from .poly import SparsePoly, clear_row_denominators
 from .scalars import FunctionField, pp_primitive, pp_primitive_row
 from .series import SeriesOracle
@@ -382,20 +369,16 @@ class _DualBasis:
 
     def basis(self):
         """T1 terms ascending in the order, then xi's in acceptance order."""
-        out = [
-            DualElement.term(self.field, e)
-            for e in sorted(self.t1_points, key=self.order.key)
-        ]
-        out.extend(self.xis)
-        return out
+        t1 = sorted(self.t1_points, key=self.order.key)
+        return [DualElement.term(self.field, e) for e in t1] + self.xis
 
 
 class DualBasisState(_DualBasis):
     """Single-owner state of one composition-series run, with its memo and
-    the span of the candidate columns (at the run's point over a parameter
-    field; None once the run has left it).  The staircases, the sets l1 and
-    l2 and the span's names hold terms packed in the memo's layout
-    (``terms``); ``accepted_lts`` holds exponent tuples."""
+    the span of the candidate columns (over a parameter field at the point
+    ``modp.point_span`` gives for the run's retry).  The staircases, the
+    sets l1 and l2 and the span's names hold terms packed in the memo's
+    layout (``terms``); ``accepted_lts`` holds exponent tuples."""
 
     def __init__(self, gens, order, caps, stats=None):
         if not gens:
@@ -411,11 +394,10 @@ class DualBasisState(_DualBasis):
         self.field = field
         self.nvars = nvars
         self.stats = ModpStats() if stats is None else stats
-        self.track_certificates = isinstance(field, FunctionField) and bool(
-            field.params
-        )
+        self.track_certificates = isinstance(field, FunctionField) and bool(field.params)
+        self.retry = 0
         if isinstance(field, FunctionField):
-            point, self.span = point_span(field)
+            point, self.span = point_span(field, 0)
         else:
             point, self.span = None, ColumnSpan(field.char)
         exact = [_gen_exact_poly(g) for g in self.gens]
@@ -510,33 +492,38 @@ def _parameter_kernel(state, gamma):
     """The kernel of the step's matrix over K(t), decided on the run's span
     at its point, as the nonzero entries by packed term; a rejected step's
     matrix is kept as the certificate needs.  When the span cannot decide
-    (see the module docstring), this step and the rest of the run go to
-    ``modp.kernel_via_modp`` on the whole matrix."""
+    (see the module docstring), the run moves to its next point, and at the
+    last one the exact ``kernel`` of the whole matrix decides."""
     stats = state.stats
-    if state.span is not None:
+    while True:
         try:
             coords = _span_coordinates(state, gamma, state.memo.image_maps)
         except (UnexpectedNullity, DenominatorVanishes):
             coords = {}  # no support: the span cannot decide
         if coords is None:
             stats.trivial_by_modp += 1
-            if state.track_certificates:
-                state.rejected.append(build_matrix(state.memo, gamma))
-            return None
+            M = build_matrix(state.memo, gamma) if state.track_certificates else None
+            break
         support = [g for g in gamma if g in coords]
         if support:
             v = kernel(build_matrix(state.memo, support))
             if v is not None:
                 stats.accepted_by_support += 1
                 return {g: a for g, a in zip(support, v) if a}
-        state.span = None
-    M = build_matrix(state.memo, gamma)
-    vec = kernel_via_modp(M, stats=stats)
-    if vec is None:
-        if state.track_certificates:
-            state.rejected.append(M)
-        return None
-    return {g: a for g, a in zip(gamma, vec) if a}
+        if state.retry + 1 == len(DEFAULT_PRIMES):
+            stats.fallbacks += 1
+            M = build_matrix(state.memo, gamma)
+            v = kernel(M)
+            if v is not None:
+                return {g: a for g, a in zip(gamma, v) if a}
+            break
+        state.retry += 1
+        stats.retries += 1
+        point, state.span = point_span(state.field, state.retry)
+        state.memo = RunMemo(state.gens, state.order, state.nvars, state.caps, point=point)
+    if state.track_certificates:
+        state.rejected.append(M)
+    return None
 
 
 def step(state):

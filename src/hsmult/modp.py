@@ -1,23 +1,15 @@
 """Kernel decisions for parameter-polynomial matrices at points.
 
-A composition-series run over a parameter field decides its steps at one
-point (``point_span``): ``matlis`` keeps the images of its candidate columns
-there in a ``linalg.ColumnSpan`` over the point field, from each generator
+A composition-series run over a parameter field decides its steps at a
+point (``point_span``), and at its next one when a step is degenerate there:
+``matlis`` keeps the images of its candidate columns in a
+``linalg.ColumnSpan`` over the point field, from each generator
 coefficient's image (``coefficient_images``): its numerator's image, over
 QQ times the inverse of its integer denominator mod p.  Evaluation at a
 point is a ring map, so it can only lower the rank: a column independent of
-the others at the point is independent over K(t).
-
-``kernel_via_modp`` decides a whole matrix, for the runs that leave their
-span and for the public API.  It tries up to three points (one per prime of
-``DEFAULT_PRIMES`` over QQ) before the exact ``kernel``.  A full-column-rank
-image certifies a trivial exact kernel outright.  An image with a
-one-dimensional kernel proposes its support S for an exact solve that keeps
-every row of M, so a vector v it returns has M v = M_S v_S = 0.  Since
-rank(image) = ncols - 1 <= rank(M), M has nullity at most 1, so v spans
-ker M and is ``kernel(M)``'s canonical vector; no second check is needed.  A
-support on which the solve finds no vector costs a retry with the next
-point.  So correctness never depends on the point being generic.
+the others at the point is independent over K(t).  ``kernel_via_modp``
+decides one whole matrix at points, for callers of the library; no run
+calls it.
 
 The point field.  Over GF(p)(t) a point lies in GF(q), q = p^k with k the
 largest exponent such that q <= 2^13 (``point_field_order``), so k = 1 for
@@ -34,27 +26,23 @@ each, are built for a prime when its first run needs them; a span over
 GF(q) holds the logarithms of its nonzero elements.
 
 A point is a plain pair (prime, values).  The retry-th point is hashed from
-(retry, number of parameters, characteristic) alone, once
+(retry, number of parameters, characteristic) alone, and kept
 (``_hashed_point``), so every run over one field meets the same points.
 Its coordinates are nonzero: a zero coordinate kills every monomial in that
 parameter, so one such point would be degenerate for every matrix over its
-field.  ``kernel_via_modp`` reads the matrix's cleared grid
-(``ExactMatrix.grid``): the image is its evaluation at the point
-(``specialize``), and the restricted solve takes its columns.  Over a prime
-point field, grids and coefficients are evaluated by
+field.  Over a prime point field, grids and coefficients are evaluated by
 ``scalars.pp_eval_rows``, the one evaluator of parameter polynomials at a
-point of a prime field, and over GF(q) by ``_Extension``.  The kernel of an
-image is decided by ``linalg.span_kernel`` on a fresh ``linalg.ColumnSpan``
-over the point field, on its ints mod p or, over GF(q), their logarithms,
-as every kernel on plain numbers is.  No field element or rational function
-is built for an image.
+point of a prime field, and over GF(q) by ``_Extension``, into the plain
+numbers of a ``linalg.ColumnSpan`` over the point field: ints mod p or, over
+GF(q), logarithms.  No field element or rational function is built for an
+image.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 # CPython's built-in SHA-256 gives the same digests as hashlib's without
 # loading OpenSSL's libcrypto (3.7 MB resident with CPython 3.11 on Linux)
@@ -65,7 +53,7 @@ except ImportError:
 
 from .errors import DenominatorVanishes, InternalInconsistency, UnexpectedNullity
 from .linalg import ColumnSpan, kernel, span_kernel
-from .scalars import pp_eval_rows
+from .scalars import CACHE_SIZE, pp_eval_rows
 
 # largest primes below 2^31, descending: the retry-th point is taken mod the
 # retry-th prime, so their number is the number of points tried
@@ -199,7 +187,7 @@ class _Extension:
         return out
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def _point_field(p):
     """GF(point_field_order(p)) as an ``_Extension``, or None when that is
     GF(p); built on first use, one per prime."""
@@ -207,7 +195,7 @@ def _point_field(p):
     return None if q == p else _Extension(p, q)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def _hashed_point(retry, nparams, char):
     """The retry-th hashed point for nparams parameters in characteristic
     char, made once: (prime, values), every value a nonzero element of the
@@ -226,10 +214,10 @@ def _hashed_point(retry, nparams, char):
     return p, tuple(values)
 
 
-def point_span(ff):
-    """The point of a run over the parameter field ff, its first hashed point,
-    and an empty ``linalg.ColumnSpan`` over the point field."""
-    point = _hashed_point(0, len(ff.params), ff.char)
+def point_span(ff, retry):
+    """The retry-th point of a run over the parameter field ff, its retry-th
+    hashed point, and an empty ``linalg.ColumnSpan`` over the point field."""
+    point = _hashed_point(retry, len(ff.params), ff.char)
     return point, ColumnSpan(point[0], _point_field(point[0]))
 
 
@@ -256,6 +244,11 @@ def coefficient_images(coeffs, point):
 
 @dataclass
 class ModpStats:
+    """Solves by path: ``dispatched`` all, ``direct`` base-field ones,
+    ``trivial_by_modp`` K(t) rejections at a point, ``accepted_by_support``
+    exact solves on a point's support, ``fallbacks`` exact solves of a whole
+    matrix, and ``retries`` the points tried after the first."""
+
     dispatched: int = 0
     direct: int = 0
     trivial_by_modp: int = 0
@@ -278,9 +271,7 @@ def specialize(M, point):
     and over GF(q) logarithms, -1 for zero (``_Extension.eval_rows``)."""
     p, values = point
     F = _point_field(p)
-    if F is None:
-        return pp_eval_rows(M.grid, values, p)
-    return F.eval_rows(M.grid, values)
+    return pp_eval_rows(M.grid, values, p) if F is None else F.eval_rows(M.grid, values)
 
 
 def _restricted_solve(M, cols):
@@ -296,19 +287,19 @@ def _restricted_solve(M, cols):
 
 
 def kernel_via_modp(M, points=(), stats=None):
-    """Exact kernel of a parameter matrix, decided through mod-p images.
+    """Exact kernel of a parameter matrix, decided at up to three points
+    (one per prime of ``DEFAULT_PRIMES`` over QQ), then by ``kernel``.
 
-    A trivial mod-p kernel is conclusive.  A one-dimensional one proposes a
-    column support for the exact solve, whose vector is the kernel of M (see
-    the module docstring); when it finds none, or the image has a larger
-    kernel, the next point is tried, then the exact path.
-    ``points``, (prime, values) pairs with the values taken mod the prime,
-    replace the first hashed points; tests use them to inject degenerate
-    points.
+    A trivial image kernel (``specialize``, ``linalg.span_kernel``) is
+    conclusive.  A one-dimensional one proposes its support S for an exact
+    solve that keeps every row, so a vector v found has M v = M_S v_S = 0,
+    and as rank(image) = ncols - 1 <= rank(M), v is ``kernel(M)``'s vector.
+    Any other image costs a retry.  ``points``, (prime, values) pairs with
+    the values taken mod the prime, replace the first hashed points; tests
+    use them to inject degenerate points.
     """
     stats = ModpStats() if stats is None else stats
-    ff = M.field
-    nparams = len(ff.params)
+    nparams, char = len(M.field.params), M.field.char
     for retry in range(len(DEFAULT_PRIMES)):
         if retry:
             stats.retries += 1
@@ -316,14 +307,11 @@ def kernel_via_modp(M, points=(), stats=None):
             p, values = points[retry]
             values = tuple(v % p for v in values)
         else:
-            p, values = _hashed_point(retry, nparams, ff.char)
+            p, values = _hashed_point(retry, nparams, char)
         rows = specialize(M, (p, values))
         F = _point_field(p)
         zero = -1 if F else 0
-        cols = [
-            {i: row[j] for i, row in enumerate(rows) if row[j] != zero}
-            for j in range(M.ncols)
-        ]
+        cols = [{i: r[j] for i, r in enumerate(rows) if r[j] != zero} for j in range(M.ncols)]
         try:
             image = span_kernel(cols, p, F)
         except UnexpectedNullity:

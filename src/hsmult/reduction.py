@@ -9,8 +9,8 @@ passing both checks yields a reduction with those coefficients; an exhaustive
 small-coefficient search and an independent length-recomputation check are
 built on top.  A coefficient matrix holds ints or base-field scalars, read
 row by row as the parameters t_i_j.  Every kernel over K(t) is decided at
-fixed points (``modp.point_span`` and ``modp.kernel_via_modp``), so a result
-and its mod-p counters depend on the instance alone, which is the
+fixed points (``modp.point_span``), or exactly where none decides it, so a
+result and its mod-p counters depend on the instance alone, which is the
 multiplicity cache's key.
 
 Integral-closure membership: h lies in the integral closure of J exactly when
@@ -86,7 +86,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .errors import CapExceeded, NonUnitDenominator, NotZeroDimensional, SearchExhausted
 from .exprparse import bound_product
@@ -95,7 +95,7 @@ from .matlis import DEFAULT_CAPS, compute_dual_basis
 from .modp import DEFAULT_PRIMES, ModpStats, sha256
 from .orders import MonomialOrder
 from .poly import SparsePoly, lift_poly
-from .scalars import GF, FunctionField, GFElement, pp_eval_rows, pp_to_str
+from .scalars import CACHE_SIZE, GF, FunctionField, GFElement, pp_eval_rows, pp_to_str
 from .series import LinearCombination, PolySeries, RationalSeries, as_oracle
 
 
@@ -194,7 +194,7 @@ class ProblemInstance:
         return "|".join(parts)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def param_names(d, m):
     """t_i_j for row i <= d and source generator j in d+1..m; one per shape."""
     return tuple(f"t_{i}_{j}" for i in range(1, d + 1) for j in range(d + 1, m + 1))

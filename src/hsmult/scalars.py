@@ -507,7 +507,12 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-@lru_cache(maxsize=None)
+# the entries a process-lifetime cache keeps (GF, modp's points and point
+# fields, reduction.param_names); one rebuilt after eviction is equal
+CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def GF(p):
     return PrimeField(p)
 

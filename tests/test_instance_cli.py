@@ -518,6 +518,76 @@ def test_bool_dim_and_characteristic_exit_2(tmp_path, field, value):
     assert err.startswith(f"error: {field} must")
 
 
+@pytest.mark.parametrize("command", ["mult", "length", "reduce", "member"])
+def test_coefficients_past_the_int_string_limit_exit_2_before_any_run(
+    tmp_path, monkeypatch, command
+):
+    """2^100000 has 30,103 decimal digits, past the interpreter's default
+    limit of 4,300 for int-string conversion, so no report could print it:
+    the parser refuses it, in the ideal or in the member expression, with a
+    message that names the limit, and no engine runs."""
+    from hsmult import cli
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    for name in ("compute_dual_basis", "multiplicity", "membership"):
+        monkeypatch.setattr(cli, name, engine)
+    huge = "2^100000"
+    if command == "member":
+        argv = [command, _write_instance(tmp_path, SMALL), huge + "*x"]
+    else:
+        argv = [command, _write_instance(tmp_path, dict(SMALL, ideal=[huge + "*x^3", "y^2"]))]
+    code, err = _run_main(argv)
+    assert code == 2
+    limit = sys.get_int_max_str_digits()
+    assert err.endswith(f"a number has more than {limit} decimal digits (sys.get_int_max_str_digits())\n")
+
+
+def test_the_digit_limit_is_the_interpreters(monkeypatch):
+    """Literals and QQ coefficients up to the limit parse, one digit more is
+    a ParseError, literals with their position; a limit of 0 checks
+    nothing, and over GF(p) a coefficient is reduced first."""
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert parse_polynomial("10^639*x - 1/10^639", QQ, ("x",))
+        assert parse_polynomial("9" * 640, QQ, ("x",))
+        for text in ("10^640*x", "x/10^640", "(2*x)^2200", "2^1100*x/(1/2^1100)"):
+            with pytest.raises(ParseError, match="more than 640 decimal digits"):
+                parse_polynomial(text, QQ, ("x",))
+        with pytest.raises(ParseError, match="640 decimal digits.* at line 2, column 3"):
+            parse_polynomial("x\n+ " + "1" * 641, GF(7), ("x",))
+        assert parse_polynomial("10^5000*x", GF(7), ("x",)).coeffs[(1,)].v == pow(10, 5000, 7)
+        sys.set_int_max_str_digits(0)
+        assert parse_polynomial("10^5000*x", QQ, ("x",)).coeffs[(1,)] == 10**5000
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_process_caches_are_bounded():
+    """A process that meets more primes and shapes than the caches hold
+    keeps at most their bounds: the prime fields of parsed instances, the
+    hashed points and point fields of runs over them, and the parameter
+    names of each shape.  A field or point rebuilt after eviction is equal
+    to the one evicted."""
+    from hsmult import modp, reduction, scalars
+
+    bound = scalars.CACHE_SIZE
+    primes = [p for p in range(2, 2000) if scalars.is_prime(p)][: bound + 8]
+    first_field = scalars.GF(2)
+    first_point = modp.point_span(FunctionField(GF(2), ("a",)), 0)[0]
+    for p in primes:
+        inst, _ = parse_instance(json.dumps(dict(SMALL, characteristic=p)))
+        modp.point_span(FunctionField(inst.base, ("a",)), 0)
+    for m in range(2, bound + 10):
+        reduction.param_names(1, m)
+    for cached in (scalars.GF, modp._hashed_point, modp._point_field, reduction.param_names):
+        assert cached.cache_info().currsize == bound
+    assert scalars.GF(2) == first_field
+    assert modp.point_span(FunctionField(GF(2), ("a",)), 0)[0] == first_point
+
+
 def test_large_prime_characteristic_parses_at_once(tmp_path):
     """Trial division did not finish 2^61 - 1 in 20 s."""
     payload = dict(SMALL, characteristic=2**61 - 1)

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import types
 from fractions import Fraction
@@ -24,6 +25,7 @@ from hsmult import (
 from hsmult.errors import CapExceeded
 from hsmult.linalg import kernel
 from hsmult import matlis, modp, reduction
+from hsmult.cli import run_command
 from hsmult.exprparse import parse_generator, parse_polynomial
 from hsmult.instance import parse_instance
 from hsmult.matlis import DEFAULT_CAPS, DualBasisResult, RunMemo, canonical_cleared_matrix
@@ -369,7 +371,7 @@ def test_column_maps_and_image_maps_agree_with_the_kept_columns(glex):
     for field in (QQ, GF(7), qq_t):
         gens = [parse_polynomial(e, field, ("x", "y")) for e in ("x^3 - 2*y^2", "x*y^2 + 3*y^3 + x^2")]
         if field is qq_t:
-            point, _ = modp.point_span(field)
+            point, _ = modp.point_span(field, 0)
             gens.append(SparsePoly.constant(field, 2, field.param("a")) * gens[0])
         else:
             point = None
@@ -619,8 +621,9 @@ def test_budget_stops_the_loop_at_that_length(glex):
 def test_injected_solver_inconsistencies(ff, glex, monkeypatch):
     """A solve that claims a kernel vector with vanishing first entry is an
     InternalInconsistency, and an UnexpectedNullity from a solve propagates,
-    on both routes of a K(t) step: the exact solve on the support the span
-    proposes, and ``kernel_via_modp`` once the run has left its span."""
+    on both exact solves of a K(t) step: the one on the support the span
+    proposes, and the one on the whole matrix at the run's last point, here
+    a point whose span never decides."""
     from hsmult.errors import InternalInconsistency
     from hsmult import UnexpectedNullity
 
@@ -632,18 +635,21 @@ def test_injected_solver_inconsistencies(ff, glex, monkeypatch):
     def nullity_kernel(M, *args, **kwargs):
         raise UnexpectedNullity(2)
 
-    for route in ("kernel", "kernel_via_modp"):
+    for route in ("support", "whole matrix"):
         for fake, error in (
             (bad_kernel, InternalInconsistency), (nullity_kernel, UnexpectedNullity),
         ):
             with monkeypatch.context() as m:
-                m.setattr(matlis, route, fake)
+                m.setattr(matlis, "kernel", fake)
                 state = DualBasisState(gens, glex, DEFAULT_CAPS)
-                if route == "kernel_via_modp":
-                    state.span = None
+                if route == "whole matrix":
+                    state.retry = len(DEFAULT_PRIMES) - 1
+                    m.setattr(matlis, "_span_coordinates", nullity_kernel)
                 with pytest.raises(error):
                     while not state.done():
                         step(state)
+                assert state.stats.fallbacks == (route == "whole matrix")
+                assert state.stats.retries == 0
 
 
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
@@ -757,7 +763,7 @@ def test_every_parameter_step_matches_a_fresh_solve(glex):
                 a * a]
         gens = _random_parameter_gens(rng, field, pool)
         state, eager = _eager_run(gens, glex, caps)
-        assert state.span is not None  # the span decided every step
+        assert state.retry == 0  # the first point decided every step
         assert [M.grid for M in state.matlist] == [M.grid for M in eager]
         stats = state.stats
         assert (stats.retries, stats.fallbacks) == (0, 0)
@@ -823,76 +829,147 @@ def test_rejected_column_sets_form_a_chain(monkeypatch, glex):
 P = DEFAULT_PRIMES[0]
 
 
-def _force_point(monkeypatch, point):
-    """Make point the first hashed point of every field over QQ."""
+def _force_point(monkeypatch, point, every_retry=False):
+    """Make point the first hashed point of every field over QQ, or with
+    every_retry each hashed point of every field."""
     real = modp._hashed_point
     monkeypatch.setattr(
         modp, "_hashed_point",
-        lambda retry, nparams, char: point if retry == 0 else real(retry, nparams, char),
+        lambda retry, nparams, char: (
+            point if retry == 0 or every_retry else real(retry, nparams, char)
+        ),
     )
 
 
-@pytest.mark.parametrize("case", ["prime denominator", "no support vector"])
-def test_degenerate_points_send_the_run_to_kernel_via_modp(monkeypatch, glex, case):
-    """At a point whose prime divides a generator coefficient's integer
-    denominator (over QQ), or where tau0's image lies in the span but the
-    exact solve on its support finds no vector, the run leaves its span:
-    that step and every later one go to kernel_via_modp on the whole matrix.  The length, PolyList and MatList are those of the run
-    decided on the span at a good point, and so are the counts of each path."""
-    ff = FunctionField(QQ, ("a", "b"))
+def _forbid_the_one_matrix_route(monkeypatch):
+    """Make ``modp.kernel_via_modp`` and ``modp.specialize`` raise: no
+    composition-series run evaluates a whole matrix at a point."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run reached the one-matrix route")
+
+    monkeypatch.setattr(modp, "kernel_via_modp", forbidden)
+    monkeypatch.setattr(modp, "specialize", forbidden)
+
+
+def _degenerate_gens(ff, case):
+    """Example 1's shape, with a generator coefficient that makes the run's
+    first point degenerate in the given way."""
     a, b = ff.param("a"), ff.param("b")
     x3, y2, xy = (SparsePoly.monomial(ff, e) for e in ((3, 0), (0, 2), (1, 1)))
     g2 = y2 + xy.scale(b)
     if case == "prime denominator":
-        gens, point, on_span = [x3 + xy.scale(a / ff.from_int(P)), g2], None, 0
-    else:  # at a = 1 the column of 1/x^3 vanishes
-        gens, point, on_span = [x3.scale(a - ff.one()) + xy.scale(a), g2], (P, (1, 5)), 2
+        return [x3 + xy.scale(a / ff.from_int(P)), g2]
+    if case == "every prime denominator":
+        return [x3 + xy.scale(a / ff.from_int(math.prod(DEFAULT_PRIMES))), g2]
+    return [x3.scale(a - ff.one()) + xy.scale(a), g2]  # at a = 1 1/x^3's column vanishes
+
+
+def test_no_run_reaches_the_one_matrix_route(monkeypatch):
+    """No fixture's ``mult`` evaluates a whole matrix at a point (the
+    degenerate-point runs below are checked the same way)."""
+    _forbid_the_one_matrix_route(monkeypatch)
+    ran = 0
+    for name in FIXTURE_NAMES:
+        inst, options = load_instance(name)
+        if inst.d:
+            stats = run_command("mult", inst, options)[1]
+            ran += stats.dispatched > stats.direct
+    assert ran == 9  # the fixtures whose mult runs over K(t)
+
+
+@pytest.mark.parametrize("case", ["prime denominator", "no support vector"])
+def test_degenerate_points_move_the_run_to_its_next_point(monkeypatch, glex, case):
+    """At a point whose prime divides a generator coefficient's integer
+    denominator (over QQ), or where tau0's image lies in the span but the
+    exact solve on its support finds no vector, the span cannot decide: the
+    run moves to its next hashed point, with one retry, and decides that
+    step and every later one there.  The length, PolyList and MatList are
+    those of the run decided at that point from the start, and so are the
+    counts of each path."""
+    ff = FunctionField(QQ, ("a", "b"))
+    gens = _degenerate_gens(ff, case)
     with monkeypatch.context() as m:
         _force_point(m, modp._hashed_point(1, 2, 0))
         ref, _ = _eager_run(gens, glex, DEFAULT_CAPS)
-    assert ref.span is not None
-    if point is not None:
-        _force_point(monkeypatch, point)
-    calls = []
-    real = matlis.kernel_via_modp
-    monkeypatch.setattr(
-        matlis, "kernel_via_modp", lambda M, **kw: calls.append(M) or real(M, **kw)
-    )
+    assert (ref.retry, ref.stats.retries, ref.stats.fallbacks) == (0, 0, 0)
+    if case == "no support vector":
+        _force_point(monkeypatch, (P, (1, 5)))
+    _forbid_the_one_matrix_route(monkeypatch)
     state, eager = _eager_run(gens, glex, DEFAULT_CAPS)
-    assert state.span is None
+    assert state.retry == 1
     assert (state.length, state.polylist) == (ref.length, ref.polylist)
     grids = [M.grid for M in state.matlist]
     assert grids == [M.grid for M in ref.matlist] == [M.grid for M in eager]
+    assert state.stats.dispatched == len(state.l1) + len(state.elements)
+    assert state.stats.as_dict() == dict(ref.stats.as_dict(), retries=1)
+
+
+def test_a_step_no_point_decides_takes_the_exact_kernel(monkeypatch, glex):
+    """Over QQ(a, b) with the coefficient a / (P0 P1 P2), every point's prime
+    divides a denominator.  The run moves once per point it leaves, then
+    stays at its last point, and the exact ``kernel`` of the whole matrix
+    decides every step, with the verdicts, PolyList and MatList of the exact
+    reference."""
+    ff = FunctionField(QQ, ("a", "b"))
+    _forbid_the_one_matrix_route(monkeypatch)
+    state, eager = _eager_run(_degenerate_gens(ff, "every prime denominator"), glex, DEFAULT_CAPS)
+    good = compute_dual_basis(example1_gens(ff), glex)
+    assert (state.length, len(state.polylist)) == (good.length, len(good.polylist))
+    assert [M.grid for M in state.matlist] == [M.grid for M in eager]
     steps = len(state.l1) + len(state.elements)
-    assert len(calls) == steps - on_span
-    # the same paths as at the good point, and two retries: the degenerate
-    # point is kernel_via_modp's first point too
-    assert state.stats.dispatched == steps
-    assert state.stats.as_dict() == dict(ref.stats.as_dict(), retries=2)
+    assert (state.retry, steps) == (len(DEFAULT_PRIMES) - 1, 4)
+    assert state.stats.as_dict() == dict(
+        dispatched=steps, direct=0, trivial_by_modp=0, accepted_by_support=0,
+        retries=2, fallbacks=steps,
+    )
+
+
+def test_degenerate_points_over_gf2_give_the_verdicts_of_good_points(monkeypatch, glex):
+    """Over GF(2)(a, b), with a = 1 at every point the run meets, the span
+    cannot decide some step at any point: the run makes two retries, and
+    the exact kernel decides what its last point cannot.  Every verdict,
+    the PolyList and the MatList are those of the run at its own points."""
+    ff = FunctionField(GF(2), ("a", "b"))
+    gens = _degenerate_gens(ff, "no support vector")
+    good, _ = _eager_run(gens, glex, DEFAULT_CAPS)
+    assert (good.stats.retries, good.stats.fallbacks) == (0, 0)
+    _force_point(monkeypatch, (2, (1, 5)), every_retry=True)
+    _forbid_the_one_matrix_route(monkeypatch)
+    state, eager = _eager_run(gens, glex, DEFAULT_CAPS)
+    assert (state.length, state.polylist) == (good.length, good.polylist)
+    assert [M.grid for M in state.matlist] == [M.grid for M in good.matlist] == [
+        M.grid for M in eager
+    ]
+    assert state.stats.as_dict() == dict(
+        dispatched=4, direct=0, trivial_by_modp=2, accepted_by_support=0, retries=2, fallbacks=2
+    )
 
 
 def test_dependent_candidate_columns_at_the_point_leave_the_span(monkeypatch, glex):
     """The columns of 1/x and 1/y under (x + a y, x + y) are independent over
-    K(t) and equal at a = 1.  A step that meets them there goes to
-    kernel_via_modp on its whole matrix, which gives the exact verdict, and
-    the run leaves its span.  The step is made directly: in the runs tried,
-    such a point always made an earlier step leave the span first, through
-    a support solve with no vector."""
+    K(t) and equal at a = 1.  A step that meets them there moves the run to
+    its next point, with a span of the columns' images there, which gives
+    the exact verdict.  The step is made directly: in the runs tried, such
+    a point always made an earlier step move first, through a support solve
+    with no vector."""
     ff = FunctionField(QQ, ("a",))
     x, y = (SparsePoly.variable(ff, 2, i) for i in range(2))
     gens = [x + y.scale(ff.param("a")), x + y]
     _force_point(monkeypatch, (P, (1,)))
+    _forbid_the_one_matrix_route(monkeypatch)
     state = DualBasisState(gens, glex, DEFAULT_CAPS)
+    first = state.span
     gamma = [(2, 0), (1, 0), (0, 1)]
     M = _fresh_build(gens, gamma, glex, 2)
     assert kernel(M) is None
     assert matlis._parameter_kernel(state, [state.terms.pack(g) for g in gamma]) is None
-    assert state.span is None
+    assert state.span is not first and state.memo.point == modp._hashed_point(1, 1, 0)
     assert [R.grid for R in state.rejected] == [M.grid]
-    # the image at a = 1 proposes a support with no exact vector, so the
-    # next point decides
-    assert (state.stats.trivial_by_modp, state.stats.retries) == (1, 1)
-
+    # the next point decides the step on its span
+    assert state.stats.as_dict() == dict(
+        dispatched=0, direct=0, trivial_by_modp=1, accepted_by_support=0, retries=1, fallbacks=0
+    )
 
 
 WIDE_TWO = ["x^2", "y^2 + x^70000"]
@@ -920,8 +997,6 @@ def test_exponents_wider_than_any_fixed_field(char, names, ideal, length, mult):
     """Generator exponents of 2^16 and more beside a small staircase: the
     length and mult reports are those recorded when dual terms were exponent
     tuples, over QQ and GF(3); the 3-variable mult runs over K(t)."""
-    from hsmult.cli import run_command
-
     inst, options = parse_instance(
         json.dumps({"characteristic": char, "variables": names, "ideal": ideal, "dim": len(names)})
     )
