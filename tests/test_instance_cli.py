@@ -541,10 +541,12 @@ def test_coefficients_past_the_int_string_limit_exit_2_before_any_run(
     code, err = _run_main(argv)
     assert code == 2
     limit = sys.get_int_max_str_digits()
-    assert err.endswith(f"a number has more than {limit} decimal digits (sys.get_int_max_str_digits())\n")
+    assert err.endswith(
+        f"a number has more than {limit} decimal digits (sys.get_int_max_str_digits())\n"
+    )
 
 
-def test_the_digit_limit_is_the_interpreters(monkeypatch):
+def test_the_digit_limit_is_the_interpreters():
     """Literals and QQ coefficients up to the limit parse, one digit more is
     a ParseError, literals with their position; a limit of 0 checks
     nothing, and over GF(p) a coefficient is reduced first."""
